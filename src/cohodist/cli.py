@@ -253,6 +253,13 @@ def cmd_product(args, parser):
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_ring(p):
     p.add_argument("--ring", default="z2", help="z, q, z2, or zp:<p> (default z2)")
 
@@ -305,7 +312,7 @@ def build_parser():
     _add_query_args(p)
     p.add_argument("--cover", metavar="COVER", help="verify this cover for the upper bound")
     p.add_argument("--strategy", choices=["auto", "exhaustive", "greedy"], default="auto")
-    p.add_argument("--budget", type=int, default=2 ** 24)
+    p.add_argument("--budget", type=_nonnegative_int, default=2 ** 24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--exhaustive", type=int, default=None, metavar="N",
@@ -314,7 +321,7 @@ def build_parser():
 
     p = sub.add_parser("subdivide", help="write an iterated barycentric subdivision")
     p.add_argument("complex")
-    p.add_argument("--iterations", type=int, default=1)
+    p.add_argument("--iterations", type=_nonnegative_int, default=1)
     p.add_argument("--out", help="output prefix (default 'sd')")
     p.set_defaults(func=cmd_subdivide)
 

@@ -12,9 +12,12 @@ Search explores pieces spanned by subsets of the source's maximal faces.
 For a connected target this loses nothing: an isolated vertex changes
 neither positive-degree cohomology nor the always-equal degree-0
 comparison, and in dimension one every subcomplex is of this form up to
-isolated vertices.  Exhaustive enumeration proves nonexistence within that
-family; the greedy strategy grows pieces face by face and repairs by local
-moves, re-verifying any cover before returning it.
+isolated vertices.  A candidate piece is evaluated as a mask over the
+source's chain complex and never built; ``verify`` builds every piece of
+a cover before search returns it and checks it again.  Exhaustive
+enumeration proves nonexistence within that family; the greedy strategy
+grows pieces face by face and repairs by local moves, re-verifying any
+cover before returning it.
 
 Everything is pure and deterministic given the seed; independent pieces
 and candidate covers could be evaluated concurrently without changing any
@@ -43,6 +46,7 @@ from .exactalg import Ring
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
+    chain_complex,
     equality_obstruction,
     maps_equal,
 )
@@ -160,17 +164,33 @@ def lower_bound(query: DistanceQuery):
 
 
 class _PieceChecker:
-    """Memoized evaluation of face subsets as candidate cover pieces."""
+    """Memoized evaluation of face subsets as candidate cover pieces.
+
+    A piece is not built as a complex: each maximal face's closure is kept
+    as a mask over the source's chain bases, the piece of a face set is the
+    union of its faces' masks, and the query's maps are compared on it by
+    :func:`homology.equality_obstruction`.
+    """
 
     def __init__(self, query: DistanceQuery):
         self.query = query
         self.faces = query.source.maximal_faces
+        data = chain_complex(query.source)
+        self._closures = [data.closure_mask([f]) for f in self.faces]
         self._cache = {}
 
     def subcomplex(self, face_set, name="") -> Subcomplex:
         return Subcomplex.spanned_by(self.query.source,
                                      [self.faces[i] for i in sorted(face_set)],
                                      name=name)
+
+    def mask(self, face_set):
+        """The piece spanned by the faces, as a mask over the source's bases."""
+        bits = [0] * len(self._closures[0])
+        for i in face_set:
+            for d, b in enumerate(self._closures[i]):
+                bits[d] |= b
+        return tuple(bits)
 
     def obstruction(self, face_set) -> int:
         """0 when the restrictions agree on the piece (empty piece is vacuous)."""
@@ -179,10 +199,9 @@ class _PieceChecker:
             return 0
         hit = self._cache.get(fs)
         if hit is None:
-            piece = self.subcomplex(fs)
-            hit = equality_obstruction(restrict(self.query.phi, piece),
-                                       restrict(self.query.psi, piece),
-                                       self.query.ring, self.query.variance)
+            q = self.query
+            hit = equality_obstruction(q.phi, q.psi, q.ring, q.variance,
+                                       piece=self.mask(fs))
             self._cache[fs] = hit
         return hit
 

@@ -7,8 +7,11 @@ kernel/image pairs into presentations of finitely generated abelian groups
 (free rank, torsion coefficients, and lifts of the chosen generators back
 to representative vectors).
 
-The mod-2 routines use bitsets (one Python int per column) because the
-cohomology pipeline spends nearly all of its time row-reducing over Z_2.
+Elimination over a field is sparse.  The mod-2 routines use bitsets (one
+Python int per column) because the cohomology pipeline spends most of its
+time row-reducing over Z_2; :class:`FieldSpan` does the same column
+reduction over Z_p and Q with dict columns.  Both key a pivot by its
+highest row.
 """
 
 from fractions import Fraction
@@ -64,7 +67,12 @@ class Ring:
 
     def normalize(self, x):
         if self.kind == "Z":
-            return int(x)
+            if type(x) is int:
+                return x
+            n = int(x)
+            if n != x:
+                raise ValueError(f"{x!r} is not an integer")
+            return n
         if self.kind == "GF":
             return int(x) % self.p
         return Fraction(x)
@@ -133,9 +141,9 @@ def ring_from_code(code: str) -> Ring:
         return QQ
     if code == "z2":
         return GF2
-    if code.startswith("zp:"):
+    if code.startswith("zp:") and code[3:].isdecimal():
         return GF(int(code[3:]))
-    if code.startswith("z") and code[1:].isdigit():
+    if code.startswith("z") and code[1:].isdecimal():
         return GF(int(code[1:]))
     raise UnsupportedRingError(f"unknown ring code {code!r}")
 
@@ -182,7 +190,7 @@ class Matrix:
         z = ring.zero
         rows = [[z] * len(cols) for _ in range(nrows)]
         for j, col in enumerate(cols):
-            for i, x in enumerate(col):
+            for i, x in (col.items() if isinstance(col, dict) else enumerate(col)):
                 rows[i][j] = ring.normalize(x)
         return cls(ring, rows, ncols=len(cols))
 
@@ -197,6 +205,17 @@ class Matrix:
 
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
+
+    def sparse_columns(self, ring: "Ring | None" = None):
+        """Columns as sparse dicts, with entries taken into ``ring`` if given."""
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in enumerate(row):
+                if ring is not None:
+                    x = ring.normalize(x)
+                if x:
+                    cols[j][i] = x
+        return cols
 
     def transpose(self):
         return Matrix(self.ring, [list(col) for col in zip(*self.rows)] if self.rows else [],
@@ -361,117 +380,155 @@ def gf2_rank(cols):
 
 
 # ---------------------------------------------------------------------------
-# generic field elimination (Q and Z_p); dense columns as lists
+# sparse field elimination (Z_p and Q).  A column is a dict row -> nonzero
+# scalar: a plain int in [0, p) over Z_p, a Fraction over Q.
+
+
+def _sparse_column(ring: Ring, col) -> dict:
+    """``col`` as a sparse column; a dict is taken to be one already."""
+    if isinstance(col, dict):
+        return col
+    out = {}
+    for i, x in enumerate(col):
+        x = ring.normalize(x)
+        if x:
+            out[i] = x
+    return out
+
+
+def _dense_column(col: dict, n: int, zero=0) -> list:
+    out = [zero] * n
+    for i, x in col.items():
+        out[i] = x
+    return out
+
+
+def _axpy(y: dict, a, x: dict, p):
+    """y += a * x in place, dropping the entries that cancel (mod p unless None)."""
+    for k, v in x.items():
+        v = y.get(k, 0) + a * v
+        if p is not None:
+            v %= p
+        if v:
+            y[k] = v
+        else:
+            y.pop(k, None)
 
 
 class FieldSpan:
-    """Incremental column span over a field with expression tracking."""
+    """Incremental column span over Z_p or Q with expression tracking.
 
-    __slots__ = ("ring", "pivots", "n_added")
+    Columns are sparse (see :func:`_sparse_column`); dense sequences are
+    converted on the way in.  As in :class:`Gf2Span`, a pivot is keyed by
+    its highest row and a column is reduced only until its highest row is
+    no pivot's.  Pivots are stored monic together with their combination
+    over the added columns, unless ``track`` is False: such a span answers
+    membership only, and ``express`` is not available.
+    """
 
-    def __init__(self, ring: Ring):
+    __slots__ = ("ring", "p", "pivots", "n_added", "track")
+
+    def __init__(self, ring: Ring, track: bool = True):
+        if not ring.is_field:
+            raise UnsupportedRingError(f"{ring} is not a field")
         self.ring = ring
-        self.pivots = []  # list of (pivot row, column list, combo dict)
+        self.p = ring.p
+        self.pivots = {}  # pivot row -> (monic column, combo over added columns)
         self.n_added = 0
+        self.track = track
 
-    def _reduce(self, col, combo):
-        R = self.ring
-        col = list(col)
-        for p, pcol, pcombo in self.pivots:
-            c = col[p]
-            if c != R.zero:
-                for i, x in enumerate(pcol):
-                    if x != R.zero:
-                        col[i] = R.sub(col[i], R.mul(c, x))
-                for k, x in pcombo.items():
-                    combo[k] = R.sub(combo.get(k, R.zero), R.mul(c, x))
+    def _reduce(self, col: dict, combo):
+        """Reduce ``col`` (mutated) and, unless None, its ``combo`` alongside."""
+        pivots, p = self.pivots, self.p
+        while col:
+            top = max(col)
+            hit = pivots.get(top)
+            if hit is None:
+                break
+            c = -col[top]
+            _axpy(col, c, hit[0], p)
+            if combo is not None:
+                _axpy(combo, c, hit[1], p)
         return col, combo
 
-    def _pivot_row(self, col):
-        R = self.ring
-        for i in range(len(col) - 1, -1, -1):
-            if col[i] != R.zero:
-                return i
-        return None
+    def _scaled(self, vec: dict, a) -> dict:
+        p = self.p
+        if p is None:
+            return {i: a * x for i, x in vec.items()}
+        return {i: a * x % p for i, x in vec.items()}
 
-    def add(self, col) -> bool:
-        R = self.ring
+    def _absorb(self, col):
+        """Add a column.  Returns (enlarged, combo), where combo is the
+        reduced column's combination over the added columns (None when
+        not tracked): a kernel vector when the span did not grow."""
         idx = self.n_added
         self.n_added += 1
-        col, combo = self._reduce(col, {idx: R.one})
-        p = self._pivot_row(col)
-        if p is None:
-            return False
-        inv = R.inv(col[p])
-        col = [R.mul(inv, x) for x in col]
-        combo = {k: R.mul(inv, v) for k, v in combo.items()}
-        self.pivots.append((p, col, combo))
-        return True
+        combo = {idx: self.ring.one} if self.track else None
+        col, combo = self._reduce(dict(_sparse_column(self.ring, col)), combo)
+        if not col:
+            return False, combo
+        top = max(col)
+        inv = self.ring.inv(col[top])
+        self.pivots[top] = (self._scaled(col, inv),
+                            None if combo is None else self._scaled(combo, inv))
+        return True, None
+
+    def add(self, col) -> bool:
+        """Add a column; returns True when it enlarged the span."""
+        return self._absorb(col)[0]
 
     def express(self, col):
         """Coefficients over the added columns (dict index -> scalar), or None."""
-        R = self.ring
-        col, combo = self._reduce(list(col), {})
-        if self._pivot_row(col) is not None:
+        if not self.track:
+            raise ValueError("this span keeps no combinations")
+        col, combo = self._reduce(dict(_sparse_column(self.ring, col)), {})
+        if col:
             return None
-        return {k: R.neg(v) for k, v in combo.items() if v != R.zero}
+        neg = self.ring.neg
+        return {k: neg(v) for k, v in combo.items()}
 
     def contains(self, col) -> bool:
-        return self.express(col) is not None
+        return not self._reduce(dict(_sparse_column(self.ring, col)), None)[0]
 
     @property
     def rank(self):
         return len(self.pivots)
 
 
-def _field_rank(M: Matrix) -> int:
-    span = FieldSpan(M.ring)
-    return sum(1 for col in M.columns() if span.add(col))
+def _field_rank(ring: Ring, cols) -> int:
+    span = FieldSpan(ring, track=False)
+    return sum(1 for col in cols if span.add(col))
 
 
-def _field_kernel(M: Matrix) -> Matrix:
-    R = M.ring
-    span = FieldSpan(R)
-    kernel_cols = []
-    for j in range(M.ncols):
-        combo = {j: R.one}
-        col, combo = span._reduce(M.column(j), combo)
-        p = span._pivot_row(col)
-        if p is None:
-            vec = [R.zero] * M.ncols
-            for k, v in combo.items():
-                vec[k] = v
-            kernel_cols.append(vec)
-        else:
-            inv = R.inv(col[p])
-            col = [R.mul(inv, x) for x in col]
-            combo = {k: R.mul(inv, v) for k, v in combo.items()}
-            span.pivots.append((p, col, combo))
-            span.n_added = j + 1
-    return Matrix.from_columns(R, kernel_cols, M.ncols)
+def _field_kernel(ring: Ring, cols) -> list:
+    """Kernel basis of the matrix with the given sparse columns, as sparse
+    vectors over the column indices: one per column dependent on earlier ones."""
+    span = FieldSpan(ring)
+    kernel = []
+    for col in cols:
+        grew, combo = span._absorb(col)
+        if not grew:
+            kernel.append(combo)
+    return kernel
 
 
-def _field_solve(M: Matrix, B: Matrix):
-    R = M.ring
-    span = FieldSpan(R)
-    for col in M.columns():
+def _field_solve(ring: Ring, cols, targets):
+    """Sparse x with sum x_k cols[k] == t for each target t, or None."""
+    span = FieldSpan(ring)
+    for col in cols:
         span.add(col)
-    sol_cols = []
-    for j in range(B.ncols):
-        coeffs = span.express(B.column(j))
+    out = []
+    for t in targets:
+        coeffs = span.express(t)
         if coeffs is None:
             return None
-        vec = [R.zero] * M.ncols
-        for k, v in coeffs.items():
-            vec[k] = v
-        sol_cols.append(vec)
-    return Matrix.from_columns(R, sol_cols, M.ncols)
+        out.append(coeffs)
+    return out
 
 
-def _field_image(M: Matrix) -> Matrix:
-    span = FieldSpan(M.ring)
-    cols = [col for col in M.columns() if span.add(col)]
-    return Matrix.from_columns(M.ring, cols, M.nrows)
+def _field_image(ring: Ring, cols) -> list:
+    span = FieldSpan(ring, track=False)
+    return [col for col in cols if span.add(col)]
 
 
 # ---------------------------------------------------------------------------
@@ -656,24 +713,7 @@ def _z_image(M: Matrix) -> Matrix:
 
 
 def _z_solve(M: Matrix, B: Matrix):
-    snf = smith_normal_form(M)
-    Y = snf.U * B
-    r = snf.rank
-    sol_cols = []
-    for j in range(B.ncols):
-        y = Y.column(j)
-        x = [0] * M.ncols
-        for i in range(len(y)):
-            if i < r:
-                d = snf.S.rows[i][i]
-                if y[i] % d != 0:
-                    return None
-                x[i] = y[i] // d
-            elif y[i] != 0:
-                return None
-        sol_cols.append(x)
-    X = Matrix.from_columns(ZZ, sol_cols, M.ncols)
-    return snf.V * X
+    return _z_solve_with_snf(smith_normal_form(M), M.ncols, B)
 
 
 # ---------------------------------------------------------------------------
@@ -681,22 +721,25 @@ def _z_solve(M: Matrix, B: Matrix):
 
 
 def rank(M: Matrix) -> int:
+    """Rank over the ring's field of fractions."""
     if M.ring.is_field:
-        return _field_rank(M)
-    return _field_rank(M.change_ring(QQ))
+        return _field_rank(M.ring, M.sparse_columns())
+    return _field_rank(QQ, M.sparse_columns(QQ))
 
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Columns form a basis of ker(M); over Z this is the saturated lattice."""
     if M.ring.is_field:
-        return _field_kernel(M)
+        return Matrix.from_columns(M.ring, _field_kernel(M.ring, M.sparse_columns()),
+                                   M.ncols)
     return _z_kernel(M)
 
 
 def image_basis(M: Matrix) -> Matrix:
     """Columns form a basis of the column space (a lattice basis over Z)."""
     if M.ring.is_field:
-        return _field_image(M)
+        return Matrix.from_columns(M.ring, _field_image(M.ring, M.sparse_columns()),
+                                   M.nrows)
     return _z_image(M)
 
 
@@ -705,7 +748,8 @@ def solve(M: Matrix, B: Matrix):
     if M.ring != B.ring:
         raise RingMismatchError("matrices over different rings")
     if M.ring.is_field:
-        return _field_solve(M, B)
+        sol = _field_solve(M.ring, M.sparse_columns(), B.sparse_columns())
+        return None if sol is None else Matrix.from_columns(M.ring, sol, M.ncols)
     return _z_solve(M, B)
 
 
@@ -807,12 +851,14 @@ def quotient_presentation(cycles: Matrix, boundaries: Matrix) -> Presentation:
             cyc = gf2_columns_from_matrix(cycles)
             bnd = gf2_columns_from_matrix(boundaries)
             return _gf2_quotient(ambient, cyc, bnd)
-        return _field_quotient(ring, ambient, cycles.columns(), boundaries.columns())
+        return _field_quotient(ring, ambient, cycles.sparse_columns(),
+                               boundaries.sparse_columns())
     return _z_quotient(ambient, cycles, boundaries)
 
 
 def _field_quotient(ring, ambient, cycle_cols, boundary_cols) -> Presentation:
-    cycle_span = FieldSpan(ring)
+    """span(cycles)/span(boundaries) over Z_p or Q, from sparse columns."""
+    cycle_span = FieldSpan(ring, track=False)
     for col in cycle_cols:
         cycle_span.add(col)
     for col in boundary_cols:
@@ -827,7 +873,7 @@ def _field_quotient(ring, ambient, cycle_cols, boundary_cols) -> Presentation:
         idx = span.n_added
         if span.add(col):
             slot[idx] = len(gens)
-            gens.append(list(col))
+            gens.append(_dense_column(col, ambient, ring.zero))
     k = len(gens)
 
     def express(vector):

@@ -1,22 +1,22 @@
 """Simplicial chain complexes, (co)homology with coefficients, induced maps
 of simplicial maps, and degreewise equality of induced maps.
 
-Boundary matrices are integral with the usual alternating signs in the
-complex's vertex order.  Coefficients are handled by three backends: a
-bitset pipeline for Z_2 (the workhorse), dense exact elimination for Q and
-Z_p, and Smith normal form over Z (which is where torsion comes from).
+Boundary operators are kept as sparse integral columns with the usual
+alternating signs in the complex's vertex order.  Coefficients are handled
+by three backends: a bitset pipeline for Z_2 (the workhorse), sparse exact
+elimination for Q and Z_p fed those columns directly, and Smith normal
+form over Z (which is where torsion comes from).
 
-Equality of induced maps is decided two ways that must agree:
+Equality of induced maps is decided by one routine: for every generator of
+the relevant group it tests whether the difference of the two (co)chain
+images is a (co)boundary.  Over Z this is exact lattice membership, so it
+is relation-aware.  :func:`maps_equal` reports the verdict per degree,
+:func:`equality_obstruction` counts the failing generators.  The count
+can restrict the maps to a subcomplex of their source given as a mask over
+the source's chain bases, without building the subcomplex.
 
-* the default "membership" path tests, for every generator of the relevant
-  group, whether the difference of the two (co)chain images is a
-  (co)boundary — over Z this is exact lattice membership, so it is
-  relation-aware;
-* the "presentation" path builds both induced homomorphisms on group
-  presentations and compares them with :func:`exactalg.homs_equal`.
-
-Results of both are pure functions of the inputs and are cached per
-(complex, ring).
+Results are pure functions of the inputs and are cached per (complex,
+ring).
 """
 
 from . import exactalg
@@ -32,7 +32,6 @@ from .exactalg import (
     gf2_columns_from_sparse,
     gf2_kernel,
     gf2_vector_from_list,
-    homs_equal,
     kernel_basis,
     quotient_presentation,
     smith_normal_form,
@@ -85,11 +84,23 @@ class ChainComplexData:
 
     def sparse_coboundary(self, d: int):
         """Columns of delta^d : C^d -> C^{d+1} (the transpose of boundary d+1)."""
-        cols = [[] for _ in range(self.rank_of(d))]
-        for j, col in enumerate(self.sparse_boundary(d + 1)):
-            for i, sign in col:
-                cols[i].append((j, sign))
-        return cols
+        return _transpose(self.sparse_boundary(d + 1), self.rank_of(d))
+
+    def closure_mask(self, faces):
+        """The subcomplex spanned by ``faces`` as a mask over these bases.
+
+        Entry d of the tuple is an int whose bit i is set when simplex i of
+        ``basis[d]`` lies in the downward closure of the faces.
+        """
+        bits = [0] * (self.complex.dim + 1)
+        index = self.index
+        for face in faces:
+            face = self.complex.sort_simplex(face)
+            n = len(face)
+            for m in range(1, 1 << n):
+                sub = tuple(face[i] for i in range(n) if m >> i & 1)
+                bits[len(sub) - 1] |= 1 << index[sub]
+        return tuple(bits)
 
     def boundary_matrix(self, d: int) -> Matrix:
         """Dense integral boundary matrix (use only at desk scale)."""
@@ -112,6 +123,54 @@ def chain_complex(K: SimplicialComplex) -> ChainComplexData:
     if data is None:
         data = _chain_cache[K] = ChainComplexData(K)
     return data
+
+
+def _transpose(sparse_cols, nrows: int):
+    cols = [[] for _ in range(nrows)]
+    for j, col in enumerate(sparse_cols):
+        for i, sign in col:
+            cols[i].append((j, sign))
+    return cols
+
+
+def _bit_indices(bits: int) -> list:
+    """Positions of the set bits of ``bits``, ascending."""
+    return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
+
+
+class _PieceChains:
+    """Chain complex of a subcomplex given as a mask over a parent's bases.
+
+    Each basis is the parent's restricted to the piece and renumbered in
+    the parent's order, and each boundary column is the parent's with its
+    rows renumbered.  A piece built as a complex inherits
+    the parent's vertex order, so its simplices, orientations and boundary
+    signs are these: both give the same chain complex.
+    """
+
+    __slots__ = ("parent", "indices", "dim")
+
+    def __init__(self, parent: ChainComplexData, mask):
+        self.parent = parent
+        self.indices = [_bit_indices(bits) for bits in mask]
+        self.dim = max((d for d, idx in enumerate(self.indices) if idx), default=-1)
+
+    def basis_indices(self, d: int):
+        """Parent indices of the piece's degree-d simplices, ascending."""
+        return self.indices[d] if 0 <= d < len(self.indices) else []
+
+    def rank_of(self, d: int) -> int:
+        return len(self.basis_indices(d))
+
+    def sparse_boundary(self, d: int):
+        # a subcomplex holds every face of its simplices, so every row is local
+        local = {i: k for k, i in enumerate(self.basis_indices(d - 1))}
+        parent_cols = self.parent.sparse_boundary(d)
+        return [[(local[i], sign) for i, sign in parent_cols[j]]
+                for j in self.basis_indices(d)]
+
+    def sparse_coboundary(self, d: int):
+        return _transpose(self.sparse_boundary(d + 1), self.rank_of(d))
 
 
 # ---------------------------------------------------------------------------
@@ -151,41 +210,43 @@ class GradedModule:
                 f"{self.ring}: {', '.join(self.group_strs())})")
 
 
-def _degree_presentation(data: ChainComplexData, ring: Ring, variance, d: int):
+def _degree_presentation(data, ring: Ring, variance, d: int):
+    """H^d or H_d of a :class:`ChainComplexData` (or :class:`_PieceChains`)."""
+    n = data.rank_of(d)
+    bnd_src = _image_columns(data, variance, d)
     if variance == COHOMOLOGY:
-        cycle_src = data.sparse_coboundary(d)
-        n_ambient = data.rank_of(d)
-        bnd_src = data.sparse_coboundary(d - 1) if d >= 1 else []
-        bnd_rows = n_ambient
+        cycle_src, cycle_rows = data.sparse_coboundary(d), data.rank_of(d + 1)
     else:
-        cycle_src = data.sparse_boundary(d)
-        n_ambient = data.rank_of(d)
-        bnd_src = data.sparse_boundary(d + 1)
-        bnd_rows = n_ambient
+        cycle_src, cycle_rows = data.sparse_boundary(d), data.rank_of(d - 1)
     if ring == GF2:
-        cols = gf2_columns_from_sparse(cycle_src, 0)
-        cycles = gf2_kernel(cols, n_ambient)
-        boundaries = gf2_columns_from_sparse(bnd_src, 0)
-        return exactalg._gf2_quotient(n_ambient, cycles, boundaries)
-    cycle_mat = _dense_from_sparse(ring, cycle_src, _sparse_nrows(data, variance, d))
-    boundary_mat = _dense_from_sparse(ring, bnd_src, bnd_rows)
-    cycles = kernel_basis(cycle_mat)
-    return quotient_presentation(cycles, boundary_mat)
+        cycles = gf2_kernel(gf2_columns_from_sparse(cycle_src, 0), n)
+        return exactalg._gf2_quotient(n, cycles, gf2_columns_from_sparse(bnd_src, 0))
+    if ring.is_field:
+        cycles = exactalg._field_kernel(ring, _field_columns(ring, cycle_src))
+        return exactalg._field_quotient(ring, n, cycles, _field_columns(ring, bnd_src))
+    cycles = kernel_basis(_integer_matrix(cycle_src, cycle_rows))
+    return quotient_presentation(cycles, _integer_matrix(bnd_src, n))
 
 
-def _sparse_nrows(data, variance, d):
+def _image_columns(data, variance, d: int):
+    """Columns of delta^{d-1} (cohomology) or boundary_{d+1} (homology)."""
     if variance == COHOMOLOGY:
-        return data.rank_of(d + 1)
-    return data.rank_of(d - 1)
+        return data.sparse_coboundary(d - 1) if d >= 1 else []
+    return data.sparse_boundary(d + 1)
 
 
-def _dense_from_sparse(ring, sparse_cols, nrows) -> Matrix:
-    z = ring.zero
-    rows = [[z] * len(sparse_cols) for _ in range(nrows)]
+def _field_columns(ring: Ring, sparse_cols):
+    """(row, sign) columns as sparse columns over Z_p or Q."""
+    one, minus = ring.normalize(1), ring.normalize(-1)
+    return [{i: one if sign == 1 else minus for i, sign in col} for col in sparse_cols]
+
+
+def _integer_matrix(sparse_cols, nrows) -> Matrix:
+    rows = [[0] * len(sparse_cols) for _ in range(nrows)]
     for j, col in enumerate(sparse_cols):
         for i, sign in col:
-            rows[i][j] = ring.normalize(sign)
-    return Matrix(ring, rows, ncols=len(sparse_cols))
+            rows[i][j] = sign
+    return Matrix(ZZ, rows, ncols=len(sparse_cols))
 
 
 _graded_cache: dict = {}
@@ -270,8 +331,11 @@ def pullback_cochain(phi: SimplicialMap, ring: Ring, d: int, cochain):
 
 def pushforward_chain(phi: SimplicialMap, ring: Ring, d: int, chain):
     """phi_# of a degree-d chain on the source (dense list over target basis)."""
-    entries = chain_map(phi, d)
-    n_t = chain_complex(phi.target).rank_of(d)
+    return _push(ring, chain_map(phi, d), chain_complex(phi.target).rank_of(d), chain)
+
+
+def _push(ring: Ring, entries, n_t: int, chain):
+    """A chain pushed through chain-map ``entries`` into a basis of size n_t."""
     z = ring.zero
     out = [z] * n_t
     for i, e in enumerate(entries):
@@ -364,35 +428,6 @@ class _ZSpan:
         return exactalg._z_solve_with_snf(self.snf, self.matrix.ncols, B) is not None
 
 
-def _image_span(K: SimplicialComplex, ring: Ring, variance: str, d: int):
-    """Membership tester for im(delta^{d-1}) (cohomology) or im(boundary_{d+1})."""
-    key = (K, ring, variance, d)
-    span = _span_cache.get(key)
-    if span is not None:
-        return span
-    data = chain_complex(K)
-    if variance == COHOMOLOGY:
-        sparse = data.sparse_coboundary(d - 1) if d >= 1 else []
-        nrows = data.rank_of(d)
-    else:
-        sparse = data.sparse_boundary(d + 1)
-        nrows = data.rank_of(d)
-    if ring == GF2:
-        span = Gf2Span()
-        for c in gf2_columns_from_sparse(sparse, nrows):
-            span.add(c)
-        tester = _Gf2Membership(span)
-    elif ring.is_field:
-        fs = FieldSpan(ring)
-        for col in _dense_from_sparse(ring, sparse, nrows).columns():
-            fs.add(col)
-        tester = fs
-    else:
-        tester = _ZSpan(_dense_from_sparse(ZZ, sparse, nrows))
-    _span_cache[key] = tester
-    return tester
-
-
 class _Gf2Membership:
     __slots__ = ("span",)
 
@@ -403,6 +438,32 @@ class _Gf2Membership:
         if not isinstance(vec, int):
             vec = gf2_vector_from_list(vec)
         return self.span.contains(vec)
+
+
+def _membership(ring: Ring, sparse_cols, nrows: int):
+    """Membership tester for the span of (row, sign) columns with ``nrows`` rows."""
+    if ring == GF2:
+        span = Gf2Span()
+        for c in gf2_columns_from_sparse(sparse_cols, nrows):
+            span.add(c)
+        return _Gf2Membership(span)
+    if ring.is_field:
+        span = FieldSpan(ring, track=False)
+        for col in _field_columns(ring, sparse_cols):
+            span.add(col)
+        return span
+    return _ZSpan(_integer_matrix(sparse_cols, nrows))
+
+
+def _image_span(K: SimplicialComplex, ring: Ring, variance: str, d: int):
+    """Membership tester for im(delta^{d-1}) (cohomology) or im(boundary_{d+1})."""
+    key = (K, ring, variance, d)
+    span = _span_cache.get(key)
+    if span is None:
+        data = chain_complex(K)
+        span = _span_cache[key] = _membership(ring, _image_columns(data, variance, d),
+                                              data.rank_of(d))
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -434,105 +495,121 @@ def _require_parallel(phi, psi):
         raise ValueError("maps must share source and target")
 
 
-def maps_equal(phi: SimplicialMap, psi: SimplicialMap, ring: Ring, variance: str,
-               method: str = "membership") -> MapsEqualReport:
+_difference_cache: dict = {}
+
+
+def _cochain_differences(phi, psi, ring, d):
+    """phi^# y - psi^# y over the whole source, per generator y of H^d(target)."""
+    key = (phi, psi, ring, d)
+    diffs = _difference_cache.get(key)
+    if diffs is None:
+        sub = ring.sub
+        diffs = []
+        for gen in cohomology(phi.target, ring).presentation(d).gens:
+            a = pullback_cochain(phi, ring, d, gen)
+            b = pullback_cochain(psi, ring, d, gen)
+            diffs.append([sub(x, y) for x, y in zip(a, b)])
+        _difference_cache[key] = diffs
+    return diffs
+
+
+def _cochain_verdicts(phi, psi, ring, d, chains, piece):
+    diffs = _cochain_differences(phi, psi, ring, d)
+    if piece is not None:
+        idx = chains.basis_indices(d)
+        diffs = [[diff[i] for i in idx] for diff in diffs]
+    if d == 0:
+        return [not any(diff) for diff in diffs]
+    if piece is None:
+        span = _image_span(phi.source, ring, COHOMOLOGY, d)
+    else:
+        span = _membership(ring, chains.sparse_coboundary(d - 1), chains.rank_of(d))
+    return (span.contains(diff) for diff in diffs)
+
+
+def _chain_verdicts(phi, psi, ring, d, pres, chains, piece):
+    span = _image_span(phi.target, ring, HOMOLOGY, d)
+    n_t = chain_complex(phi.target).rank_of(d)
+    phi_entries, psi_entries = chain_map(phi, d), chain_map(psi, d)
+    if piece is not None:
+        idx = chains.basis_indices(d)
+        phi_entries = [phi_entries[i] for i in idx]
+        psi_entries = [psi_entries[i] for i in idx]
+    sub = ring.sub
+    for gen in pres.gens:
+        a = _push(ring, phi_entries, n_t, gen)
+        b = _push(ring, psi_entries, n_t, gen)
+        yield span.contains([sub(x, y) for x, y in zip(a, b)])
+
+
+def _generator_verdicts(phi, psi, ring, variance, piece):
+    """Per degree d, the verdict of every generator compared in degree d.
+
+    Yields ``(d, verdicts)``, where ``verdicts`` iterates lazily over
+    booleans: True when the two images of one generator differ by a
+    (co)boundary.  Cohomology compares the pullbacks of the generators of
+    H^d(target) modulo the source's coboundaries; homology compares the
+    pushforwards of the generators of H_d(source) modulo the target's
+    boundaries.  Over Z membership is exact lattice membership, so the
+    test is relation-aware.
+
+    ``piece`` (None for the whole source) is a subcomplex of the source
+    as a mask from :meth:`ChainComplexData.closure_mask`.  The maps are then
+    restricted to it without building it: the source's (co)boundary
+    columns and the maps' chain-map entries are restricted to the piece's
+    indices (see :class:`_PieceChains`).
+    """
+    chains = chain_complex(phi.source)
+    src_dim = phi.source.dim
+    if piece is not None:
+        chains = _PieceChains(chains, piece)
+        src_dim = chains.dim
+    degrees = range(max(src_dim, phi.target.dim) + 1)
+    if variance == COHOMOLOGY:
+        gm = cohomology(phi.target, ring)
+        for d in degrees:
+            if gm.presentation(d).is_trivial or d > src_dim:
+                yield d, ()
+            else:
+                yield d, _cochain_verdicts(phi, psi, ring, d, chains, piece)
+        return
+    gm = homology(phi.source, ring) if piece is None else None
+    for d in degrees:
+        if piece is None:
+            pres = gm.presentation(d)
+        elif d <= src_dim:
+            pres = _degree_presentation(chains, ring, HOMOLOGY, d)
+        else:
+            pres = trivial_presentation(ring)
+        if pres.is_trivial:
+            yield d, ()
+        else:
+            yield d, _chain_verdicts(phi, psi, ring, d, pres, chains, piece)
+
+
+def maps_equal(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
+               variance: str) -> MapsEqualReport:
     """Do phi and psi induce the same map in every degree?
 
-    ``method='membership'`` tests generator differences for (co)boundary
-    membership; ``method='presentation'`` goes through explicit
-    homomorphisms.  The two agree; the latter exists as the independent
-    slow path.
+    Each degree is decided by testing the generator differences for
+    (co)boundary membership.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
-    if method == "presentation":
-        return _maps_equal_presentation(phi, psi, ring, variance)
-    by_degree = {}
-    if variance == COHOMOLOGY:
-        gm = cohomology(phi.target, ring)
-        top = max(phi.source.dim, phi.target.dim)
-        for d in range(top + 1):
-            pres = gm.presentation(d)
-            if pres.is_trivial or d > phi.source.dim:
-                by_degree[d] = True
-                continue
-            span = _image_span(phi.source, ring, COHOMOLOGY, d) if d >= 1 else None
-            ok = True
-            for gen in pres.gens:
-                a = pullback_cochain(phi, ring, d, gen)
-                b = pullback_cochain(psi, ring, d, gen)
-                diff = [ring.sub(x, y) for x, y in zip(a, b)]
-                if d == 0:
-                    ok = all(x == ring.zero for x in diff)
-                else:
-                    ok = span.contains(diff)
-                if not ok:
-                    break
-            by_degree[d] = ok
-    else:
-        gm = homology(phi.source, ring)
-        top = max(phi.source.dim, phi.target.dim)
-        for d in range(top + 1):
-            pres = gm.presentation(d)
-            if pres.is_trivial:
-                by_degree[d] = True
-                continue
-            span = _image_span(phi.target, ring, HOMOLOGY, d)
-            ok = True
-            for gen in pres.gens:
-                a = pushforward_chain(phi, ring, d, gen)
-                b = pushforward_chain(psi, ring, d, gen)
-                diff = [ring.sub(x, y) for x, y in zip(a, b)]
-                ok = span.contains(diff)
-                if not ok:
-                    break
-            by_degree[d] = ok
-    return MapsEqualReport(by_degree)
-
-
-def _maps_equal_presentation(phi, psi, ring, variance) -> MapsEqualReport:
-    f = induced_map(phi, ring, variance)
-    g = induced_map(psi, ring, variance)
-    by_degree = {d: homs_equal(f.hom(d), g.hom(d)) for d in f.degrees}
-    return MapsEqualReport(by_degree)
+    return MapsEqualReport({d: all(verdicts) for d, verdicts
+                            in _generator_verdicts(phi, psi, ring, variance, None)})
 
 
 def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
-                         variance: str) -> int:
+                         variance: str, piece=None) -> int:
     """Number of generators whose images differ; 0 means the maps agree.
 
     A finer-grained version of :func:`maps_equal`, used as a search score.
+    ``piece`` restricts both maps to a subcomplex of their source given as
+    a mask (see :meth:`ChainComplexData.closure_mask`).
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
-    count = 0
-    if variance == COHOMOLOGY:
-        gm = cohomology(phi.target, ring)
-        for d in range(phi.target.dim + 1):
-            pres = gm.presentation(d)
-            if pres.is_trivial or d > phi.source.dim:
-                continue
-            span = _image_span(phi.source, ring, COHOMOLOGY, d) if d >= 1 else None
-            for gen in pres.gens:
-                a = pullback_cochain(phi, ring, d, gen)
-                b = pullback_cochain(psi, ring, d, gen)
-                diff = [ring.sub(x, y) for x, y in zip(a, b)]
-                if d == 0:
-                    if any(x != ring.zero for x in diff):
-                        count += 1
-                elif not span.contains(diff):
-                    count += 1
-    else:
-        gm = homology(phi.source, ring)
-        for d in range(phi.source.dim + 1):
-            pres = gm.presentation(d)
-            if pres.is_trivial:
-                continue
-            span = _image_span(phi.target, ring, HOMOLOGY, d)
-            for gen in pres.gens:
-                a = pushforward_chain(phi, ring, d, gen)
-                b = pushforward_chain(psi, ring, d, gen)
-                diff = [ring.sub(x, y) for x, y in zip(a, b)]
-                if not span.contains(diff):
-                    count += 1
-    return count
+    return sum(not ok for _, verdicts
+               in _generator_verdicts(phi, psi, ring, variance, piece)
+               for ok in verdicts)

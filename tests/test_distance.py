@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cohodist.complexes import (
@@ -5,11 +7,13 @@ from cohodist.complexes import (
     SimplicialMap,
     Subcomplex,
     barycentric_subdivision,
+    from_maximal_faces,
     product,
     restrict,
 )
 from cohodist.distance import (
     DistanceQuery,
+    _PieceChecker,
     hscat,
     hstc,
     lower_bound,
@@ -24,9 +28,10 @@ from cohodist.distance import (
 from cohodist.errors import BudgetExceededError, VarianceUnsupportedError
 from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.fixtures import fixture_complex, fixture_cover, rp2_loop
-from cohodist.homology import maps_equal
+from cohodist.homology import equality_obstruction, maps_equal
 
 from . import oracles
+from .presentation_path import maps_equal_by_presentation
 
 
 def whole_cover(K, name="K"):
@@ -59,8 +64,9 @@ class TestVerify:
         for piece in cov.pieces:
             fast = maps_equal(restrict(q.phi, piece), restrict(q.psi, piece),
                               q.ring, q.variance)
-            slow = maps_equal(restrict(q.phi, piece), restrict(q.psi, piece),
-                              q.ring, q.variance, method="presentation")
+            slow = maps_equal_by_presentation(restrict(q.phi, piece),
+                                              restrict(q.psi, piece),
+                                              q.ring, q.variance)
             assert fast.by_degree == slow.by_degree
 
     def test_verified_stays_verified_with_extra_piece(self):
@@ -206,3 +212,37 @@ class TestFieldVarianceOnCertificates:
             assert vc.verified == vh.verified
             for rc, rh in zip(vc.piece_reports, vh.piece_reports):
                 assert rc.equal == rh.equal
+
+
+class TestPieceMasks:
+    """A piece evaluated as a mask over its parent's chain complex gives the
+    verdicts of the same piece built as a complex."""
+
+    def _query(self, rng, name, ring, variance):
+        base = fixture_complex("s2" if name == "s2xs2" else name)
+        order = list(base.vertices)
+        rng.shuffle(order)
+        K = from_maximal_faces(base.maximal_faces, order=order)
+        if name == "s2xs2":
+            return stc_query(K, ring, variance)
+        return scat_query(K, ring, variance)
+
+    def test_mask_matches_materialized_piece(self):
+        rng = random.Random(20)
+        nonzero = 0
+        for name in ("s2xs2", "rp2", "torus", "figure1"):
+            for ring in (GF2, GF(3), QQ, ZZ):
+                for variance in ("cohomology", "homology"):
+                    q = self._query(rng, name, ring, variance)
+                    checker = _PieceChecker(q)
+                    n = len(checker.faces)
+                    # large pieces of s2 x s2 make Smith normal forms slow
+                    cap = 12 if name == "s2xs2" and ring == ZZ else n
+                    for _ in range(5):
+                        face_set = rng.sample(range(n), rng.randint(1, cap))
+                        piece = checker.subcomplex(face_set)
+                        phi, psi = restrict(q.phi, piece), restrict(q.psi, piece)
+                        ob = checker.obstruction(face_set)
+                        assert ob == equality_obstruction(phi, psi, ring, variance)
+                        nonzero += ob > 0
+        assert nonzero > 40

@@ -66,6 +66,17 @@ class TestRings:
             GF(6)
         with pytest.raises(UnsupportedRingError):
             ring_from_code("octonions")
+        for code in ("zp:x", "zp:", "zp:3.5", "zp:-3", "z\u00b2"):
+            with pytest.raises(UnsupportedRingError):
+                ring_from_code(code)
+
+    def test_integer_normalize_rejects_non_integers(self):
+        assert ZZ.normalize(-7) == -7
+        assert ZZ.normalize(Fraction(4, 2)) == 2 and type(ZZ.normalize(Fraction(4, 2))) is int
+        assert ZZ.normalize(3.0) == 3
+        for bad in (Fraction(1, 2), 2.7, Fraction(-5, 3)):
+            with pytest.raises(ValueError):
+                ZZ.normalize(bad)
 
 
 class TestSmithNormalForm:

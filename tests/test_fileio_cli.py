@@ -154,6 +154,21 @@ class TestCli:
     def test_input_error_exit_code(self, capsys):
         assert cli.main(["info", "nonexistent-fixture"]) == 2
 
+    def test_bad_prime_ring_code_exit_code(self, capsys):
+        for code in ("zp:x", "zp:", "zp:3.5", "zp:-3"):
+            assert cli.main(["cohomology", "s2", "--ring", code]) == 2
+            assert "unknown ring code" in capsys.readouterr().err
+
+    def test_negative_counts_rejected(self, capsys, tmp_path):
+        out = str(tmp_path / "sd")
+        for argv in (["bounds", "--scat", "k5", "--budget", "-5"],
+                     ["subdivide", "k5", "--iterations", "-1", "--out", out]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "must be at least 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_zdcl(self, capsys):
         code, out = run_cli(capsys, "zdcl", "c3", "--ring", "z2")
         assert code == 0 and "= 1" in out

@@ -14,6 +14,7 @@ from cohodist.homology import (
 )
 
 from .oracles import betti_mod, rank_fraction
+from .presentation_path import maps_equal_by_presentation
 from .test_complexes import rand_complex
 
 FIXTURES = ("point", "c3", "s2", "k5", "rp2", "rp3", "cp2", "torus", "c3xs2", "figure1")
@@ -153,7 +154,7 @@ class TestMapsEqual:
         for phi, psi, R in cases:
             for variance in ("cohomology", "homology"):
                 fast = maps_equal(phi, psi, R, variance)
-                slow = maps_equal(phi, psi, R, variance, method="presentation")
+                slow = maps_equal_by_presentation(phi, psi, R, variance)
                 assert fast.by_degree == slow.by_degree
 
     def test_obstruction_counts(self):
