@@ -17,8 +17,7 @@ from .complexes import barycentric_subdivision, product
 from .cupring import cup_length, zero_divisor_cup_length
 from .distance import (
     DistanceQuery,
-    hscat,
-    hstc,
+    bounds_for,
     scat_query,
     stc_query,
     verify,
@@ -181,36 +180,24 @@ def cmd_verify(args, parser):
 
 
 def cmd_bounds(args, parser):
-    ring = ring_from_code(args.ring)
-    kwargs = dict(strategy=args.strategy, budget=args.budget, seed=args.seed,
-                  max_size=args.max_size, exhaustive_upto=args.exhaustive)
+    query, name = _query_from_args(args, parser)
+    cover = _resolve_cover(args.cover, query.source) if args.cover else None
+    report = bounds_for(query, cover, args.strategy, args.budget, args.seed,
+                        args.max_size, args.exhaustive)
     if args.scat:
-        K = _resolve_complex(args.scat)
-        cover = _resolve_cover(args.cover, K) if args.cover else None
-        report = hscat(K, ring, cover=cover, **kwargs)
         name = f"hscat({args.scat})"
     elif args.tc:
-        K = _resolve_complex(args.tc)
-        cover = None
-        if args.cover:
-            P = stc_query(K, ring).source
-            cover = _resolve_cover(args.cover, P)
-        report = hstc(K, ring, cover=cover, **kwargs)
         name = f"hstc({args.tc})"
     else:
-        query, name = _query_from_args(args, parser)
-        from .distance import bounds_for
-        cover = _resolve_cover(args.cover, query.source) if args.cover else None
-        report = bounds_for(query, cover, args.strategy, args.budget,
-                            args.seed, args.max_size, args.exhaustive)
         name = f"distance({name})"
     data = {"query": name} | report.to_dict()
-    lines = [f"{name} over {ring}:"]
+    lines = [f"{name} over {query.ring}:"]
     lines += [f"  note: {note}" for note in report.notes]
     lines.append(f"  lower {report.lower}   upper {report.upper}"
                  + (f"   exact {report.exact}" if report.exact is not None else "   (gap)"))
     status = "exact" if report.exact is not None else "gap"
-    return Report("bounds", status, data, ring=ring, variance=COHOMOLOGY, lines=lines)
+    return Report("bounds", status, data, ring=query.ring, variance=query.variance,
+                  lines=lines)
 
 
 def cmd_subdivide(args, parser):
@@ -253,11 +240,17 @@ def cmd_product(args, parser):
 # ---------------------------------------------------------------------------
 
 
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+_nonnegative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 def _add_ring(p):
@@ -314,7 +307,7 @@ def build_parser():
     p.add_argument("--strategy", choices=["auto", "exhaustive", "greedy"], default="auto")
     p.add_argument("--budget", type=_nonnegative_int, default=2 ** 24)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_positive_int, default=None)
     p.add_argument("--exhaustive", type=int, default=None, metavar="N",
                    help="force exhaustive search for covers of up to N pieces")
     p.set_defaults(func=cmd_bounds)

@@ -374,6 +374,8 @@ class BoundReport:
 
 def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
                     max_size, exhaustive_upto) -> BoundReport:
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     lower, witness = lower_bound(query)
     notes = []
     if cover is not None:
@@ -387,7 +389,7 @@ def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
             exact = upper if upper == lower else None
             return BoundReport(query, lower, witness, upper, cert, exact, notes)
     n_faces = len(query.source.maximal_faces)
-    hard_cap = min(max_size or n_faces, n_faces)
+    hard_cap = n_faces if max_size is None else min(max_size, n_faces)
     size = lower + 1
     upper = None
     cert = None

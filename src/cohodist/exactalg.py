@@ -7,11 +7,14 @@ kernel/image pairs into presentations of finitely generated abelian groups
 (free rank, torsion coefficients, and lifts of the chosen generators back
 to representative vectors).
 
-Elimination over a field is sparse.  The mod-2 routines use bitsets (one
-Python int per column) because the cohomology pipeline spends most of its
-time row-reducing over Z_2; :class:`FieldSpan` does the same column
-reduction over Z_p and Q with dict columns.  Both key a pivot by its
-highest row.
+Elimination over a field is sparse and runs through one span interface.
+:func:`field_span` picks the span: :class:`Gf2Span` keeps vectors as
+bitsets (one Python int per vector) because the cohomology pipeline spends
+most of its time row-reducing over Z_2, and :class:`FieldSpan` keeps them
+as dicts over Z_p and Q.  Both key a pivot by its highest row, and every
+field kernel (rank, kernel, image, solve, quotient) is written once on top
+of them.  :func:`field_span` and :func:`signed_columns` are the only code
+that tells Z_2 apart from the other fields.
 """
 
 from fractions import Fraction
@@ -66,16 +69,18 @@ class Ring:
         return self.kind != "Z"
 
     def normalize(self, x):
-        if self.kind == "Z":
-            if type(x) is int:
-                return x
+        """``x`` as a scalar of this ring; non-integers raise over Z and Z_p."""
+        kind = self.kind
+        if kind == "Z" and type(x) is int:
+            return x
+        if kind == "Q":
+            return Fraction(x)
+        if type(x) is not int:
             n = int(x)
             if n != x:
                 raise ValueError(f"{x!r} is not an integer")
-            return n
-        if self.kind == "GF":
-            return int(x) % self.p
-        return Fraction(x)
+            x = n
+        return x % self.p if kind == "GF" else x
 
     @property
     def zero(self):
@@ -217,10 +222,6 @@ class Matrix:
                     cols[j][i] = x
         return cols
 
-    def transpose(self):
-        return Matrix(self.ring, [list(col) for col in zip(*self.rows)] if self.rows else [],
-                      ncols=self.nrows)
-
     def change_ring(self, ring: Ring) -> "Matrix":
         return Matrix(ring, self.rows, ncols=self.ncols)
 
@@ -271,49 +272,18 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) bitset kernels.  Columns are ints: bit i of cols[j] is entry (i, j).
-
-
-def gf2_columns_from_sparse(sparse_cols, nrows):
-    """sparse_cols: list of iterables of (row, coeff).  Returns bitset columns."""
-    out = []
-    for col in sparse_cols:
-        c = 0
-        for i, v in col:
-            if v % 2:
-                c ^= 1 << i
-        out.append(c)
-    return out
-
-
-def gf2_columns_from_matrix(M: Matrix):
-    cols = []
-    for j in range(M.ncols):
-        c = 0
-        for i in range(M.nrows):
-            if M.rows[i][j] % 2:
-                c |= 1 << i
-        cols.append(c)
-    return cols
-
-
-def gf2_vector_from_list(vec):
-    v = 0
-    for i, x in enumerate(vec):
-        if x % 2:
-            v |= 1 << i
-    return v
-
-
-def gf2_list_from_vector(v, n):
-    return [(v >> i) & 1 for i in range(n)]
+# sparse field elimination.  A span keeps vectors in its own form: a bitset
+# int over GF(2) (bit i is entry i), a dict row -> nonzero scalar over Z_p
+# and Q (a plain int in [0, p) over Z_p, a Fraction over Q).  Columns go in
+# in that form, as dicts, or as dense sequences.
 
 
 class Gf2Span:
     """Incremental column span over GF(2) with expression tracking.
 
-    Tracked combinations are over the columns in insertion order, so
-    ``express`` answers membership *and* returns the coefficient bitmask.
+    The interface is :class:`FieldSpan`'s, with bitsets for vectors:
+    combinations over the added columns are bitsets too, and they are
+    always kept.
     """
 
     __slots__ = ("pivots", "n_added")
@@ -322,15 +292,24 @@ class Gf2Span:
         self.pivots = {}  # pivot row -> (column, combo over added columns)
         self.n_added = 0
 
-    def add(self, col: int) -> bool:
-        """Add a column; returns True when it enlarged the span."""
-        combo = 1 << self.n_added
-        self.n_added += 1
-        col, combo = self._reduce(col, combo)
-        if col == 0:
-            return False
-        self.pivots[col.bit_length() - 1] = (col, combo)
-        return True
+    @staticmethod
+    def vector(col) -> int:
+        """``col`` as a bitset."""
+        if type(col) is int:
+            return col
+        v = 0
+        for i, x in (col.items() if isinstance(col, dict) else enumerate(col)):
+            if x % 2:
+                v |= 1 << i
+        return v
+
+    @staticmethod
+    def dense(vec: int, n: int) -> list:
+        return [(vec >> i) & 1 for i in range(n)]
+
+    @staticmethod
+    def coefficient(vec: int, i: int) -> int:
+        return (vec >> i) & 1
 
     def _reduce(self, col, combo):
         pivots = self.pivots
@@ -343,64 +322,33 @@ class Gf2Span:
             combo ^= hit[1]
         return col, combo
 
-    def contains(self, col: int) -> bool:
-        col, _ = self._reduce(col, 0)
-        return col == 0
+    def _absorb(self, col):
+        """Add a column.  Returns (enlarged, combo), where combo is the
+        reduced column's combination over the added columns: a kernel
+        vector when the span did not grow."""
+        combo = 1 << self.n_added
+        self.n_added += 1
+        col, combo = self._reduce(self.vector(col), combo)
+        if not col:
+            return False, combo
+        self.pivots[col.bit_length() - 1] = (col, combo)
+        return True, None
 
-    def express(self, col: int):
-        """Coefficient bitmask over the added columns, or None if outside."""
-        col, combo = self._reduce(col, 0)
-        return combo if col == 0 else None
+    def add(self, col) -> bool:
+        """Add a column; returns True when it enlarged the span."""
+        return self._absorb(col)[0]
+
+    def contains(self, col) -> bool:
+        return not self._reduce(self.vector(col), 0)[0]
+
+    def express(self, col):
+        """Coefficient bitset over the added columns, or None if outside."""
+        col, combo = self._reduce(self.vector(col), 0)
+        return None if col else combo
 
     @property
     def rank(self):
         return len(self.pivots)
-
-
-def gf2_kernel(cols, ncols):
-    """Kernel basis of the matrix with the given bitset columns.
-
-    Returns kernel vectors as bitmasks over the column indices.
-    """
-    span = Gf2Span()
-    kernel = []
-    for j, c in enumerate(cols):
-        reduced, combo = span._reduce(c, 1 << j)
-        if reduced == 0:
-            kernel.append(combo)
-        else:
-            span.pivots[reduced.bit_length() - 1] = (reduced, combo)
-            span.n_added = j + 1
-    return kernel
-
-
-def gf2_rank(cols):
-    span = Gf2Span()
-    return sum(1 for c in cols if span.add(c))
-
-
-# ---------------------------------------------------------------------------
-# sparse field elimination (Z_p and Q).  A column is a dict row -> nonzero
-# scalar: a plain int in [0, p) over Z_p, a Fraction over Q.
-
-
-def _sparse_column(ring: Ring, col) -> dict:
-    """``col`` as a sparse column; a dict is taken to be one already."""
-    if isinstance(col, dict):
-        return col
-    out = {}
-    for i, x in enumerate(col):
-        x = ring.normalize(x)
-        if x:
-            out[i] = x
-    return out
-
-
-def _dense_column(col: dict, n: int, zero=0) -> list:
-    out = [zero] * n
-    for i, x in col.items():
-        out[i] = x
-    return out
 
 
 def _axpy(y: dict, a, x: dict, p):
@@ -418,12 +366,11 @@ def _axpy(y: dict, a, x: dict, p):
 class FieldSpan:
     """Incremental column span over Z_p or Q with expression tracking.
 
-    Columns are sparse (see :func:`_sparse_column`); dense sequences are
-    converted on the way in.  As in :class:`Gf2Span`, a pivot is keyed by
-    its highest row and a column is reduced only until its highest row is
-    no pivot's.  Pivots are stored monic together with their combination
-    over the added columns, unless ``track`` is False: such a span answers
-    membership only, and ``express`` is not available.
+    As in :class:`Gf2Span`, a pivot is keyed by its highest row and a
+    column is reduced only until its highest row is no pivot's.  Pivots
+    are stored monic together with their combination over the added
+    columns, unless ``track`` is False: such a span answers membership
+    only, and ``express`` is not available.
     """
 
     __slots__ = ("ring", "p", "pivots", "n_added", "track")
@@ -436,6 +383,27 @@ class FieldSpan:
         self.pivots = {}  # pivot row -> (monic column, combo over added columns)
         self.n_added = 0
         self.track = track
+
+    def vector(self, col) -> dict:
+        """``col`` as a sparse dict; a dict is taken to be one already."""
+        if isinstance(col, dict):
+            return col
+        normalize = self.ring.normalize
+        out = {}
+        for i, x in enumerate(col):
+            x = normalize(x)
+            if x:
+                out[i] = x
+        return out
+
+    def dense(self, vec: dict, n: int) -> list:
+        out = [self.ring.zero] * n
+        for i, x in vec.items():
+            out[i] = x
+        return out
+
+    def coefficient(self, vec: dict, i: int):
+        return vec.get(i, self.ring.zero)
 
     def _reduce(self, col: dict, combo):
         """Reduce ``col`` (mutated) and, unless None, its ``combo`` alongside."""
@@ -464,7 +432,7 @@ class FieldSpan:
         idx = self.n_added
         self.n_added += 1
         combo = {idx: self.ring.one} if self.track else None
-        col, combo = self._reduce(dict(_sparse_column(self.ring, col)), combo)
+        col, combo = self._reduce(dict(self.vector(col)), combo)
         if not col:
             return False, combo
         top = max(col)
@@ -481,29 +449,55 @@ class FieldSpan:
         """Coefficients over the added columns (dict index -> scalar), or None."""
         if not self.track:
             raise ValueError("this span keeps no combinations")
-        col, combo = self._reduce(dict(_sparse_column(self.ring, col)), {})
+        col, combo = self._reduce(dict(self.vector(col)), {})
         if col:
             return None
         neg = self.ring.neg
         return {k: neg(v) for k, v in combo.items()}
 
     def contains(self, col) -> bool:
-        return not self._reduce(dict(_sparse_column(self.ring, col)), None)[0]
+        return not self._reduce(dict(self.vector(col)), None)[0]
 
     @property
     def rank(self):
         return len(self.pivots)
 
 
+def field_span(ring: Ring, track: bool = True):
+    """An empty span over the field ``ring``: bitsets over GF(2), dicts otherwise.
+
+    ``track=False`` asks for no combinations; a GF(2) span keeps them anyway.
+    """
+    if ring == GF2:
+        return Gf2Span()
+    return FieldSpan(ring, track)
+
+
+def signed_columns(ring: Ring, cols) -> list:
+    """Columns of (row, +-1) pairs, such as boundary columns, in the form
+    :func:`field_span` keeps for ``ring``."""
+    if ring == GF2:
+        out = []
+        for col in cols:
+            v = 0
+            for i, _ in col:
+                v |= 1 << i
+            out.append(v)
+        return out
+    one, minus = ring.normalize(1), ring.normalize(-1)
+    return [{i: one if sign == 1 else minus for i, sign in col} for col in cols]
+
+
 def _field_rank(ring: Ring, cols) -> int:
-    span = FieldSpan(ring, track=False)
+    span = field_span(ring, track=False)
     return sum(1 for col in cols if span.add(col))
 
 
 def _field_kernel(ring: Ring, cols) -> list:
-    """Kernel basis of the matrix with the given sparse columns, as sparse
-    vectors over the column indices: one per column dependent on earlier ones."""
-    span = FieldSpan(ring)
+    """Kernel basis of the matrix with the given columns, as vectors over the
+    column indices in :func:`field_span`'s form: one per column dependent on
+    earlier ones."""
+    span = field_span(ring)
     kernel = []
     for col in cols:
         grew, combo = span._absorb(col)
@@ -513,8 +507,9 @@ def _field_kernel(ring: Ring, cols) -> list:
 
 
 def _field_solve(ring: Ring, cols, targets):
-    """Sparse x with sum x_k cols[k] == t for each target t, or None."""
-    span = FieldSpan(ring)
+    """x with sum x_k cols[k] == t for each target t, in :func:`field_span`'s
+    form, or None."""
+    span = field_span(ring)
     for col in cols:
         span.add(col)
     out = []
@@ -527,8 +522,14 @@ def _field_solve(ring: Ring, cols, targets):
 
 
 def _field_image(ring: Ring, cols) -> list:
-    span = FieldSpan(ring, track=False)
+    span = field_span(ring, track=False)
     return [col for col in cols if span.add(col)]
+
+
+def _field_matrix(ring: Ring, vectors, nrows: int) -> Matrix:
+    """The matrix whose columns are ``vectors``, given in :func:`field_span`'s form."""
+    read = field_span(ring)
+    return Matrix.from_columns(ring, [read.dense(v, nrows) for v in vectors], nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +731,7 @@ def rank(M: Matrix) -> int:
 def kernel_basis(M: Matrix) -> Matrix:
     """Columns form a basis of ker(M); over Z this is the saturated lattice."""
     if M.ring.is_field:
-        return Matrix.from_columns(M.ring, _field_kernel(M.ring, M.sparse_columns()),
-                                   M.ncols)
+        return _field_matrix(M.ring, _field_kernel(M.ring, M.sparse_columns()), M.ncols)
     return _z_kernel(M)
 
 
@@ -749,7 +749,7 @@ def solve(M: Matrix, B: Matrix):
         raise RingMismatchError("matrices over different rings")
     if M.ring.is_field:
         sol = _field_solve(M.ring, M.sparse_columns(), B.sparse_columns())
-        return None if sol is None else Matrix.from_columns(M.ring, sol, M.ncols)
+        return None if sol is None else _field_matrix(M.ring, sol, M.ncols)
     return _z_solve(M, B)
 
 
@@ -847,85 +847,42 @@ def quotient_presentation(cycles: Matrix, boundaries: Matrix) -> Presentation:
         raise PresentationMismatchError("cycles and boundaries over different rings")
     ambient = cycles.nrows
     if ring.is_field:
-        if ring == GF2:
-            cyc = gf2_columns_from_matrix(cycles)
-            bnd = gf2_columns_from_matrix(boundaries)
-            return _gf2_quotient(ambient, cyc, bnd)
         return _field_quotient(ring, ambient, cycles.sparse_columns(),
                                boundaries.sparse_columns())
     return _z_quotient(ambient, cycles, boundaries)
 
 
 def _field_quotient(ring, ambient, cycle_cols, boundary_cols) -> Presentation:
-    """span(cycles)/span(boundaries) over Z_p or Q, from sparse columns."""
-    cycle_span = FieldSpan(ring, track=False)
+    """span(cycles)/span(boundaries) over a field, from columns in any form
+    :func:`field_span` takes."""
+    cycle_span = field_span(ring, track=False)
     for col in cycle_cols:
         cycle_span.add(col)
     for col in boundary_cols:
         if not cycle_span.contains(col):
             raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
-    span = FieldSpan(ring)
+    span = field_span(ring)
     for col in boundary_cols:
         span.add(col)
     gens = []
-    slot = {}  # "added column index" in span -> generator number
+    slots = []  # per generator, its "added column index" in span
     for col in cycle_cols:
         idx = span.n_added
         if span.add(col):
-            slot[idx] = len(gens)
-            gens.append(_dense_column(col, ambient, ring.zero))
-    k = len(gens)
+            slots.append(idx)
+            gens.append(span.dense(span.vector(col), ambient))
 
     def express(vector):
         coeffs = span.express(vector)
         if coeffs is None:
             return None
-        out = [ring.zero] * k
-        for idx, v in coeffs.items():
-            s = slot.get(idx)
-            if s is not None:
-                out[s] = v
-        return out
+        return [span.coefficient(coeffs, idx) for idx in slots]
 
-    return Presentation(ring, ambient, gens, (0,) * k, express)
+    return Presentation(ring, ambient, gens, (0,) * len(gens), express)
 
 
-def _gf2_quotient(ambient, cycle_cols, boundary_cols) -> Presentation:
-    cycle_span = Gf2Span()
-    for c in cycle_cols:
-        cycle_span.add(c)
-    for c in boundary_cols:
-        if not cycle_span.contains(c):
-            raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
-    span = Gf2Span()
-    for c in boundary_cols:
-        span.add(c)
-    gens_bits = []
-    slot = {}  # "added column index" in span -> generator number
-    for c in cycle_cols:
-        idx = span.n_added
-        if span.add(c):
-            slot[idx] = len(gens_bits)
-            gens_bits.append(c)
-    k = len(gens_bits)
-
-    def express(vector):
-        if not isinstance(vector, int):
-            vector = gf2_vector_from_list(vector)
-        combo = span.express(vector)
-        if combo is None:
-            return None
-        out = [0] * k
-        while combo:
-            idx = combo.bit_length() - 1
-            combo ^= 1 << idx
-            s = slot.get(idx)
-            if s is not None:
-                out[s] = 1
-        return out
-
-    gens = [gf2_list_from_vector(c, ambient) for c in gens_bits]
-    return Presentation(GF2, ambient, gens, (0,) * k, express)
+# the mod-2 builder is the shared one; bench/tracer.py still wraps this name
+_gf2_quotient = _field_quotient
 
 
 def _z_quotient(ambient, cycles: Matrix, boundaries: Matrix) -> Presentation:

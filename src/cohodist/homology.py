@@ -3,9 +3,9 @@ of simplicial maps, and degreewise equality of induced maps.
 
 Boundary operators are kept as sparse integral columns with the usual
 alternating signs in the complex's vertex order.  Coefficients are handled
-by three backends: a bitset pipeline for Z_2 (the workhorse), sparse exact
-elimination for Q and Z_p fed those columns directly, and Smith normal
-form over Z (which is where torsion comes from).
+by two paths: over a field (Z_2, Z_p, Q) those columns go straight into
+the spans of :func:`exactalg.field_span`, which run Z_2 on bitsets; over
+Z they go through Smith normal form, which is where torsion comes from.
 
 Equality of induced maps is decided by one routine: for every generator of
 the relevant group it tests whether the difference of the two (co)chain
@@ -21,19 +21,15 @@ ring).
 
 from . import exactalg
 from .exactalg import (
-    GF2,
-    Gf2Span,
-    FieldSpan,
     Hom,
     Matrix,
     Presentation,
     Ring,
     ZZ,
-    gf2_columns_from_sparse,
-    gf2_kernel,
-    gf2_vector_from_list,
+    field_span,
     kernel_basis,
     quotient_presentation,
+    signed_columns,
     smith_normal_form,
     trivial_presentation,
 )
@@ -110,9 +106,6 @@ class ChainComplexData:
             for i, sign in col:
                 rows[i][j] = sign
         return Matrix(ZZ, rows, ncols=n)
-
-    def coboundary_matrix(self, d: int) -> Matrix:
-        return self.boundary_matrix(d + 1).transpose()
 
 
 _chain_cache: dict = {}
@@ -218,12 +211,9 @@ def _degree_presentation(data, ring: Ring, variance, d: int):
         cycle_src, cycle_rows = data.sparse_coboundary(d), data.rank_of(d + 1)
     else:
         cycle_src, cycle_rows = data.sparse_boundary(d), data.rank_of(d - 1)
-    if ring == GF2:
-        cycles = gf2_kernel(gf2_columns_from_sparse(cycle_src, 0), n)
-        return exactalg._gf2_quotient(n, cycles, gf2_columns_from_sparse(bnd_src, 0))
     if ring.is_field:
-        cycles = exactalg._field_kernel(ring, _field_columns(ring, cycle_src))
-        return exactalg._field_quotient(ring, n, cycles, _field_columns(ring, bnd_src))
+        cycles = exactalg._field_kernel(ring, signed_columns(ring, cycle_src))
+        return exactalg._field_quotient(ring, n, cycles, signed_columns(ring, bnd_src))
     cycles = kernel_basis(_integer_matrix(cycle_src, cycle_rows))
     return quotient_presentation(cycles, _integer_matrix(bnd_src, n))
 
@@ -233,12 +223,6 @@ def _image_columns(data, variance, d: int):
     if variance == COHOMOLOGY:
         return data.sparse_coboundary(d - 1) if d >= 1 else []
     return data.sparse_boundary(d + 1)
-
-
-def _field_columns(ring: Ring, sparse_cols):
-    """(row, sign) columns as sparse columns over Z_p or Q."""
-    one, minus = ring.normalize(1), ring.normalize(-1)
-    return [{i: one if sign == 1 else minus for i, sign in col} for col in sparse_cols]
 
 
 def _integer_matrix(sparse_cols, nrows) -> Matrix:
@@ -403,12 +387,6 @@ def induced_map(phi: SimplicialMap, ring: Ring, variance: str) -> GradedHom:
     return GradedHom(src_gm, tgt_gm, homs)
 
 
-def identity_graded_hom(K: SimplicialComplex, ring: Ring, variance: str) -> GradedHom:
-    gm = _graded_module(K, ring, variance)
-    homs = {d: Hom.identity(gm.presentation(d)) for d in gm.degrees}
-    return GradedHom(gm, gm, homs)
-
-
 # ---------------------------------------------------------------------------
 # membership solvers: is a vector a (co)boundary?
 
@@ -428,28 +406,11 @@ class _ZSpan:
         return exactalg._z_solve_with_snf(self.snf, self.matrix.ncols, B) is not None
 
 
-class _Gf2Membership:
-    __slots__ = ("span",)
-
-    def __init__(self, span):
-        self.span = span
-
-    def contains(self, vec) -> bool:
-        if not isinstance(vec, int):
-            vec = gf2_vector_from_list(vec)
-        return self.span.contains(vec)
-
-
 def _membership(ring: Ring, sparse_cols, nrows: int):
     """Membership tester for the span of (row, sign) columns with ``nrows`` rows."""
-    if ring == GF2:
-        span = Gf2Span()
-        for c in gf2_columns_from_sparse(sparse_cols, nrows):
-            span.add(c)
-        return _Gf2Membership(span)
     if ring.is_field:
-        span = FieldSpan(ring, track=False)
-        for col in _field_columns(ring, sparse_cols):
+        span = field_span(ring, track=False)
+        for col in signed_columns(ring, sparse_cols):
             span.add(col)
         return span
     return _ZSpan(_integer_matrix(sparse_cols, nrows))

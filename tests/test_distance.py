@@ -14,6 +14,7 @@ from cohodist.complexes import (
 from cohodist.distance import (
     DistanceQuery,
     _PieceChecker,
+    bounds_for,
     hscat,
     hstc,
     lower_bound,
@@ -162,6 +163,16 @@ class TestBounds:
     def test_sphere_category(self):
         rep = hscat(fixture_complex("s2"), GF2)
         assert (rep.lower, rep.upper, rep.exact) == (1, 1, 1)
+
+    def test_max_size_below_one_raises(self):
+        pt = fixture_complex("point")
+        for max_size in (0, -1):
+            for fn in (hscat, hstc):
+                with pytest.raises(ValueError):
+                    fn(pt, GF2, max_size=max_size)
+            with pytest.raises(ValueError):
+                bounds_for(scat_query(pt, GF2), max_size=max_size)
+        assert hscat(pt, GF2, max_size=1).exact == 0
 
 
 class TestHomologicalDistance:

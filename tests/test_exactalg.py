@@ -6,16 +6,20 @@ import pytest
 from cohodist.exactalg import (
     GF,
     GF2,
+    FieldSpan,
+    Gf2Span,
     Hom,
     Matrix,
     QQ,
     ZZ,
+    field_span,
     homs_equal,
     image_basis,
     kernel_basis,
     quotient_presentation,
     rank,
     ring_from_code,
+    signed_columns,
     smith_normal_form,
     solve,
 )
@@ -25,7 +29,7 @@ from cohodist.errors import (
     UnsupportedRingError,
 )
 
-from .oracles import rank_fraction
+from .oracles import rank_fraction, rank_mod
 
 
 def rand_int_matrix(rng, m, n, lo=-9, hi=9):
@@ -77,6 +81,15 @@ class TestRings:
         for bad in (Fraction(1, 2), 2.7, Fraction(-5, 3)):
             with pytest.raises(ValueError):
                 ZZ.normalize(bad)
+
+    def test_prime_field_normalize_rejects_non_integers(self):
+        assert GF(3).normalize(-7) == 2 and GF2.normalize(5) == 1
+        assert GF(3).normalize(Fraction(8, 2)) == 1 and type(GF(3).normalize(Fraction(8, 2))) is int
+        assert GF2.normalize(3.0) == 1
+        for R in (GF2, GF(3)):
+            for bad in (Fraction(1, 2), 2.7, Fraction(-5, 3)):
+                with pytest.raises(ValueError):
+                    R.normalize(bad)
 
 
 class TestSmithNormalForm:
@@ -150,14 +163,84 @@ class TestKernelImage:
                 for j in range(I.ncols):
                     col = Matrix.from_columns(R, [I.column(j)], m)
                     assert solve(MR, col) is not None
-            # rank-nullity over Q against the independent elimination
+            # rank-nullity against the independent eliminations
             assert rank(M) == rank_fraction(M.rows)
             assert kernel_basis(M.change_ring(QQ)).ncols == n - rank_fraction(M.rows)
+            for R in (GF2, GF(5)):
+                r = rank_mod(M.rows, R.p)
+                MR = M.change_ring(R)
+                assert rank(MR) == r
+                assert kernel_basis(MR).ncols == n - r
+                assert image_basis(MR).ncols == r
 
     def test_integer_kernel_saturated(self):
         # kernel of [[2, -2]] over Z is spanned by (1, 1), not (2, 2)
         K = kernel_basis(Matrix(ZZ, [[2, -2]]))
         assert sorted(map(abs, K.column(0))) == [1, 1]
+
+
+class TestSpans:
+    def test_span_choice(self):
+        assert type(field_span(GF2)) is Gf2Span
+        for R in (GF(3), GF(5), QQ):
+            assert type(field_span(R)) is FieldSpan
+            assert type(field_span(R, track=False)) is FieldSpan
+        with pytest.raises(UnsupportedRingError):
+            field_span(ZZ)
+
+    def test_signed_columns(self):
+        cols = [[(0, 1), (2, -1)], [], [(1, -1)]]
+        for R in (GF2, GF(3), QQ):
+            span = field_span(R)
+            dense = [span.dense(v, 3) for v in signed_columns(R, cols)]
+            assert dense == [[R.one, R.zero, R.normalize(-1)], [R.zero] * 3,
+                             [R.zero, R.normalize(-1), R.zero]]
+
+    def test_gf2_bitsets_agree_with_reference_span(self):
+        # Gf2Span against FieldSpan over GF(2), fed the same random columns as
+        # dense lists, dicts or bitsets; both key pivots by their highest row,
+        # so verdicts and combinations must agree exactly
+        rng = random.Random(21)
+        for _ in range(300):
+            m, n = rng.randint(1, 8), rng.randint(1, 10)
+            cols = [[rng.randint(0, 1) if rng.random() < 0.6 else 0 for _ in range(m)]
+                    for _ in range(n)]
+            fast, ref = Gf2Span(), FieldSpan(GF2)
+            for col in cols:
+                form = rng.randrange(3)
+                given = (col if form == 0 else {i: x for i, x in enumerate(col) if x}
+                         if form == 1 else Gf2Span.vector(col))
+                if rng.random() < 0.5:
+                    grew, combo = fast._absorb(given)
+                    ref_grew, ref_combo = ref._absorb(col)
+                    assert grew == ref_grew
+                    if not grew:  # a kernel vector
+                        assert fast.dense(combo, n) == ref.dense(ref_combo, n)
+                        total = 0
+                        for k in range(n):
+                            if fast.coefficient(combo, k):
+                                total ^= Gf2Span.vector(cols[k])
+                        assert total == 0
+                else:
+                    assert fast.add(given) == ref.add(col)
+                assert fast.rank == ref.rank
+            for _ in range(6):
+                t = [rng.randint(0, 1) for _ in range(m)]
+                assert fast.contains(t) == ref.contains(t)
+                coeffs, ref_coeffs = fast.express(t), ref.express(t)
+                assert (coeffs is None) == (ref_coeffs is None)
+                if coeffs is not None:
+                    assert fast.dense(coeffs, n) == ref.dense(ref_coeffs, n)
+                    assert ([fast.coefficient(coeffs, k) for k in range(n)]
+                            == [ref.coefficient(ref_coeffs, k) for k in range(n)])
+            M = Matrix.from_columns(GF2, cols, m)
+            ref_kernel = []
+            ref = FieldSpan(GF2)
+            for col in cols:
+                grew, combo = ref._absorb(col)
+                if not grew:
+                    ref_kernel.append(ref.dense(combo, n))
+            assert kernel_basis(M).columns() == ref_kernel
 
 
 class TestQuotientPresentation:

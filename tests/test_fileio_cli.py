@@ -169,6 +169,27 @@ class TestCli:
             assert "must be at least 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_max_size_below_one_rejected(self, capsys):
+        for value in ("-1", "0"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["bounds", "--scat", "k5", "--max-size", value])
+            assert exc.value.code == 2
+            assert "must be at least 1" in capsys.readouterr().err
+
+    def test_bounds_honours_variance(self, capsys):
+        code, out = run_cli(capsys, "--json", "bounds", "--scat", "rp2", "--ring", "z")
+        report = json.loads(out)
+        assert code == 0 and report["variance"] == "cohomology"
+        assert report["data"]["query"] == "hscat(rp2)"
+        # the lower bound is a cup-length, so homology is refused, not
+        # silently answered with cohomology
+        for query in (["--scat", "rp2"], ["--tc", "s2"]):
+            code = cli.main(["--json", "bounds", *query, "--ring", "z",
+                             "--variance", "homology"])
+            captured = capsys.readouterr()
+            assert code == 2 and not captured.out
+            assert "applies to the cohomology variance" in captured.err
+
     def test_zdcl(self, capsys):
         code, out = run_cli(capsys, "zdcl", "c3", "--ring", "z2")
         assert code == 0 and "= 1" in out
