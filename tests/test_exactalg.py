@@ -207,9 +207,8 @@ class TestSpans:
                     for _ in range(n)]
             fast, ref = Gf2Span(), FieldSpan(GF2)
             for col in cols:
-                form = rng.randrange(3)
-                given = (col if form == 0 else {i: x for i, x in enumerate(col) if x}
-                         if form == 1 else Gf2Span.vector(col))
+                given = (col, {i: x for i, x in enumerate(col) if x},
+                         Gf2Span.vector(col))[rng.randrange(3)]
                 if rng.random() < 0.5:
                     grew, combo = fast._absorb(given)
                     ref_grew, ref_combo = ref._absorb(col)
