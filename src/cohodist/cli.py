@@ -308,7 +308,7 @@ def build_parser():
     p.add_argument("--budget", type=_nonnegative_int, default=2 ** 24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-size", type=_positive_int, default=None)
-    p.add_argument("--exhaustive", type=int, default=None, metavar="N",
+    p.add_argument("--exhaustive", type=_positive_int, default=None, metavar="N",
                    help="force exhaustive search for covers of up to N pieces")
     p.set_defaults(func=cmd_bounds)
 

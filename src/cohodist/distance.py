@@ -376,6 +376,8 @@ def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
                     max_size, exhaustive_upto) -> BoundReport:
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
+    if exhaustive_upto is not None and exhaustive_upto < 1:
+        raise ValueError(f"exhaustive_upto must be at least 1, got {exhaustive_upto}")
     lower, witness = lower_bound(query)
     notes = []
     if cover is not None:

@@ -7,6 +7,14 @@ kernel/image pairs into presentations of finitely generated abelian groups
 (free rank, torsion coefficients, and lifts of the chosen generators back
 to representative vectors).
 
+The integer path is sparse from one end to the other.
+:func:`smith_normal_form` eliminates on sparse rows and columns (unit
+pivots first, which is all a boundary matrix usually needs), keeps its
+four transforms sparse, and the Z kernels (kernel, image, solve,
+quotient) apply them to sparse vectors.  A dense :class:`Matrix` over Z is
+read through its sparse columns; :class:`IntColumns` hands columns in
+directly.
+
 Elimination over a field is sparse and runs through one span interface.
 :func:`field_span` picks the span: :class:`Gf2Span` keeps vectors as
 bitsets (one Python int per vector) because the cohomology pipeline spends
@@ -249,15 +257,19 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        R = self.ring
-        ocols = list(zip(*other.rows)) if other.rows else []
+        normalize = self.ring.normalize
+        n = other.ncols
+        # each row of other as its nonzero (column, entry) pairs
+        orows = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.rows]
         out = []
         for row in self.rows:
-            if ocols:
-                out.append([R.normalize(sum(a * b for a, b in zip(row, col))) for col in ocols])
-            else:
-                out.append([])
-        return Matrix(R, out, ncols=other.ncols)
+            acc = [0] * n
+            for a, orow in zip(row, orows):
+                if a:
+                    for j, b in orow:
+                        acc[j] += a * b
+            out.append([normalize(x) for x in acc])
+        return Matrix(self.ring, out, ncols=n)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
@@ -533,30 +545,123 @@ def _field_matrix(ring: Ring, vectors, nrows: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z, with transforms
+# Smith normal form over Z, with transforms.  The working matrix is kept as
+# sparse rows plus a column -> rows index, U and Vinv as sparse rows, Uinv
+# and V as sparse columns: each row operation then touches rows of A and U
+# and columns of Uinv, each column operation columns of A and V and rows of
+# Vinv, and costs the nonzeros it touches.  Vectors are dicts index ->
+# nonzero int.
+
+
+class IntColumns:
+    """An integer matrix given by its sparse columns (dicts row -> nonzero int).
+
+    This is the form the Z kernels hand to :func:`smith_normal_form`, which
+    reads a :class:`Matrix` over Z through the same ``sparse_columns``.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "cols")
+
+    def __init__(self, cols, nrows: int):
+        self.ring = ZZ
+        self.nrows = nrows
+        self.ncols = len(cols)
+        self.cols = cols
+
+    def sparse_columns(self):
+        return self.cols
+
+
+def _combine(vectors, coeffs: dict) -> dict:
+    """sum_k coeffs[k] * vectors[k], as a sparse integer vector."""
+    out = {}
+    for k, c in coeffs.items():
+        _axpy(out, c, vectors[k], None)
+    return out
+
+
+def _transpose_sparse(vectors, n: int) -> list:
+    out = [{} for _ in range(n)]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            out[i][j] = x
+    return out
+
+
+def _int_vector(vec) -> dict:
+    """A dense integer sequence as a sparse vector."""
+    normalize = ZZ.normalize
+    out = {}
+    for i, x in enumerate(vec):
+        x = normalize(x)
+        if x:
+            out[i] = x
+    return out
 
 
 class SNF:
-    """U * M * V == S with U, V unimodular; Uinv, Vinv their exact inverses."""
+    """U * M * V == S with U, V unimodular; Uinv, Vinv their exact inverses.
 
-    __slots__ = ("S", "U", "V", "Uinv", "Vinv", "diagonal", "rank")
+    The transforms are kept sparse: ``u_rows`` and ``vinv_rows`` by rows,
+    ``uinv_cols`` and ``v_cols`` by columns, each a list of dicts.  The
+    dense :class:`Matrix` forms ``S``, ``U``, ``V``, ``Uinv`` and ``Vinv``
+    are built each time they are read.
+    """
 
-    def __init__(self, S, U, V, Uinv, Vinv):
-        self.S = S
-        self.U = U
-        self.V = V
-        self.Uinv = Uinv
-        self.Vinv = Vinv
-        diag = [S.rows[i][i] for i in range(min(S.nrows, S.ncols))]
-        self.diagonal = [d for d in diag if d != 0]
-        self.rank = len(self.diagonal)
+    __slots__ = ("nrows", "ncols", "diagonal", "rank", "u_rows", "uinv_cols",
+                 "v_cols", "vinv_rows", "_u_cols")
+
+    def __init__(self, nrows, ncols, diagonal, u_rows, uinv_cols, v_cols, vinv_rows):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.diagonal = diagonal
+        self.rank = len(diagonal)
+        self.u_rows = u_rows
+        self.uinv_cols = uinv_cols
+        self.v_cols = v_cols
+        self.vinv_rows = vinv_rows
+        self._u_cols = None
+
+    def apply_u(self, vec: dict) -> dict:
+        """U * vec for a sparse vector over the rows of M."""
+        if self._u_cols is None:
+            self._u_cols = _transpose_sparse(self.u_rows, self.nrows)
+        return _combine(self._u_cols, vec)
+
+    @property
+    def S(self) -> Matrix:
+        S = Matrix.zeros(ZZ, self.nrows, self.ncols)
+        for i, d in enumerate(self.diagonal):
+            S.rows[i][i] = d
+        return S
+
+    @property
+    def U(self) -> Matrix:
+        return Matrix.from_columns(ZZ, _transpose_sparse(self.u_rows, self.nrows),
+                                   self.nrows)
+
+    @property
+    def Uinv(self) -> Matrix:
+        return Matrix.from_columns(ZZ, self.uinv_cols, self.nrows)
+
+    @property
+    def V(self) -> Matrix:
+        return Matrix.from_columns(ZZ, self.v_cols, self.ncols)
+
+    @property
+    def Vinv(self) -> Matrix:
+        return Matrix.from_columns(ZZ, _transpose_sparse(self.vinv_rows, self.ncols),
+                                   self.ncols)
 
 
-def smith_normal_form(M: Matrix) -> SNF:
+def smith_normal_form(M) -> SNF:
     """Smith normal form of an integer matrix.
 
-    Pivoting picks the smallest nonzero entry in the working submatrix,
-    which keeps coefficient growth tame at desk scale.
+    ``M`` is a :class:`Matrix` over Z or an :class:`IntColumns`.  The pivot
+    is the smallest nonzero entry of the working block, the first in
+    row-major order, and a unit is taken at once.  Boundary matrices have
+    entries +-1, so their elimination runs on unit pivots; a non-unit
+    leftover goes through the same sparse operations.
 
     >>> snf = smith_normal_form(Matrix(ZZ, [[2, 0], [0, 3]]))
     >>> snf.diagonal
@@ -565,156 +670,175 @@ def smith_normal_form(M: Matrix) -> SNF:
     if M.ring != ZZ:
         raise UnsupportedRingError("smith_normal_form needs integer entries")
     m, n = M.nrows, M.ncols
-    A = M.copy_rows()
-    U = Matrix.identity(ZZ, m).copy_rows()
-    Uinv = Matrix.identity(ZZ, m).copy_rows()
-    V = Matrix.identity(ZZ, n).copy_rows()
-    Vinv = Matrix.identity(ZZ, n).copy_rows()
+    A = [{} for _ in range(m)]          # working matrix, by rows
+    where = [set() for _ in range(n)]   # column -> rows with a nonzero there
+    for j, col in enumerate(M.sparse_columns()):
+        for i, x in col.items():
+            A[i][j] = x
+        where[j].update(col)
+    U = [{i: 1} for i in range(m)]      # rows
+    Uinv = [{i: 1} for i in range(m)]   # columns
+    V = [{j: 1} for j in range(n)]      # columns
+    Vinv = [{j: 1} for j in range(n)]   # rows
 
     def row_add(i, j, c):  # row_i += c * row_j
-        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] -= c * r[i]
+        if not c:
+            return
+        row = A[i]
+        for k, x in A[j].items():
+            v = row.get(k, 0) + c * x
+            if v:
+                if k not in row:
+                    where[k].add(i)
+                row[k] = v
+            else:
+                del row[k]
+                where[k].discard(i)
+        _axpy(U[i], c, U[j], None)
+        _axpy(Uinv[j], -c, Uinv[i], None)
 
     def row_swap(i, j):
+        for k in A[i]:
+            where[k].discard(i)
+        for k in A[j]:
+            where[k].discard(j)
         A[i], A[j] = A[j], A[i]
+        for k in A[i]:
+            where[k].add(i)
+        for k in A[j]:
+            where[k].add(j)
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
+        Uinv[i], Uinv[j] = Uinv[j], Uinv[i]
 
     def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
+        for vec in (A[i], U[i], Uinv[i]):
+            for k in vec:
+                vec[k] = -vec[k]
 
     def col_add(i, j, c):  # col_i += c * col_j
-        for r in A:
-            r[i] += c * r[j]
-        for r in V:
-            r[i] += c * r[j]
-        Vinv[j] = [a - c * b for a, b in zip(Vinv[j], Vinv[i])]
+        if not c:
+            return
+        for r in where[j]:
+            row = A[r]
+            v = row.get(i, 0) + c * row[j]
+            if v:
+                if i not in row:
+                    where[i].add(r)
+                row[i] = v
+            else:
+                del row[i]
+                where[i].discard(r)
+        _axpy(V[i], c, V[j], None)
+        _axpy(Vinv[j], -c, Vinv[i], None)
 
     def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+        for r in where[i] | where[j]:
+            row = A[r]
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if a:
+                row[j] = a
+            if b:
+                row[i] = b
+        where[i], where[j] = where[j], where[i]
+        V[i], V[j] = V[j], V[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def find_pivot(t):
+        # rows t.. hold nonzeros only in columns t.. (rows above are done)
         best = None
         for i in range(t, m):
             row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    a = abs(v)
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            return best
+            if row:
+                a, j = min((abs(v), k) for k, v in row.items())
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        return best
         return best
 
-    t = 0
-    while True:
-        best = find_pivot(t)
-        if best is None:
-            break
+    def move_pivot(t, best):
         _, bi, bj = best
         if bi != t:
             row_swap(t, bi)
         if bj != t:
             col_swap(t, bj)
+
+    size = min(m, n)
+    t = 0
+    while t < size:
+        best = find_pivot(t)
+        if best is None:
+            break
+        move_pivot(t, best)
         while True:
+            pivot = A[t][t]
             # clear below the pivot
             redo = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t]:
-                        redo = True
+            for i in [i for i in where[t] if i != t]:
+                row_add(i, t, -(A[i][t] // pivot))
+                if t in A[i]:
+                    redo = True
             if redo:
-                best = find_pivot(t)
-                _, bi, bj = best
-                if bi != t:
-                    row_swap(t, bi)
-                if bj != t:
-                    col_swap(t, bj)
+                move_pivot(t, find_pivot(t))
                 continue
             # clear to the right of the pivot
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j]:
-                        redo = True
-            if not redo and all(A[i][t] == 0 for i in range(t + 1, m)):
+            row = A[t]
+            for j in [j for j in row if j != t]:
+                col_add(j, t, -(row[j] // pivot))
+                if j in row:
+                    redo = True
+            if not redo and len(where[t]) == 1:
                 break
-            best = find_pivot(t)
-            _, bi, bj = best
-            if bi != t:
-                row_swap(t, bi)
-            if bj != t:
-                col_swap(t, bj)
+            move_pivot(t, find_pivot(t))
         if A[t][t] < 0:
             row_negate(t)
         t += 1
-        if t >= min(m, n):
-            break
 
     # enforce the divisibility chain d_i | d_{i+1}
     r = 0
-    while r < min(m, n) and A[r][r] != 0:
+    while r < size and A[r].get(r, 0):
         r += 1
     changed = True
     while changed:
         changed = False
         for i in range(r - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
+            a, b = A[i].get(i, 0), A[i + 1].get(i + 1, 0)
             if b % a != 0:
                 changed = True
                 col_add(i, i + 1, 1)  # puts b into position (i+1, i)
                 # local 2x2 elimination via gcd
-                while A[i + 1][i]:
-                    if abs(A[i + 1][i]) <= abs(A[i][i]):
-                        q = A[i][i] // A[i + 1][i]
-                        row_add(i, i + 1, -q)
+                while A[i + 1].get(i, 0):
+                    if abs(A[i + 1][i]) <= abs(A[i].get(i, 0)):
+                        row_add(i, i + 1, -(A[i].get(i, 0) // A[i + 1][i]))
                         row_swap(i, i + 1)
                     else:
-                        q = A[i + 1][i] // A[i][i]
-                        row_add(i + 1, i, -q)
+                        row_add(i + 1, i, -(A[i + 1][i] // A[i][i]))
                 # clear fill-in to the right
-                if A[i][i + 1]:
-                    q = A[i][i + 1] // A[i][i]
-                    col_add(i + 1, i, -q)
-                if A[i][i] < 0:
+                if A[i].get(i + 1, 0):
+                    col_add(i + 1, i, -(A[i][i + 1] // A[i][i]))
+                if A[i].get(i, 0) < 0:
                     row_negate(i)
-                if A[i + 1][i + 1] < 0:
+                if A[i + 1].get(i + 1, 0) < 0:
                     row_negate(i + 1)
-    return SNF(Matrix(ZZ, A, ncols=n), Matrix(ZZ, U), Matrix(ZZ, V),
-               Matrix(ZZ, Uinv), Matrix(ZZ, Vinv))
+    diagonal = [d for d in (A[i].get(i, 0) for i in range(size)) if d != 0]
+    return SNF(m, n, diagonal, U, Uinv, V, Vinv)
 
 
-def _z_kernel(M: Matrix) -> Matrix:
+def _z_kernel(M) -> list:
+    """Lattice basis of ker(M) as sparse vectors: V's last columns."""
     snf = smith_normal_form(M)
-    cols = [snf.V.column(j) for j in range(snf.rank, M.ncols)]
-    return Matrix.from_columns(ZZ, cols, M.ncols)
+    return snf.v_cols[snf.rank:]
 
 
-def _z_image(M: Matrix) -> Matrix:
+def _z_image(M) -> list:
+    """Lattice basis of M's column space as sparse vectors: d_i * Uinv's columns."""
     snf = smith_normal_form(M)
-    cols = []
-    for i, d in enumerate(snf.diagonal):
-        col = snf.Uinv.column(i)
-        cols.append([d * x for x in col])
-    return Matrix.from_columns(ZZ, cols, M.nrows)
+    return [{i: d * x for i, x in snf.uinv_cols[k].items()}
+            for k, d in enumerate(snf.diagonal)]
 
 
-def _z_solve(M: Matrix, B: Matrix):
-    return _z_solve_with_snf(smith_normal_form(M), M.ncols, B)
+def _z_solve(M, targets):
+    return _z_solve_with_snf(smith_normal_form(M), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +856,7 @@ def kernel_basis(M: Matrix) -> Matrix:
     """Columns form a basis of ker(M); over Z this is the saturated lattice."""
     if M.ring.is_field:
         return _field_matrix(M.ring, _field_kernel(M.ring, M.sparse_columns()), M.ncols)
-    return _z_kernel(M)
+    return Matrix.from_columns(ZZ, _z_kernel(M), M.ncols)
 
 
 def image_basis(M: Matrix) -> Matrix:
@@ -740,7 +864,7 @@ def image_basis(M: Matrix) -> Matrix:
     if M.ring.is_field:
         return Matrix.from_columns(M.ring, _field_image(M.ring, M.sparse_columns()),
                                    M.nrows)
-    return _z_image(M)
+    return Matrix.from_columns(ZZ, _z_image(M), M.nrows)
 
 
 def solve(M: Matrix, B: Matrix):
@@ -750,7 +874,8 @@ def solve(M: Matrix, B: Matrix):
     if M.ring.is_field:
         sol = _field_solve(M.ring, M.sparse_columns(), B.sparse_columns())
         return None if sol is None else _field_matrix(M.ring, sol, M.ncols)
-    return _z_solve(M, B)
+    sol = _z_solve(M, B.sparse_columns())
+    return None if sol is None else Matrix.from_columns(ZZ, sol, M.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +974,7 @@ def quotient_presentation(cycles: Matrix, boundaries: Matrix) -> Presentation:
     if ring.is_field:
         return _field_quotient(ring, ambient, cycles.sparse_columns(),
                                boundaries.sparse_columns())
-    return _z_quotient(ambient, cycles, boundaries)
+    return _z_quotient(ambient, cycles.sparse_columns(), boundaries.sparse_columns())
 
 
 def _field_quotient(ring, ambient, cycle_cols, boundary_cols) -> Presentation:
@@ -885,53 +1010,56 @@ def _field_quotient(ring, ambient, cycle_cols, boundary_cols) -> Presentation:
 _gf2_quotient = _field_quotient
 
 
-def _z_quotient(ambient, cycles: Matrix, boundaries: Matrix) -> Presentation:
-    if rank(cycles) != cycles.ncols:
+def _z_quotient(ambient, cycle_cols, boundary_cols) -> Presentation:
+    """span(cycles)/span(boundaries) over Z, from sparse integer columns.
+
+    One Smith normal form of the cycles checks their independence and
+    expresses the boundaries in them (the relation matrix A); the Smith
+    normal form of A picks the generators.
+    """
+    k = len(cycle_cols)
+    snf_k = smith_normal_form(IntColumns(cycle_cols, ambient))
+    if snf_k.rank != k:
         raise ValueError("cycle columns must be independent")
-    A = solve(cycles, boundaries)
-    if A is None:
+    relations = _z_solve_with_snf(snf_k, boundary_cols)
+    if relations is None:
         raise BoundaryNotInCyclesError("a boundary lies outside the cycle lattice")
-    snf_a = smith_normal_form(A)
-    k = cycles.ncols
-    new_gens = cycles * snf_a.Uinv
-    orders_all = []
-    for i in range(k):
-        d = snf_a.S.rows[i][i] if i < min(snf_a.S.nrows, snf_a.S.ncols) else 0
-        orders_all.append(d)
+    snf_a = smith_normal_form(IntColumns(relations, k))
+    orders_all = snf_a.diagonal + [0] * (k - snf_a.rank)
     kept = [i for i, d in enumerate(orders_all) if d != 1]
-    gens = [new_gens.column(i) for i in kept]
+    gens = []
+    for i in kept:
+        gen = [0] * ambient
+        for l, c in snf_a.uinv_cols[i].items():
+            for row, x in cycle_cols[l].items():
+                gen[row] += c * x
+        gens.append(gen)
     orders = [orders_all[i] for i in kept]
-    snf_k = smith_normal_form(cycles)
-    U_a = snf_a.U
+    u_kept = [snf_a.u_rows[i] for i in kept]
 
     def express(vector):
-        B = Matrix.from_columns(ZZ, [list(vector)], ambient)
-        w = _z_solve_with_snf(snf_k, cycles.ncols, B)
+        w = _z_solve_with_snf(snf_k, [_int_vector(vector)])
         if w is None:
             return None
-        wprime = U_a * w
-        return [wprime.rows[i][0] for i in kept]
+        w = w[0]
+        return [sum(x * w[l] for l, x in row.items() if l in w) for row in u_kept]
 
     return Presentation(ZZ, ambient, gens, orders, express)
 
 
-def _z_solve_with_snf(snf: SNF, ncols, B: Matrix):
-    Y = snf.U * B
-    r = snf.rank
-    sol_cols = []
-    for j in range(B.ncols):
-        y = Y.column(j)
-        x = [0] * ncols
-        for i in range(len(y)):
-            if i < r:
-                d = snf.S.rows[i][i]
-                if y[i] % d != 0:
-                    return None
-                x[i] = y[i] // d
-            elif y[i] != 0:
+def _z_solve_with_snf(snf: SNF, targets):
+    """x with M x == t for each sparse target t, as sparse vectors, given
+    the Smith normal form of M; None when one has no integer solution."""
+    diagonal, r = snf.diagonal, snf.rank
+    out = []
+    for t in targets:
+        x = {}
+        for i, y in snf.apply_u(t).items():
+            if i >= r or y % diagonal[i]:
                 return None
-        sol_cols.append(x)
-    return snf.V * Matrix.from_columns(ZZ, sol_cols, ncols)
+            x[i] = y // diagonal[i]
+        out.append(_combine(snf.v_cols, x))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ of simplicial maps, and degreewise equality of induced maps.
 
 Boundary operators are kept as sparse integral columns with the usual
 alternating signs in the complex's vertex order.  Coefficients are handled
-by two paths: over a field (Z_2, Z_p, Q) those columns go straight into
-the spans of :func:`exactalg.field_span`, which run Z_2 on bitsets; over
-Z they go through Smith normal form, which is where torsion comes from.
+by two paths, both fed those columns as they are: over a field (Z_2, Z_p,
+Q) they go into the spans of :func:`exactalg.field_span`, which run Z_2 on
+bitsets; over Z they go through the sparse Smith normal form, which is
+where torsion comes from.
 
 Equality of induced maps is decided by one routine: for every generator of
 the relevant group it tests whether the difference of the two (co)chain
@@ -22,13 +23,12 @@ ring).
 from . import exactalg
 from .exactalg import (
     Hom,
+    IntColumns,
     Matrix,
     Presentation,
     Ring,
     ZZ,
     field_span,
-    kernel_basis,
-    quotient_presentation,
     signed_columns,
     smith_normal_form,
     trivial_presentation,
@@ -100,12 +100,8 @@ class ChainComplexData:
 
     def boundary_matrix(self, d: int) -> Matrix:
         """Dense integral boundary matrix (use only at desk scale)."""
-        m, n = self.rank_of(d - 1), self.rank_of(d)
-        rows = [[0] * n for _ in range(m)]
-        for j, col in enumerate(self.sparse_boundary(d)):
-            for i, sign in col:
-                rows[i][j] = sign
-        return Matrix(ZZ, rows, ncols=n)
+        return Matrix.from_columns(ZZ, signed_columns(ZZ, self.sparse_boundary(d)),
+                                   self.rank_of(d - 1))
 
 
 _chain_cache: dict = {}
@@ -211,11 +207,13 @@ def _degree_presentation(data, ring: Ring, variance, d: int):
         cycle_src, cycle_rows = data.sparse_coboundary(d), data.rank_of(d + 1)
     else:
         cycle_src, cycle_rows = data.sparse_boundary(d), data.rank_of(d - 1)
+    # each column list is built only while it is needed: over Z_2 they are
+    # the largest objects of a query
     if ring.is_field:
         cycles = exactalg._field_kernel(ring, signed_columns(ring, cycle_src))
         return exactalg._field_quotient(ring, n, cycles, signed_columns(ring, bnd_src))
-    cycles = kernel_basis(_integer_matrix(cycle_src, cycle_rows))
-    return quotient_presentation(cycles, _integer_matrix(bnd_src, n))
+    cycles = exactalg._z_kernel(IntColumns(signed_columns(ring, cycle_src), cycle_rows))
+    return exactalg._z_quotient(n, cycles, signed_columns(ring, bnd_src))
 
 
 def _image_columns(data, variance, d: int):
@@ -223,14 +221,6 @@ def _image_columns(data, variance, d: int):
     if variance == COHOMOLOGY:
         return data.sparse_coboundary(d - 1) if d >= 1 else []
     return data.sparse_boundary(d + 1)
-
-
-def _integer_matrix(sparse_cols, nrows) -> Matrix:
-    rows = [[0] * len(sparse_cols) for _ in range(nrows)]
-    for j, col in enumerate(sparse_cols):
-        for i, sign in col:
-            rows[i][j] = sign
-    return Matrix(ZZ, rows, ncols=len(sparse_cols))
 
 
 _graded_cache: dict = {}
@@ -395,25 +385,26 @@ _span_cache: dict = {}
 
 
 class _ZSpan:
-    __slots__ = ("matrix", "snf")
+    """Membership in the lattice spanned by sparse integer columns."""
 
-    def __init__(self, matrix: Matrix):
-        self.matrix = matrix
-        self.snf = smith_normal_form(matrix)
+    __slots__ = ("snf",)
+
+    def __init__(self, cols, nrows: int):
+        self.snf = smith_normal_form(IntColumns(cols, nrows))
 
     def contains(self, vec) -> bool:
-        B = Matrix.from_columns(ZZ, [list(vec)], self.matrix.nrows)
-        return exactalg._z_solve_with_snf(self.snf, self.matrix.ncols, B) is not None
+        return exactalg._z_solve_with_snf(self.snf, [exactalg._int_vector(vec)]) is not None
 
 
 def _membership(ring: Ring, sparse_cols, nrows: int):
     """Membership tester for the span of (row, sign) columns with ``nrows`` rows."""
-    if ring.is_field:
-        span = field_span(ring, track=False)
-        for col in signed_columns(ring, sparse_cols):
-            span.add(col)
-        return span
-    return _ZSpan(_integer_matrix(sparse_cols, nrows))
+    cols = signed_columns(ring, sparse_cols)
+    if not ring.is_field:
+        return _ZSpan(cols, nrows)
+    span = field_span(ring, track=False)
+    for col in cols:
+        span.add(col)
+    return span
 
 
 def _image_span(K: SimplicialComplex, ring: Ring, variance: str, d: int):

@@ -174,6 +174,16 @@ class TestBounds:
                 bounds_for(scat_query(pt, GF2), max_size=max_size)
         assert hscat(pt, GF2, max_size=1).exact == 0
 
+    def test_exhaustive_below_one_raises(self):
+        pt = fixture_complex("point")
+        for upto in (0, -3):
+            for fn in (hscat, hstc):
+                with pytest.raises(ValueError, match="exhaustive_upto"):
+                    fn(pt, GF2, exhaustive_upto=upto)
+            with pytest.raises(ValueError, match="exhaustive_upto"):
+                bounds_for(scat_query(pt, GF2), strategy="greedy", exhaustive_upto=upto)
+        assert hscat(pt, GF2, exhaustive_upto=1).exact == 0
+
 
 class TestHomologicalDistance:
     def test_loop_distance_exactly_one(self):

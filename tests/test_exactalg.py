@@ -23,6 +23,9 @@ from cohodist.exactalg import (
     smith_normal_form,
     solve,
 )
+from cohodist.complexes import barycentric_subdivision
+from cohodist.fixtures import fixture_complex, fixture_names
+from cohodist.homology import chain_complex
 from cohodist.errors import (
     BoundaryNotInCyclesError,
     PresentationMismatchError,
@@ -92,6 +95,40 @@ class TestRings:
                     R.normalize(bad)
 
 
+def rand_sparse_int_matrix(rng, m, n):
+    """Mostly +-1 entries at a few percent density, with a few larger ones."""
+    density = rng.uniform(0.02, 0.15)
+    rows = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                rows[i][j] = rng.choice((1, -1) * 6 + (2, -2, 3, 4, -6))
+    return Matrix(ZZ, rows, ncols=n)
+
+
+def transposed(M):
+    return Matrix(ZZ, [list(col) for col in zip(*M.rows)], ncols=M.nrows)
+
+
+def check_snf(M):
+    """U M V == S, both inverses, S diagonal, and the divisibility chain."""
+    snf = smith_normal_form(M)
+    m, n = M.shape
+    S = snf.S
+    assert snf.U * M * snf.V == S
+    assert snf.U * snf.Uinv == Matrix.identity(ZZ, m)
+    assert snf.V * snf.Vinv == Matrix.identity(ZZ, n)
+    for i, row in enumerate(S.rows):
+        for j, x in enumerate(row):
+            if i != j:
+                assert x == 0
+    assert [S.rows[i][i] for i in range(snf.rank)] == snf.diagonal
+    assert all(d > 0 for d in snf.diagonal)
+    for a, b in zip(snf.diagonal, snf.diagonal[1:]):
+        assert b % a == 0
+    return snf
+
+
 class TestSmithNormalForm:
     def test_diag_2_3(self):
         snf = smith_normal_form(Matrix(ZZ, [[2, 0], [0, 3]]))
@@ -113,20 +150,11 @@ class TestSmithNormalForm:
         for _ in range(200):
             m, n = rng.randint(0, 5), rng.randint(0, 5)
             M = rand_int_matrix(rng, m, n)
-            snf = smith_normal_form(M)
-            assert snf.U * M * snf.V == snf.S
-            assert snf.U * snf.Uinv == Matrix.identity(ZZ, m)
-            assert snf.V * snf.Vinv == Matrix.identity(ZZ, n)
+            snf = check_snf(M)
             if m:
                 assert det_fraction(snf.U) in (1, -1)
             if n:
                 assert det_fraction(snf.V) in (1, -1)
-            for a, b in zip(snf.diagonal, snf.diagonal[1:]):
-                assert b % a == 0
-            for i in range(m):
-                for j in range(n):
-                    if i != j:
-                        assert snf.S.rows[i][j] == 0
 
     def test_invariant_factors_match_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -139,6 +167,39 @@ class TestSmithNormalForm:
             ours = [d for d in smith_normal_form(M).diagonal]
             theirs = [int(f) for f in invariant_factors(sympy.Matrix(M.rows)) if f != 0]
             assert ours == theirs
+
+    def test_sparse_random(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(23)
+        for _ in range(40):
+            M = rand_sparse_int_matrix(rng, rng.randint(1, 40), rng.randint(1, 60))
+            snf = check_snf(M)
+            theirs = [int(f) for f in invariant_factors(sympy.Matrix(M.rows)) if f != 0]
+            assert snf.diagonal == theirs
+
+    def test_boundary_matrices(self):
+        # the boundaries and their transposes, the coboundaries, are what
+        # the integer (co)homology path eliminates
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        complexes = [(name, fixture_complex(name)) for name in fixture_names()]
+        complexes.append(("sd(figure1)",
+                          barycentric_subdivision(fixture_complex("figure1"))[0]))
+        for name, K in complexes:
+            data = chain_complex(K)
+            for d in range(1, K.dim + 1):
+                B = data.boundary_matrix(d)
+                for M in (B, transposed(B)):
+                    snf = check_snf(M)
+                    theirs = [int(f) for f in invariant_factors(sympy.Matrix(M.rows))
+                              if f != 0]
+                    assert snf.diagonal == theirs, (name, d)
+
+    def test_product_with_empty_inner_dimension(self):
+        assert Matrix.zeros(ZZ, 2, 0) * Matrix.zeros(ZZ, 0, 3) == Matrix.zeros(ZZ, 2, 3)
 
 
 class TestKernelImage:

@@ -176,6 +176,16 @@ class TestCli:
             assert exc.value.code == 2
             assert "must be at least 1" in capsys.readouterr().err
 
+    def test_exhaustive_below_one_rejected(self, capsys):
+        # these used to run as if the flag were absent
+        for extra in (["--exhaustive", "-3"], ["--exhaustive", "0"],
+                      ["--strategy", "greedy", "--exhaustive", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--json", "bounds", "--scat", "k5", "--ring", "z2", *extra])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "must be at least 1" in captured.err and not captured.out
+
     def test_bounds_honours_variance(self, capsys):
         code, out = run_cli(capsys, "--json", "bounds", "--scat", "rp2", "--ring", "z")
         report = json.loads(out)

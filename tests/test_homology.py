@@ -46,7 +46,37 @@ class TestChainComplex:
                 assert prod.is_zero()
 
 
+def torsion_divisible(orders, p):
+    """Number of torsion summands Z_d with p | d."""
+    return sum(1 for d in orders if d and d % p == 0)
+
+
 class TestGroups:
+    def test_integer_groups_match_mod_p_betti(self):
+        # universal coefficients: dim H_d(K; Z_p) = b_d + t_p(d) + t_p(d-1),
+        # with b_d and t_p(d) read from H_d(K; Z); over Z cohomology holds
+        # the same free ranks and shifts the torsion up one degree
+        sd_figure1 = barycentric_subdivision(fixture_complex("figure1"))[0]
+        cases = [(name, fixture_complex(name)) for name in ("rp3", "c3xs2", "torus", "k5")]
+        cases.append(("sd(figure1)", sd_figure1))
+        torsion_seen = False
+        for name, K in cases:
+            hom, coh = homology(K, ZZ), cohomology(K, ZZ)
+            h = [hom.presentation(d).orders for d in hom.degrees]
+            c = [coh.presentation(d).orders for d in coh.degrees]
+            torsion_seen |= any(d for orders in h for d in orders)
+            for p in (2, 3):
+                expected = betti_mod(K.maximal_faces, p)
+                for d in hom.degrees:
+                    below = torsion_divisible(h[d - 1], p) if d else 0
+                    assert (hom.presentation(d).free_rank + torsion_divisible(h[d], p)
+                            + below == expected[d]), (name, p, d)
+            for d in coh.degrees:
+                assert coh.presentation(d).free_rank == hom.presentation(d).free_rank
+                below = sorted(x for x in h[d - 1] if x) if d else []
+                assert sorted(x for x in c[d] if x) == below, (name, d)
+        assert torsion_seen
+
     def test_rp2_over_z(self):
         gm = cohomology(fixture_complex("rp2"), ZZ)
         assert gm.group_strs() == ("Z", "0", "Z_2")
