@@ -21,7 +21,9 @@ bitsets (one Python int per vector) because the cohomology pipeline spends
 most of its time row-reducing over Z_2, and :class:`FieldSpan` keeps them
 as dicts over Z_p and Q.  Both key a pivot by its highest row, and every
 field kernel (rank, kernel, image, solve, quotient) is written once on top
-of them.  :func:`field_span` and :func:`signed_columns` are the only code
+of them, as is :func:`field_presentations`, which presents every degree of
+a cochain complex's cohomology from one reduction per matrix, with
+clearing.  :func:`field_span` and :func:`signed_columns` are the only code
 that tells Z_2 apart from the other fields.
 """
 
@@ -346,6 +348,11 @@ class Gf2Span:
         self.pivots[col.bit_length() - 1] = (col, combo)
         return True, None
 
+    def _pin(self, vec: int, slot=None):
+        """Make ``vec`` a pivot as it is, with the unit combination at
+        ``slot`` (zero when None).  Its highest row must be no pivot's."""
+        self.pivots[vec.bit_length() - 1] = (vec, 0 if slot is None else 1 << slot)
+
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
@@ -453,6 +460,12 @@ class FieldSpan:
                             None if combo is None else self._scaled(combo, inv))
         return True, None
 
+    def _pin(self, vec: dict, slot=None):
+        """Make ``vec`` a pivot as it is, with the unit combination at
+        ``slot`` (zero when None).  Its highest row must be no pivot's, and
+        its entry there 1."""
+        self.pivots[max(vec)] = (vec, {} if slot is None else {slot: self.ring.one})
+
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
@@ -488,16 +501,22 @@ def field_span(ring: Ring, track: bool = True):
 def signed_columns(ring: Ring, cols) -> list:
     """Columns of (row, +-1) pairs, such as boundary columns, in the form
     :func:`field_span` keeps for ``ring``."""
+    return list(_signed(ring, cols))
+
+
+def _signed(ring: Ring, cols):
+    """:func:`signed_columns` one column at a time, each converted as it is
+    read: over Z_2 a converted column is a bitset as long as its highest row."""
     if ring == GF2:
-        out = []
         for col in cols:
             v = 0
             for i, _ in col:
                 v |= 1 << i
-            out.append(v)
-        return out
+            yield v
+        return
     one, minus = ring.normalize(1), ring.normalize(-1)
-    return [{i: one if sign == 1 else minus for i, sign in col} for col in cols]
+    for col in cols:
+        yield {i: one if sign == 1 else minus for i, sign in col}
 
 
 def _field_rank(ring: Ring, cols) -> int:
@@ -1008,6 +1027,90 @@ def _field_quotient(ring, ambient, cycle_cols, boundary_cols) -> Presentation:
 
 # the mod-2 builder is the shared one; bench/tracer.py still wraps this name
 _gf2_quotient = _field_quotient
+
+
+def field_presentations(ring: Ring, steps) -> list:
+    """Cohomology of a cochain complex over a field, one presentation per group.
+
+    ``steps`` yields ``(n, cols)`` for C^0, C^1, ... in turn: n is the
+    dimension of C^k and ``cols`` the n columns of d^k : C^k -> C^{k+1} as
+    lists of (row, +-1) pairs (empty columns after the last group).
+    Homology is the same computation with the chain groups taken from the
+    top degree down.
+
+    Each d^k is reduced once, with clearing (Chen-Kerber, "Persistent
+    homology computation with a twist", 2011): column j of d^k is skipped
+    when row j is a pivot of the reduction of d^{k-1}, because the reduced
+    column of d^{k-1} with top row j is a cocycle, which puts column j in
+    the span of the columns before it.  The combinations of the remaining
+    columns that reduce to zero are the generators: each has its own
+    column as its top row, which is no pivot of the image, so they are
+    independent modulo the image and as many as the Betti number.
+    ``coordinates`` reduces by one table: the image pivots with a zero
+    combination and one pivot per generator with a unit combination.
+
+    Clearing is sound only when d^k o d^{k-1} == 0.  That is checked on
+    the (row, +-1) columns before each reduction, and a failure raises
+    :class:`BoundaryNotInCyclesError`.
+
+    >>> d0 = [[(0, -1)], [(0, 1)]]   # one edge: the coboundary of each end
+    >>> [p.group_str() for p in field_presentations(GF2, [(2, d0), (1, [[]])])]
+    ['Z_2', '0']
+    """
+    out = []
+    image = field_span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k
+    incoming = []
+    for n, cols in steps:
+        _check_composite(ring, incoming, cols)
+        span = field_span(ring)
+        keep = [j for j in range(n) if j not in image.pivots]
+        gens = []
+        for j, col in zip(keep, _signed(ring, (cols[j] for j in keep))):
+            span.n_added = j  # combinations run over all n columns
+            grew, combo = span._absorb(col)
+            if not grew:
+                gens.append(combo)
+        out.append(_pinned_presentation(ring, n, image, gens))
+        for vec, _ in list(span.pivots.values()):
+            span._pin(vec)  # combinations are needed only while reducing
+        image, incoming = span, cols
+    return out
+
+
+def _check_composite(ring: Ring, incoming, outgoing):
+    """Raise unless ``outgoing`` kills every column of ``incoming`` over
+    ``ring``, both given as lists of (row, +-1) pairs."""
+    p = ring.p
+    for col in incoming:
+        acc = {}  # the image of col, over Z
+        get = acc.get
+        for i, s in col:
+            if s > 0:
+                for r, t in outgoing[i]:
+                    acc[r] = get(r, 0) + t
+            else:
+                for r, t in outgoing[i]:
+                    acc[r] = get(r, 0) - t
+        if any(acc.values()) and (p is None or any(v % p for v in acc.values())):
+            raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
+
+
+def _pinned_presentation(ring: Ring, n: int, table, gens) -> Presentation:
+    """Presentation with generators ``gens`` that reads coordinates from
+    ``table``, a span of the image pivots with zero combinations: generator
+    k joins it as a pivot with the unit combination at k."""
+    for k, gen in enumerate(gens):
+        table._pin(gen, k)
+    slots = range(len(gens))
+
+    def express(vector):
+        coeffs = table.express(vector)
+        if coeffs is None:
+            return None
+        return [table.coefficient(coeffs, k) for k in slots]
+
+    return Presentation(ring, n, [table.dense(g, n) for g in gens], (0,) * len(gens),
+                        express)
 
 
 def _z_quotient(ambient, cycle_cols, boundary_cols) -> Presentation:

@@ -102,6 +102,8 @@ def complex_from_text(text: str, require_connected: bool = True) -> SimplicialCo
         if line.startswith("order:"):
             if faces:
                 raise ParseError("order header must precede faces", lineno)
+            if order is not None:
+                raise ParseError("order header given twice", lineno)
             try:
                 order = [parse_label(tok) for tok in line[len("order:"):].split()]
             except ValueError as e:
@@ -165,9 +167,13 @@ def cover_from_text(text: str, parent: SimplicialComplex) -> Cover:
         if name is None:
             raise ParseError("face line before any 'piece' header", lineno)
         try:
-            faces.append([parse_label(tok) for tok in _split_top_level(line)])
+            face = [parse_label(tok) for tok in _split_top_level(line)]
         except ValueError as e:
             raise ParseError(str(e), lineno)
+        for v in face:
+            if (v,) not in parent:
+                raise ParseError(f"{v!r} is not a vertex of the complex", lineno)
+        faces.append(face)
     flush(last)
     if not pieces:
         raise ParseError("no pieces found", None)
@@ -203,9 +209,14 @@ def map_from_text(text: str, source: SimplicialComplex,
             raise ParseError("expected 'u -> v'", lineno)
         left, right = line.split("->", 1)
         try:
-            assignment[parse_label(left)] = parse_label(right)
+            u, v = parse_label(left), parse_label(right)
         except ValueError as e:
             raise ParseError(str(e), lineno)
+        if (u,) not in source:
+            raise ParseError(f"{u!r} is not a vertex of the source complex", lineno)
+        if u in assignment:
+            raise ParseError(f"vertex {u!r} is mapped twice", lineno)
+        assignment[u] = v
     try:
         return SimplicialMap(source, target, assignment)
     except Exception as e:

@@ -3,10 +3,18 @@ of simplicial maps, and degreewise equality of induced maps.
 
 Boundary operators are kept as sparse integral columns with the usual
 alternating signs in the complex's vertex order.  Coefficients are handled
-by two paths, both fed those columns as they are: over a field (Z_2, Z_p,
-Q) they go into the spans of :func:`exactalg.field_span`, which run Z_2 on
-bitsets; over Z they go through the sparse Smith normal form, which is
-where torsion comes from.
+by two paths, both fed those columns as they are.  Over a field (Z_2, Z_p,
+Q) every degree comes from one pass, :func:`exactalg.field_presentations`,
+that reduces each (co)boundary matrix once on the spans of
+:func:`exactalg.field_span` (bitsets over Z_2).  Cohomology is walked
+upward and homology downward, so a degree's incoming matrix is reduced
+before its outgoing one, and the outgoing reduction skips the columns
+whose index is a pivot row of the incoming one (clearing).  Clearing is
+sound only when the composite of the two matrices is zero; the pass checks
+that on the (row, +-1) columns first and raises
+:class:`errors.BoundaryNotInCyclesError` otherwise.  Over Z the columns go
+through the sparse Smith normal form, one degree at a time, which is where
+torsion comes from.
 
 Equality of induced maps is decided by one routine: for every generator of
 the relevant group it tests whether the difference of the two (co)chain
@@ -28,6 +36,7 @@ from .exactalg import (
     Presentation,
     Ring,
     ZZ,
+    field_presentations,
     field_span,
     signed_columns,
     smith_normal_form,
@@ -70,6 +79,10 @@ class ChainComplexData:
                     col.append((self.index[face], -1 if i % 2 else 1))
                 cols.append(col)
             self._sparse[d] = cols
+
+    @property
+    def dim(self) -> int:
+        return self.complex.dim
 
     def rank_of(self, d: int) -> int:
         return len(self.basis.get(d, ()))
@@ -199,19 +212,34 @@ class GradedModule:
                 f"{self.ring}: {', '.join(self.group_strs())})")
 
 
+def _presentations(data, ring: Ring, variance) -> dict:
+    """H^d or H_d for every degree of a :class:`ChainComplexData` (or
+    :class:`_PieceChains`).
+
+    Over a field all degrees come from one pass that reduces each
+    (co)boundary matrix once (:func:`exactalg.field_presentations`):
+    cohomology is walked upward and homology downward, so a degree's
+    incoming matrix is reduced before its outgoing one.
+    """
+    top = data.dim
+    if not ring.is_field:
+        return {d: _degree_presentation(data, ring, variance, d) for d in range(top + 1)}
+    if variance == COHOMOLOGY:
+        degrees, outgoing = range(top + 1), data.sparse_coboundary
+    else:
+        degrees, outgoing = range(top, -1, -1), data.sparse_boundary
+    steps = ((data.rank_of(d), outgoing(d)) for d in degrees)
+    return dict(zip(degrees, field_presentations(ring, steps)))
+
+
 def _degree_presentation(data, ring: Ring, variance, d: int):
-    """H^d or H_d of a :class:`ChainComplexData` (or :class:`_PieceChains`)."""
+    """H^d or H_d over Z of a :class:`ChainComplexData` (or :class:`_PieceChains`)."""
     n = data.rank_of(d)
     bnd_src = _image_columns(data, variance, d)
     if variance == COHOMOLOGY:
         cycle_src, cycle_rows = data.sparse_coboundary(d), data.rank_of(d + 1)
     else:
         cycle_src, cycle_rows = data.sparse_boundary(d), data.rank_of(d - 1)
-    # each column list is built only while it is needed: over Z_2 they are
-    # the largest objects of a query
-    if ring.is_field:
-        cycles = exactalg._field_kernel(ring, signed_columns(ring, cycle_src))
-        return exactalg._field_quotient(ring, n, cycles, signed_columns(ring, bnd_src))
     cycles = exactalg._z_kernel(IntColumns(signed_columns(ring, cycle_src), cycle_rows))
     return exactalg._z_quotient(n, cycles, signed_columns(ring, bnd_src))
 
@@ -230,9 +258,7 @@ def _graded_module(K, ring, variance) -> GradedModule:
     key = (K, ring, variance)
     gm = _graded_cache.get(key)
     if gm is None:
-        data = chain_complex(K)
-        modules = {d: _degree_presentation(data, ring, variance, d)
-                   for d in range(K.dim + 1)}
+        modules = _presentations(chain_complex(K), ring, variance)
         gm = _graded_cache[key] = GradedModule(K, ring, variance, modules)
     return gm
 
@@ -525,15 +551,11 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
             else:
                 yield d, _cochain_verdicts(phi, psi, ring, d, chains, piece)
         return
-    gm = homology(phi.source, ring) if piece is None else None
+    modules = (homology(phi.source, ring).modules if piece is None
+               else _presentations(chains, ring, HOMOLOGY))
     for d in degrees:
-        if piece is None:
-            pres = gm.presentation(d)
-        elif d <= src_dim:
-            pres = _degree_presentation(chains, ring, HOMOLOGY, d)
-        else:
-            pres = trivial_presentation(ring)
-        if pres.is_trivial:
+        pres = modules.get(d)
+        if pres is None or pres.is_trivial:
             yield d, ()
         else:
             yield d, _chain_verdicts(phi, psi, ring, d, pres, chains, piece)

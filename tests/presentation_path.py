@@ -1,17 +1,42 @@
-"""Reference path for equality of induced maps, used by the tests only.
+"""Reference paths built from package code, used by the tests only.
 
-It decides equality the slow way: build both induced homomorphisms on the
-group presentations and compare them with :func:`exactalg.homs_equal`.
-The package decides it by (co)boundary membership of generator
-differences; the tests check that the two agree.  Unlike ``oracles.py``
-this helper is built from package code.
+:func:`maps_equal_by_presentation` decides equality of induced maps the
+slow way: build both induced homomorphisms on the group presentations and
+compare them with :func:`exactalg.homs_equal`.  The package decides it by
+(co)boundary membership of generator differences; the tests check that
+the two agree.  :func:`field_presentation_by_degree` builds one degree of
+(co)homology over a field from a kernel and a quotient, without clearing,
+to check the package's one-pass reduction against.  Unlike ``oracles.py``
+these helpers are built from package code.
 """
 
-from cohodist.exactalg import homs_equal
-from cohodist.homology import MapsEqualReport, induced_map
+from cohodist import exactalg
+from cohodist.exactalg import homs_equal, signed_columns
+from cohodist.homology import COHOMOLOGY, MapsEqualReport, induced_map
 
 
 def maps_equal_by_presentation(phi, psi, ring, variance) -> MapsEqualReport:
     f = induced_map(phi, ring, variance)
     g = induced_map(psi, ring, variance)
     return MapsEqualReport({d: homs_equal(f.hom(d), g.hom(d)) for d in f.degrees})
+
+
+def field_presentation_by_degree(data, ring, variance, d):
+    """H^d or H_d over a field, one degree at a time.
+
+    The cycles come from :func:`exactalg._field_kernel` and the quotient
+    from :func:`exactalg._field_quotient`, which checks that every
+    boundary is a cycle.  ``data`` is a chain complex with ``rank_of``,
+    ``sparse_boundary`` and ``sparse_coboundary`` (a ``ChainComplexData``
+    or a piece of one).  The package builds every degree in one pass with
+    clearing; the tests check that the two agree.
+    """
+    if variance == COHOMOLOGY:
+        cycle_src = data.sparse_coboundary(d)
+        boundary_src = data.sparse_coboundary(d - 1) if d >= 1 else []
+    else:
+        cycle_src = data.sparse_boundary(d)
+        boundary_src = data.sparse_boundary(d + 1)
+    cycles = exactalg._field_kernel(ring, signed_columns(ring, cycle_src))
+    return exactalg._field_quotient(ring, data.rank_of(d), cycles,
+                                    signed_columns(ring, boundary_src))

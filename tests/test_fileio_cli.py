@@ -232,6 +232,44 @@ class TestCli:
         assert code == 0 and "(n = 0)" in out and "status: verified" in out
 
 
+class TestBadInputFiles:
+    """Malformed input files exit 2 and name the offending line."""
+
+    def run_bad(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
+    def test_cover_vertex_outside_parent(self, capsys, tmp_path):
+        path = tmp_path / "bad.cover"
+        path.write_text("piece A\n0,1,2\npiece B\n0,1,9\n")
+        self.run_bad(capsys, ["verify", "--scat", "s2", "--cover", str(path)],
+                     "line 4: 9 is not a vertex of the complex")
+
+    def map_pair_argv(self, tmp_path, phi_text):
+        identity = tmp_path / "id.map"
+        identity.write_text("0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n")
+        phi = tmp_path / "phi.map"
+        phi.write_text(phi_text)
+        return ["bounds", "--complex", "s2", "--target", "s2",
+                "--phi", str(phi), "--psi", str(identity)]
+
+    def test_map_vertex_listed_twice(self, capsys, tmp_path):
+        # the last line used to win, and bounds reported "exact"
+        argv = self.map_pair_argv(tmp_path, "0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n3 -> 0\n")
+        self.run_bad(capsys, argv, "line 5: vertex 3 is mapped twice")
+
+    def test_map_label_not_a_source_vertex(self, capsys, tmp_path):
+        argv = self.map_pair_argv(tmp_path, "0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n7 -> 0\n")
+        self.run_bad(capsys, argv, "line 5: 7 is not a vertex of the source complex")
+
+    def test_second_order_header(self, capsys, tmp_path):
+        # the second header used to replace the first
+        path = tmp_path / "two.cx"
+        path.write_text("order: 0 1 2\norder: 2 1 0\n0,1,2\n")
+        self.run_bad(capsys, ["info", str(path)], "line 2: order header given twice")
+
+
 class TestJsonReports:
     def _schema(self):
         import importlib.resources as resources
