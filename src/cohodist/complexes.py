@@ -8,6 +8,8 @@ construction and hash by content, so value-equal complexes share cached
 chain data downstream.
 """
 
+from itertools import chain, combinations, repeat
+
 from .errors import (
     DisconnectedComplexError,
     DuplicateVertexInFaceError,
@@ -44,27 +46,32 @@ class SimplicialComplex:
         """Internal constructor; use :func:`from_maximal_faces`.
 
         ``vertices``: ordered tuple of labels.  ``simplices``: iterable of
-        tuples already sorted by the vertex order and downward closed.
+        tuples of those labels, downward closed; a simplex may list its
+        vertices in any order and may occur more than once.
         """
-        self.vertices = tuple(vertices)
-        self._pos = {v: i for i, v in enumerate(self.vertices)}
-        pos = self._pos
-        self.simplices = frozenset(tuple(sorted(s, key=pos.__getitem__))
-                                   for s in simplices)
+        self.vertices = verts = tuple(vertices)
+        self._pos = pos = {v: i for i, v in enumerate(verts)}
+        # work on position tuples: each simplex sorted once, each degree
+        # sorted as plain int tuples, labels built once from the result
+        keys_by_len = {}
+        for key in {tuple(sorted(map(pos.__getitem__, s))) for s in simplices}:
+            keys_by_len.setdefault(len(key), []).append(key)
+        label = verts.__getitem__
         by_dim = {}
-        for s in self.simplices:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        for d in by_dim:
-            by_dim[d].sort(key=lambda s: tuple(self._pos[v] for v in s))
-        self._by_dim = {d: tuple(v) for d, v in sorted(by_dim.items())}
-        # a simplex is maximal iff it is nobody's facet (closure makes this enough)
-        non_maximal = set()
-        for s in self.simplices:
-            if len(s) > 1:
-                for i in range(len(s)):
-                    non_maximal.add(s[:i] + s[i + 1:])
-        self.maximal_faces = tuple(s for s in self.simplices_of_dim_all()
-                                   if s not in non_maximal)
+        maximal = []
+        for n in sorted(keys_by_len):
+            keys = keys_by_len[n]
+            keys.sort()
+            by_dim[n - 1] = simps = tuple(tuple(map(label, k)) for k in keys)
+            # a simplex is maximal iff it is no facet of a simplex one up
+            # (closure makes this enough)
+            left = set(keys)
+            left.difference_update(chain.from_iterable(
+                map(combinations, keys_by_len.get(n + 1, ()), repeat(n))))
+            maximal.extend(s for k, s in zip(keys, simps) if k in left)
+        self._by_dim = by_dim
+        self.simplices = frozenset(s for simps in by_dim.values() for s in simps)
+        self.maximal_faces = tuple(maximal)
         self._hash = None
 
     def simplices_of_dim_all(self):

@@ -1049,9 +1049,8 @@ def field_presentations(ring: Ring, steps) -> list:
     ``coordinates`` reduces by one table: the image pivots with a zero
     combination and one pivot per generator with a unit combination.
 
-    Clearing is sound only when d^k o d^{k-1} == 0.  That is checked on
-    the (row, +-1) columns before each reduction, and a failure raises
-    :class:`BoundaryNotInCyclesError`.
+    Clearing is sound only when d^k o d^{k-1} == 0; the caller checks
+    that (:func:`homology._presentations` does, once per chain complex).
 
     >>> d0 = [[(0, -1)], [(0, 1)]]   # one edge: the coboundary of each end
     >>> [p.group_str() for p in field_presentations(GF2, [(2, d0), (1, [[]])])]
@@ -1059,9 +1058,7 @@ def field_presentations(ring: Ring, steps) -> list:
     """
     out = []
     image = field_span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k
-    incoming = []
     for n, cols in steps:
-        _check_composite(ring, incoming, cols)
         span = field_span(ring)
         keep = [j for j in range(n) if j not in image.pivots]
         gens = []
@@ -1073,26 +1070,8 @@ def field_presentations(ring: Ring, steps) -> list:
         out.append(_pinned_presentation(ring, n, image, gens))
         for vec, _ in list(span.pivots.values()):
             span._pin(vec)  # combinations are needed only while reducing
-        image, incoming = span, cols
+        image = span
     return out
-
-
-def _check_composite(ring: Ring, incoming, outgoing):
-    """Raise unless ``outgoing`` kills every column of ``incoming`` over
-    ``ring``, both given as lists of (row, +-1) pairs."""
-    p = ring.p
-    for col in incoming:
-        acc = {}  # the image of col, over Z
-        get = acc.get
-        for i, s in col:
-            if s > 0:
-                for r, t in outgoing[i]:
-                    acc[r] = get(r, 0) + t
-            else:
-                for r, t in outgoing[i]:
-                    acc[r] = get(r, 0) - t
-        if any(acc.values()) and (p is None or any(v % p for v in acc.values())):
-            raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
 
 
 def _pinned_presentation(ring: Ring, n: int, table, gens) -> Presentation:

@@ -10,9 +10,10 @@ that reduces each (co)boundary matrix once on the spans of
 upward and homology downward, so a degree's incoming matrix is reduced
 before its outgoing one, and the outgoing reduction skips the columns
 whose index is a pivot row of the incoming one (clearing).  Clearing is
-sound only when the composite of the two matrices is zero; the pass checks
-that on the (row, +-1) columns first and raises
-:class:`errors.BoundaryNotInCyclesError` otherwise.  Over Z the columns go
+sound only when the composite of the two matrices is zero.  The gcd of the
+entries of each composite is computed once per chain complex, over Z, and
+read in the coefficient ring before the pass
+(:class:`errors.BoundaryNotInCyclesError` otherwise).  Over Z the columns go
 through the sparse Smith normal form, one degree at a time, which is where
 torsion comes from.
 
@@ -27,6 +28,8 @@ the source's chain bases, without building the subcomplex.
 Results are pure functions of the inputs and are cached per (complex,
 ring).
 """
+
+from math import gcd
 
 from . import exactalg
 from .exactalg import (
@@ -43,6 +46,7 @@ from .exactalg import (
     trivial_presentation,
 )
 from .complexes import SimplicialComplex, SimplicialMap
+from .errors import BoundaryNotInCyclesError
 
 COHOMOLOGY = "cohomology"
 HOMOLOGY = "homology"
@@ -60,7 +64,7 @@ def _check_variance(variance):
 class ChainComplexData:
     """Bases and boundary operators of a complex, in one place."""
 
-    __slots__ = ("complex", "basis", "index", "_sparse")
+    __slots__ = ("complex", "basis", "index", "_sparse", "_contents")
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
@@ -79,6 +83,7 @@ class ChainComplexData:
                     col.append((self.index[face], -1 if i % 2 else 1))
                 cols.append(col)
             self._sparse[d] = cols
+        self._contents = {}  # d -> _composite_content(self, d)
 
     @property
     def dim(self) -> int:
@@ -89,7 +94,10 @@ class ChainComplexData:
 
     def sparse_boundary(self, d: int):
         """Columns of the boundary C_d -> C_{d-1} as (row, sign) lists."""
-        return self._sparse.get(d, [[] for _ in range(self.rank_of(d))])
+        cols = self._sparse.get(d)
+        if cols is None:
+            return [[] for _ in range(self.rank_of(d))]
+        return cols
 
     def sparse_coboundary(self, d: int):
         """Columns of delta^d : C^d -> C^{d+1} (the transpose of boundary d+1)."""
@@ -228,8 +236,48 @@ def _presentations(data, ring: Ring, variance) -> dict:
         degrees, outgoing = range(top + 1), data.sparse_coboundary
     else:
         degrees, outgoing = range(top, -1, -1), data.sparse_boundary
+    _check_composites(data, ring)
     steps = ((data.rank_of(d), outgoing(d)) for d in degrees)
     return dict(zip(degrees, field_presentations(ring, steps)))
+
+
+def _check_composites(data, ring: Ring):
+    """Raise :class:`BoundaryNotInCyclesError` unless every composite
+    boundary_d o boundary_{d+1} of ``data`` is zero over ``ring``.
+
+    The content g of a composite (:func:`_composite_content`) is computed
+    once over Z and kept on a :class:`ChainComplexData`.  The composite is
+    zero over Q exactly when g == 0 and over Z_p exactly when p divides g.
+    The coboundary composites are the transposes of these, so one content
+    serves every ring and both variances.
+    """
+    memo = data._contents if isinstance(data, ChainComplexData) else {}
+    p = ring.p
+    for d in range(1, data.dim):
+        g = memo.get(d)
+        if g is None:
+            g = memo[d] = _composite_content(data, d)
+        if g and (p is None or g % p):
+            raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
+
+
+def _composite_content(data, d: int) -> int:
+    """gcd over Z of the entries of boundary_d o boundary_{d+1} of ``data``,
+    from its (row, +-1) columns; 0 when the composite is zero."""
+    outgoing = data.sparse_boundary(d)
+    g = 0
+    for col in data.sparse_boundary(d + 1):
+        acc = {}  # the image of col, over Z
+        get = acc.get
+        for i, s in col:
+            if s > 0:
+                for r, t in outgoing[i]:
+                    acc[r] = get(r, 0) + t
+            else:
+                for r, t in outgoing[i]:
+                    acc[r] = get(r, 0) - t
+        g = gcd(g, *acc.values())
+    return g
 
 
 def _degree_presentation(data, ring: Ring, variance, d: int):

@@ -7,6 +7,7 @@ and with the oracles' Betti numbers, and its generators and coordinates
 are checked directly.
 """
 
+import importlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from cohodist.fixtures import fixture_complex, fixture_names
 from cohodist.homology import (
     COHOMOLOGY,
     HOMOLOGY,
+    ChainComplexData,
     _PieceChains,
     _presentations,
     _transpose,
@@ -175,5 +177,38 @@ def test_boundary_of_boundary_checked_in_the_ring():
             ref = field_presentation_by_degree(data, GF2, variance, d)
             assert pres.group_str() == ref.group_str()
         for ring in (GF(3), QQ):
+            with pytest.raises(BoundaryNotInCyclesError):
+                _presentations(data, ring, variance)
+
+
+def test_boundary_of_boundary_content_once_per_composite(monkeypatch):
+    # the content of each composite is computed once per chain complex,
+    # whatever the ring and variance asking for it
+    # the module, not the function the package exports under that name
+    homology = importlib.import_module("cohodist.homology")
+    calls = []
+    content = homology._composite_content
+
+    def counted(data, d):
+        calls.append(d)
+        return content(data, d)
+
+    monkeypatch.setattr(homology, "_composite_content", counted)
+    data = ChainComplexData(fixture_complex("cp2"))
+    for ring in RINGS:
+        for variance in VARIANCES:
+            _presentations(data, ring, variance)
+    assert sorted(calls) == list(range(1, data.dim))
+
+
+def test_boundary_of_boundary_content_three():
+    # d o d is 3: zero over Z_3 only
+    data = HandMade([1, 3, 1], {1: [[(0, 1)]] * 3, 2: [[(0, 1), (1, 1), (2, 1)]]})
+    for variance in VARIANCES:
+        modules = _presentations(data, GF(3), variance)
+        for d, pres in modules.items():
+            ref = field_presentation_by_degree(data, GF(3), variance, d)
+            assert pres.group_str() == ref.group_str()
+        for ring in (GF2, QQ):
             with pytest.raises(BoundaryNotInCyclesError):
                 _presentations(data, ring, variance)
