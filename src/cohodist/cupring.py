@@ -15,7 +15,7 @@ their span would; the invariants below rely on that reduction.
 from .complexes import SimplicialComplex, SimplicialMap, product
 from .errors import ComplexMismatchError, NotAFieldError, RingMismatchError
 from .exactalg import Ring
-from .homology import chain_complex, cohomology, pullback_cochain
+from .homology import _cochain_differences, chain_complex, cohomology
 
 COCYCLE_CHECK_DEFAULT = True
 
@@ -238,17 +238,9 @@ def J_generators(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> GradedCl
     """
     if phi.source != psi.source or phi.target != psi.target:
         raise ComplexMismatchError("maps must share source and target")
-    L = phi.target
-    K = phi.source
-    gm = cohomology(L, ring)
-    out = []
-    for d in range(1, L.dim + 1):
-        for gen in gm.presentation(d).gens:
-            a = pullback_cochain(phi, ring, d, gen)
-            b = pullback_cochain(psi, ring, d, gen)
-            diff = [ring.sub(x, y) for x, y in zip(a, b)]
-            out.append(CohomologyClass(K, ring, d, diff, check=False))
-    return GradedClassSet(out)
+    return GradedClassSet(CohomologyClass(phi.source, ring, d, diff, check=False)
+                          for d in range(1, phi.target.dim + 1)
+                          for diff in _cochain_differences(phi, psi, ring, d))
 
 
 def lcp_ideal(classes, K: SimplicialComplex, ring: Ring) -> int:

@@ -10,7 +10,7 @@ to representative vectors).
 The integer path is sparse from one end to the other.
 :func:`smith_normal_form` eliminates on sparse rows and columns (unit
 pivots first, which is all a boundary matrix usually needs), keeps its
-four transforms sparse, and the Z kernels (kernel, image, solve,
+transforms U, U^-1 and V sparse, and the Z kernels (kernel, image, solve,
 quotient) apply them to sparse vectors.  A dense :class:`Matrix` over Z is
 read through its sparse columns; :class:`IntColumns` hands columns in
 directly.
@@ -565,11 +565,10 @@ def _field_matrix(ring: Ring, vectors, nrows: int) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # Smith normal form over Z, with transforms.  The working matrix is kept as
-# sparse rows plus a column -> rows index, U and Vinv as sparse rows, Uinv
-# and V as sparse columns: each row operation then touches rows of A and U
-# and columns of Uinv, each column operation columns of A and V and rows of
-# Vinv, and costs the nonzeros it touches.  Vectors are dicts index ->
-# nonzero int.
+# sparse rows plus a column -> rows index, U as sparse rows, Uinv and V as
+# sparse columns: each row operation then touches rows of A and U and
+# columns of Uinv, each column operation columns of A and V, and costs the
+# nonzeros it touches.  Vectors are dicts index -> nonzero int.
 
 
 class IntColumns:
@@ -619,18 +618,18 @@ def _int_vector(vec) -> dict:
 
 
 class SNF:
-    """U * M * V == S with U, V unimodular; Uinv, Vinv their exact inverses.
+    """U * M * V == S with U, V unimodular; Uinv the exact inverse of U.
 
-    The transforms are kept sparse: ``u_rows`` and ``vinv_rows`` by rows,
-    ``uinv_cols`` and ``v_cols`` by columns, each a list of dicts.  The
-    dense :class:`Matrix` forms ``S``, ``U``, ``V``, ``Uinv`` and ``Vinv``
-    are built each time they are read.
+    The three transforms are kept sparse: ``u_rows`` by rows, ``uinv_cols``
+    and ``v_cols`` by columns, each a list of dicts.  The dense
+    :class:`Matrix` forms ``S``, ``U``, ``V`` and ``Uinv`` are built each
+    time they are read.
     """
 
     __slots__ = ("nrows", "ncols", "diagonal", "rank", "u_rows", "uinv_cols",
-                 "v_cols", "vinv_rows", "_u_cols")
+                 "v_cols", "_u_cols")
 
-    def __init__(self, nrows, ncols, diagonal, u_rows, uinv_cols, v_cols, vinv_rows):
+    def __init__(self, nrows, ncols, diagonal, u_rows, uinv_cols, v_cols):
         self.nrows = nrows
         self.ncols = ncols
         self.diagonal = diagonal
@@ -638,7 +637,6 @@ class SNF:
         self.u_rows = u_rows
         self.uinv_cols = uinv_cols
         self.v_cols = v_cols
-        self.vinv_rows = vinv_rows
         self._u_cols = None
 
     def apply_u(self, vec: dict) -> dict:
@@ -667,11 +665,6 @@ class SNF:
     def V(self) -> Matrix:
         return Matrix.from_columns(ZZ, self.v_cols, self.ncols)
 
-    @property
-    def Vinv(self) -> Matrix:
-        return Matrix.from_columns(ZZ, _transpose_sparse(self.vinv_rows, self.ncols),
-                                   self.ncols)
-
 
 def smith_normal_form(M) -> SNF:
     """Smith normal form of an integer matrix.
@@ -698,7 +691,6 @@ def smith_normal_form(M) -> SNF:
     U = [{i: 1} for i in range(m)]      # rows
     Uinv = [{i: 1} for i in range(m)]   # columns
     V = [{j: 1} for j in range(n)]      # columns
-    Vinv = [{j: 1} for j in range(n)]   # rows
 
     def row_add(i, j, c):  # row_i += c * row_j
         if not c:
@@ -748,7 +740,6 @@ def smith_normal_form(M) -> SNF:
                 del row[i]
                 where[i].discard(r)
         _axpy(V[i], c, V[j], None)
-        _axpy(Vinv[j], -c, Vinv[i], None)
 
     def col_swap(i, j):
         for r in where[i] | where[j]:
@@ -760,7 +751,6 @@ def smith_normal_form(M) -> SNF:
                 row[i] = b
         where[i], where[j] = where[j], where[i]
         V[i], V[j] = V[j], V[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def find_pivot(t):
         # rows t.. hold nonzeros only in columns t.. (rows above are done)
@@ -840,7 +830,7 @@ def smith_normal_form(M) -> SNF:
                 if A[i + 1].get(i + 1, 0) < 0:
                     row_negate(i + 1)
     diagonal = [d for d in (A[i].get(i, 0) for i in range(size)) if d != 0]
-    return SNF(m, n, diagonal, U, Uinv, V, Vinv)
+    return SNF(m, n, diagonal, U, Uinv, V)
 
 
 def _z_kernel(M) -> list:

@@ -17,13 +17,19 @@ read in the coefficient ring before the pass
 through the sparse Smith normal form, one degree at a time, which is where
 torsion comes from.
 
-Equality of induced maps is decided by one routine: for every generator of
-the relevant group it tests whether the difference of the two (co)chain
-images is a (co)boundary.  Over Z this is exact lattice membership, so it
-is relation-aware.  :func:`maps_equal` reports the verdict per degree,
-:func:`equality_obstruction` counts the failing generators.  The count
-can restrict the maps to a subcomplex of their source given as a mask over
-the source's chain bases, without building the subcomplex.
+Equality of induced maps is decided by one routine, on a subcomplex of
+the source given as a mask over the source's chain bases (the whole source
+is its full mask), without building the subcomplex.  For every generator
+of the relevant group it tests whether the difference of the two
+(co)chain images is zero in (co)homology.  Cohomology pulls back the
+generators of H^d(target) and tests the difference for membership in the
+piece's coboundary span, built for that test and not kept.  Homology
+pushes the generators of H_d(piece) forward and reads the difference's
+class off the target's cached presentation.  Over Z both tests are
+relation-aware: membership is exact lattice membership, and presentation
+coordinates are reduced mod torsion.  :func:`maps_equal` reports the
+verdict per degree, :func:`equality_obstruction` counts the failing
+generators.
 
 Results are pure functions of the inputs and are cached per (complex,
 ring).
@@ -118,6 +124,10 @@ class ChainComplexData:
                 sub = tuple(face[i] for i in range(n) if m >> i & 1)
                 bits[len(sub) - 1] |= 1 << index[sub]
         return tuple(bits)
+
+    def full_mask(self):
+        """The whole complex as a mask of the same form: every bit set."""
+        return tuple((1 << self.rank_of(d)) - 1 for d in range(self.dim + 1))
 
     def boundary_matrix(self, d: int) -> Matrix:
         """Dense integral boundary matrix (use only at desk scale)."""
@@ -249,14 +259,17 @@ def _check_composites(data, ring: Ring):
     once over Z and kept on a :class:`ChainComplexData`.  The composite is
     zero over Q exactly when g == 0 and over Z_p exactly when p divides g.
     The coboundary composites are the transposes of these, so one content
-    serves every ring and both variances.
+    serves every ring and both variances.  A :class:`_PieceChains` reads
+    its parent's contents: each composite column of a piece is one of the
+    parent's, so the piece's composite is zero wherever the parent's is.
     """
-    memo = data._contents if isinstance(data, ChainComplexData) else {}
+    owner = data.parent if isinstance(data, _PieceChains) else data
+    memo = owner._contents if isinstance(owner, ChainComplexData) else {}
     p = ring.p
     for d in range(1, data.dim):
         g = memo.get(d)
         if g is None:
-            g = memo[d] = _composite_content(data, d)
+            g = memo[d] = _composite_content(owner, d)
         if g and (p is None or g % p):
             raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
 
@@ -283,20 +296,14 @@ def _composite_content(data, d: int) -> int:
 def _degree_presentation(data, ring: Ring, variance, d: int):
     """H^d or H_d over Z of a :class:`ChainComplexData` (or :class:`_PieceChains`)."""
     n = data.rank_of(d)
-    bnd_src = _image_columns(data, variance, d)
     if variance == COHOMOLOGY:
         cycle_src, cycle_rows = data.sparse_coboundary(d), data.rank_of(d + 1)
+        bnd_src = data.sparse_coboundary(d - 1) if d >= 1 else []
     else:
         cycle_src, cycle_rows = data.sparse_boundary(d), data.rank_of(d - 1)
+        bnd_src = data.sparse_boundary(d + 1)
     cycles = exactalg._z_kernel(IntColumns(signed_columns(ring, cycle_src), cycle_rows))
     return exactalg._z_quotient(n, cycles, signed_columns(ring, bnd_src))
-
-
-def _image_columns(data, variance, d: int):
-    """Columns of delta^{d-1} (cohomology) or boundary_{d+1} (homology)."""
-    if variance == COHOMOLOGY:
-        return data.sparse_coboundary(d - 1) if d >= 1 else []
-    return data.sparse_boundary(d + 1)
 
 
 _graded_cache: dict = {}
@@ -452,10 +459,7 @@ def induced_map(phi: SimplicialMap, ring: Ring, variance: str) -> GradedHom:
 
 
 # ---------------------------------------------------------------------------
-# membership solvers: is a vector a (co)boundary?
-
-
-_span_cache: dict = {}
+# membership: is a cochain a coboundary?
 
 
 class _ZSpan:
@@ -478,17 +482,6 @@ def _membership(ring: Ring, sparse_cols, nrows: int):
     span = field_span(ring, track=False)
     for col in cols:
         span.add(col)
-    return span
-
-
-def _image_span(K: SimplicialComplex, ring: Ring, variance: str, d: int):
-    """Membership tester for im(delta^{d-1}) (cohomology) or im(boundary_{d+1})."""
-    key = (K, ring, variance, d)
-    span = _span_cache.get(key)
-    if span is None:
-        data = chain_complex(K)
-        span = _span_cache[key] = _membership(ring, _image_columns(data, variance, d),
-                                              data.rank_of(d))
     return span
 
 
@@ -539,87 +532,77 @@ def _cochain_differences(phi, psi, ring, d):
     return diffs
 
 
-def _cochain_verdicts(phi, psi, ring, d, chains, piece):
-    diffs = _cochain_differences(phi, psi, ring, d)
-    if piece is not None:
-        idx = chains.basis_indices(d)
-        diffs = [[diff[i] for i in idx] for diff in diffs]
+def _cochain_verdicts(phi, psi, ring, d, chains):
+    idx = chains.basis_indices(d)
+    diffs = [[diff[i] for i in idx] for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
         return [not any(diff) for diff in diffs]
-    if piece is None:
-        span = _image_span(phi.source, ring, COHOMOLOGY, d)
-    else:
-        span = _membership(ring, chains.sparse_coboundary(d - 1), chains.rank_of(d))
+    span = _membership(ring, chains.sparse_coboundary(d - 1), chains.rank_of(d))
     return (span.contains(diff) for diff in diffs)
 
 
-def _chain_verdicts(phi, psi, ring, d, pres, chains, piece):
-    span = _image_span(phi.target, ring, HOMOLOGY, d)
+def _chain_verdicts(phi, psi, ring, d, pres, chains):
+    target = homology(phi.target, ring).presentation(d)
     n_t = chain_complex(phi.target).rank_of(d)
+    idx = chains.basis_indices(d)
     phi_entries, psi_entries = chain_map(phi, d), chain_map(psi, d)
-    if piece is not None:
-        idx = chains.basis_indices(d)
-        phi_entries = [phi_entries[i] for i in idx]
-        psi_entries = [psi_entries[i] for i in idx]
+    phi_entries = [phi_entries[i] for i in idx]
+    psi_entries = [psi_entries[i] for i in idx]
     sub = ring.sub
     for gen in pres.gens:
         a = _push(ring, phi_entries, n_t, gen)
         b = _push(ring, psi_entries, n_t, gen)
-        yield span.contains([sub(x, y) for x, y in zip(a, b)])
+        yield target.class_is_zero([sub(x, y) for x, y in zip(a, b)])
 
 
 def _generator_verdicts(phi, psi, ring, variance, piece):
     """Per degree d, the verdict of every generator compared in degree d.
 
     Yields ``(d, verdicts)``, where ``verdicts`` iterates lazily over
-    booleans: True when the two images of one generator differ by a
-    (co)boundary.  Cohomology compares the pullbacks of the generators of
-    H^d(target) modulo the source's coboundaries; homology compares the
-    pushforwards of the generators of H_d(source) modulo the target's
-    boundaries.  Over Z membership is exact lattice membership, so the
-    test is relation-aware.
+    booleans: True when the two images of one generator are equal in
+    (co)homology.  Cohomology compares the pullbacks of the generators of
+    H^d(target) modulo the piece's coboundaries; homology compares the
+    pushforwards of the generators of H_d(piece) in H_d(target).  Over Z
+    both tests are relation-aware.
 
-    ``piece`` (None for the whole source) is a subcomplex of the source
-    as a mask from :meth:`ChainComplexData.closure_mask`.  The maps are then
-    restricted to it without building it: the source's (co)boundary
-    columns and the maps' chain-map entries are restricted to the piece's
-    indices (see :class:`_PieceChains`).
+    ``piece`` is a subcomplex of the source as a mask from
+    :meth:`ChainComplexData.closure_mask`, or the whole source as
+    :meth:`ChainComplexData.full_mask`.  The maps are restricted to it
+    without building it: the source's (co)boundary columns and the maps'
+    chain-map entries are restricted to the piece's indices (see
+    :class:`_PieceChains`).
     """
-    chains = chain_complex(phi.source)
-    src_dim = phi.source.dim
-    if piece is not None:
-        chains = _PieceChains(chains, piece)
-        src_dim = chains.dim
-    degrees = range(max(src_dim, phi.target.dim) + 1)
+    chains = _PieceChains(chain_complex(phi.source), piece)
+    degrees = range(max(chains.dim, phi.target.dim) + 1)
     if variance == COHOMOLOGY:
         gm = cohomology(phi.target, ring)
         for d in degrees:
-            if gm.presentation(d).is_trivial or d > src_dim:
+            if gm.presentation(d).is_trivial or d > chains.dim:
                 yield d, ()
             else:
-                yield d, _cochain_verdicts(phi, psi, ring, d, chains, piece)
+                yield d, _cochain_verdicts(phi, psi, ring, d, chains)
         return
-    modules = (homology(phi.source, ring).modules if piece is None
-               else _presentations(chains, ring, HOMOLOGY))
+    modules = _presentations(chains, ring, HOMOLOGY)
     for d in degrees:
         pres = modules.get(d)
         if pres is None or pres.is_trivial:
             yield d, ()
         else:
-            yield d, _chain_verdicts(phi, psi, ring, d, pres, chains, piece)
+            yield d, _chain_verdicts(phi, psi, ring, d, pres, chains)
 
 
 def maps_equal(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
                variance: str) -> MapsEqualReport:
     """Do phi and psi induce the same map in every degree?
 
-    Each degree is decided by testing the generator differences for
-    (co)boundary membership.
+    Each degree is decided by testing the generator differences for being
+    zero in (co)homology, on the whole source as its full piece.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
+    whole = chain_complex(phi.source).full_mask()
     return MapsEqualReport({d: all(verdicts) for d, verdicts
-                            in _generator_verdicts(phi, psi, ring, variance, None)})
+                            in _generator_verdicts(phi, psi, ring, variance, whole)})
 
 
 def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
@@ -628,10 +611,13 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
 
     A finer-grained version of :func:`maps_equal`, used as a search score.
     ``piece`` restricts both maps to a subcomplex of their source given as
-    a mask (see :meth:`ChainComplexData.closure_mask`).
+    a mask (see :meth:`ChainComplexData.closure_mask`); None means the
+    whole source.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
+    if piece is None:
+        piece = chain_complex(phi.source).full_mask()
     return sum(not ok for _, verdicts
                in _generator_verdicts(phi, psi, ring, variance, piece)
                for ok in verdicts)

@@ -1,0 +1,172 @@
+"""Equality verdicts on the one piece path.
+
+``maps_equal`` and ``equality_obstruction`` run the whole source as its
+full piece.  These tests compare that path with the reference path
+(induced homomorphisms on presentations) on seeded maps and pieces, count
+the d∘d content work it does, and check that homology verdicts over Z
+are taken on classes, not on chains.
+"""
+
+import importlib
+import random
+
+import pytest
+
+from cohodist.complexes import (
+    SimplicialMap,
+    barycentric_subdivision,
+    from_maximal_faces,
+    product,
+    restrict,
+)
+from cohodist.distance import DistanceQuery, _PieceChecker
+from cohodist.exactalg import GF, GF2, QQ, ZZ
+from cohodist.fixtures import fixture_complex, rp2_loop
+from cohodist.homology import (
+    chain_complex,
+    equality_obstruction,
+    homology,
+    maps_equal,
+    pushforward_chain,
+)
+
+from .oracles import boundary_rows
+from .presentation_path import maps_equal_by_presentation
+
+RINGS = (ZZ, QQ, GF2, GF(3))
+VARIANCES = ("cohomology", "homology")
+
+
+def shuffled(rng, name):
+    base = fixture_complex(name)
+    order = list(base.vertices)
+    rng.shuffle(order)
+    return from_maximal_faces(base.maximal_faces, order=order)
+
+
+def fold(K):
+    """K -> K sending its last vertex onto the one before (s2 onto a disk)."""
+    v = K.vertices
+    return SimplicialMap(K, K, {**{x: x for x in v}, v[-1]: v[-2]})
+
+
+def map_pairs(rng):
+    """(label, phi, psi) on fixtures in shuffled vertex orders."""
+    pairs = []
+    for name in ("s2", "rp2", "torus", "figure1"):
+        K = shuffled(rng, name)
+        ident = SimplicialMap.identity(K)
+        pairs.append((f"{name} id/const", ident, SimplicialMap.constant(K, K)))
+    s2 = shuffled(rng, "s2")
+    pairs.append(("s2 fold/id", fold(s2), SimplicialMap.identity(s2)))
+    pairs.append(("s2 fold/const", fold(s2), SimplicialMap.constant(s2, s2)))
+    for name in ("c3", "rp2"):
+        K = shuffled(rng, name)
+        sd, carrier = barycentric_subdivision(K)
+        # the other simplicial approximation of the identity: first vertices
+        first = SimplicialMap(sd, K, {s: s[0] for s in sd.vertices})
+        pairs.append((f"sd {name} carrier/const", carrier,
+                      SimplicialMap.constant(sd, K)))
+        pairs.append((f"sd {name} carrier/first", carrier, first))
+    for name in ("c3", "s2"):
+        K = shuffled(rng, name)
+        _, pi1, pi2 = product(K, K)
+        pairs.append((f"{name} x {name} projections", pi1, pi2))
+    return pairs
+
+
+class TestDifferentialAgainstPresentations:
+    def test_seeded_maps_and_pieces(self):
+        rng = random.Random(8)
+        unequal = 0
+        for label, phi, psi in map_pairs(rng):
+            for ring in RINGS:
+                for variance in VARIANCES:
+                    q = DistanceQuery(phi, psi, ring, variance)
+                    checker = _PieceChecker(q)
+                    n = len(checker.faces)
+                    # large pieces of s2 x s2 make Smith normal forms slow
+                    cap = 12 if ring == ZZ and n > 60 else n
+                    face_sets = [rng.sample(range(n), rng.randint(1, cap))
+                                 for _ in range(3)]
+                    for face_set in face_sets:
+                        piece = checker.subcomplex(face_set)
+                        a, b = restrict(phi, piece), restrict(psi, piece)
+                        fast = maps_equal(a, b, ring, variance)
+                        slow = maps_equal_by_presentation(a, b, ring, variance)
+                        assert fast.by_degree == slow.by_degree, (label, ring, variance)
+                        assert (checker.obstruction(face_set)
+                                == equality_obstruction(a, b, ring, variance))
+                    if ring == ZZ and n > cap:
+                        continue
+                    fast = maps_equal(phi, psi, ring, variance)
+                    slow = maps_equal_by_presentation(phi, psi, ring, variance)
+                    assert fast.by_degree == slow.by_degree, (label, ring, variance)
+                    assert (checker.obstruction(range(n))
+                            == equality_obstruction(phi, psi, ring, variance))
+                    unequal += not fast.equal
+        assert unequal > 20
+
+
+class TestCompositeContent:
+    def test_one_content_per_parent_composite(self, monkeypatch):
+        # pieces read the d∘d content of their parent's composites; the
+        # module, not the function the package exports under that name
+        hom = importlib.import_module("cohodist.homology")
+        monkeypatch.setattr(hom, "_chain_cache", {})
+        calls = []
+        content = hom._composite_content
+
+        def counted(data, d):
+            calls.append(d)
+            return content(data, d)
+
+        monkeypatch.setattr(hom, "_composite_content", counted)
+        K = fixture_complex("cp2")
+        phi, psi = SimplicialMap.identity(K), SimplicialMap.constant(K, K)
+        data = chain_complex(K)
+        rng = random.Random(3)
+        faces = K.maximal_faces
+        for ring in (GF2, GF(3), QQ):
+            for variance in VARIANCES:
+                for _ in range(4):
+                    piece = data.closure_mask(rng.sample(faces, rng.randint(2, 12)))
+                    equality_obstruction(phi, psi, ring, variance, piece=piece)
+                maps_equal(phi, psi, ring, variance)
+        assert sorted(calls) == list(range(1, K.dim))
+
+
+class TestTorsionVerdicts:
+    def test_twice_around_rp2_is_zero_over_z(self):
+        # a 6-cycle running twice around the loop of rp2: 2[gamma] = 0 in
+        # H_1(rp2; Z) = Z_2, though the pushed cycle is not zero
+        loop = rp2_loop()
+        c6 = from_maximal_faces([[i, (i + 1) % 6] for i in range(6)])
+        twice = SimplicialMap(c6, loop.target,
+                              {i: loop.assignment[i % 3] for i in range(6)})
+        const = SimplicialMap.constant(c6, loop.target)
+        rep = maps_equal(twice, const, ZZ, "homology")
+        assert rep.by_degree == {0: True, 1: True, 2: True}
+        assert rep.by_degree == maps_equal_by_presentation(
+            twice, const, ZZ, "homology").by_degree
+        # once around is not zero
+        assert not maps_equal(loop, SimplicialMap.constant(loop.source, loop.target),
+                              ZZ, "homology").equal
+
+        gen = homology(c6, ZZ).presentation(1).gens[0]
+        a = pushforward_chain(twice, ZZ, 1, gen)
+        b = pushforward_chain(const, ZZ, 1, gen)
+        chain = [x - y for x, y in zip(a, b)]
+        assert any(chain)
+        # an integral 2-chain bounding it, found and checked without exactalg
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_decomp
+
+        data = chain_complex(loop.target)
+        B = sympy.Matrix(boundary_rows({1: data.basis[1], 2: data.basis[2]}, 2))
+        S, U, V = smith_normal_decomp(B)  # S == U * B * V
+        rhs = U * sympy.Matrix(chain)
+        r = sum(1 for i in range(min(S.shape)) if S[i, i])
+        y = [rhs[i] // S[i, i] for i in range(r)] + [0] * (B.cols - r)
+        x = V * sympy.Matrix(y)
+        assert B * x == sympy.Matrix(chain)
