@@ -16,6 +16,7 @@ from . import fileio, fixtures
 from .complexes import barycentric_subdivision, product
 from .cupring import cup_length, zero_divisor_cup_length
 from .distance import (
+    DEFAULT_BUDGET,
     DistanceQuery,
     bounds_for,
     scat_query,
@@ -305,7 +306,7 @@ def build_parser():
     _add_query_args(p)
     p.add_argument("--cover", metavar="COVER", help="verify this cover for the upper bound")
     p.add_argument("--strategy", choices=["auto", "exhaustive", "greedy"], default="auto")
-    p.add_argument("--budget", type=_nonnegative_int, default=2 ** 24)
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-size", type=_positive_int, default=None)
     p.add_argument("--exhaustive", type=_positive_int, default=None, metavar="N",

@@ -15,9 +15,14 @@ comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A candidate piece is evaluated as a mask over the
 source's chain complex and never built; ``verify`` builds every piece of
 a cover before search returns it and checks it again.  Exhaustive
-enumeration proves nonexistence within that family; the greedy strategy
-grows pieces face by face and repairs by local moves, re-verifying any
-cover before returning it.
+search proves nonexistence within that family: it evaluates every
+nonempty set of maximal faces once into a table of verdicts, then walks
+the assignments of faces to pieces depth first, pruning on the first
+partial piece the table rejects (a piece that passes passes on every
+sub-piece).  Its budget bounds the ``(2^s - 1)^n`` assignments of the
+full enumeration, which the table's ``2^n`` entries never exceed for two
+or more pieces.  The greedy strategy grows pieces face by face
+and repairs by local moves, re-verifying any cover before returning it.
 
 Everything is pure and deterministic given the seed; independent pieces
 and candidate covers could be evaluated concurrently without changing any
@@ -199,14 +204,27 @@ class _PieceChecker:
             return 0
         hit = self._cache.get(fs)
         if hit is None:
-            q = self.query
-            hit = equality_obstruction(q.phi, q.psi, q.ring, q.variance,
-                                       piece=self.mask(fs))
-            self._cache[fs] = hit
+            hit = self._cache[fs] = self._evaluate(fs)
         return hit
+
+    def _evaluate(self, face_set) -> int:
+        q = self.query
+        return equality_obstruction(q.phi, q.psi, q.ring, q.variance,
+                                    piece=self.mask(face_set))
 
     def passes(self, face_set) -> bool:
         return self.obstruction(face_set) == 0
+
+    def verdict_table(self) -> bytearray:
+        """``table[m]`` is 1 when the piece spanned by the faces in the bit
+        mask ``m`` passes (the empty piece does), 0 otherwise; each of the
+        ``2^n - 1`` nonempty face sets is evaluated once."""
+        n = len(self.faces)
+        table = bytearray(1 << n)
+        table[0] = 1
+        for m in range(1, 1 << n):
+            table[m] = self._evaluate([i for i in range(n) if m >> i & 1]) == 0
+        return table
 
     def cover_from(self, face_sets) -> Cover:
         pieces = [self.subcomplex(fs, name=f"S{i}")
@@ -220,10 +238,21 @@ def exhaustive_count(n_faces: int, size: int) -> int:
 
 def search_exhaustive(query: DistanceQuery, size: int,
                       budget: int = DEFAULT_BUDGET) -> Cover | None:
-    """Try every assignment of maximal faces to nonempty piece subsets.
+    """Decide whether some cover by `size` pieces spanned by maximal faces
+    satisfies the query; return a verified cover, or None as a proof that
+    none exists.
 
-    Returns a verified cover, or None as a proof that no cover by `size`
-    pieces spanned by maximal faces satisfies the query.
+    The candidates are the assignments of each maximal face to a nonempty
+    set of pieces, ``(2^size - 1)^n`` of them for n faces; the budget caps
+    that count.  One piece is the whole source and is evaluated
+    once.  For more pieces every nonempty face set is evaluated once into a
+    table of verdicts indexed by face mask, and a depth-first walk assigns
+    faces 0..n-1 in the order of ``itertools.product`` over the membership
+    patterns, pruning as soon as a partial piece fails in the table.  A
+    piece that passes passes on every sub-piece (restriction to it factors
+    through the inclusion), so the walk reaches exactly the all-passing
+    assignments of the full enumeration, in the same order; each is built
+    and verified, and the first that verifies is returned.
     """
     checker = _PieceChecker(query)
     n = len(checker.faces)
@@ -231,19 +260,35 @@ def search_exhaustive(query: DistanceQuery, size: int,
     if total > budget:
         raise BudgetExceededError(
             f"{total} candidate covers exceed the budget of {budget}")
-    memberships = [m for m in itertools.product((False, True), repeat=size) if any(m)]
-    for assignment in itertools.product(range(len(memberships)), repeat=n):
-        face_sets = [set() for _ in range(size)]
-        for face_idx, m_idx in enumerate(assignment):
-            for j, inside in enumerate(memberships[m_idx]):
-                if inside:
-                    face_sets[j].add(face_idx)
-        if all(checker.passes(fs) for fs in face_sets):
-            cover = checker.cover_from(face_sets)
-            cert = verify(query, cover)
-            if cert.verified:
-                return cover
-    return None
+    if size == 1:
+        whole = range(n)
+        if not checker.passes(whole):
+            return None
+        cover = checker.cover_from([whole])
+        return cover if verify(query, cover).verified else None
+    table = checker.verdict_table()
+    patterns = [[j for j, inside in enumerate(m) if inside]
+                for m in itertools.product((False, True), repeat=size) if any(m)]
+    blocks = [0] * size
+
+    def walk(i):
+        if i == n:
+            cover = checker.cover_from(
+                [[f for f in range(n) if b >> f & 1] for b in blocks])
+            return cover if verify(query, cover).verified else None
+        bit = 1 << i
+        for pattern in patterns:
+            if all(table[blocks[j] | bit] for j in pattern):
+                for j in pattern:
+                    blocks[j] |= bit
+                found = walk(i + 1)
+                for j in pattern:
+                    blocks[j] ^= bit
+                if found is not None:
+                    return found
+        return None
+
+    return walk(0)
 
 
 def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
@@ -411,6 +456,9 @@ def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
                 size += 1
                 continue
         else:
+            if want_exhaustive:
+                notes.append(f"exhaustive search at {size} pieces exceeds the "
+                             f"budget of {budget}; searched greedily")
             found = search_greedy(query, size, seed=seed)
             if found is None:
                 notes.append(f"greedy found no cover with {size} pieces")

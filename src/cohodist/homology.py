@@ -476,11 +476,10 @@ class _ZSpan:
 
 def _membership(ring: Ring, sparse_cols, nrows: int):
     """Membership tester for the span of (row, sign) columns with ``nrows`` rows."""
-    cols = signed_columns(ring, sparse_cols)
     if not ring.is_field:
-        return _ZSpan(cols, nrows)
+        return _ZSpan(signed_columns(ring, sparse_cols), nrows)
     span = field_span(ring, track=False)
-    for col in cols:
+    for col in exactalg._signed(ring, sparse_cols):
         span.add(col)
     return span
 

@@ -125,6 +125,20 @@ class TestCli:
         assert "no cover with 2 pieces (exhaustive)" in out
         assert "exact 2" in out
 
+    def test_bounds_exhaustive_over_budget_says_greedy(self, capsys):
+        # 7^10 assignments at 3 pieces exceed the budget: auto searches greedily
+        code, out = run_cli(capsys, "--json", "bounds", "--scat", "k5", "--ring", "z2",
+                            "--exhaustive", "3")
+        data = json.loads(out)["data"]
+        assert code == 0 and (data["lower"], data["exact"]) == (2, 2)
+        assert data["notes"] == [
+            "no cover with 2 pieces (exhaustive)",
+            "exhaustive search at 3 pieces exceeds the budget of 16777216; "
+            "searched greedily"]
+        code, out = run_cli(capsys, "bounds", "--scat", "k5", "--ring", "z2",
+                            "--exhaustive", "3", "--budget", str(7 ** 10))
+        assert code == 0 and "searched greedily" not in out and "exact 2" in out
+
     def test_bounds_point(self, capsys):
         code, out = run_cli(capsys, "bounds", "--scat", "point", "--ring", "z2")
         assert code == 0 and "exact 0" in out
