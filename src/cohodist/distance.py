@@ -15,13 +15,14 @@ comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A candidate piece is evaluated as a mask over the
 source's chain complex and never built; ``verify`` builds every piece of
 a cover before search returns it and checks it again.  Exhaustive
-search proves nonexistence within that family: it evaluates every
-nonempty set of maximal faces once into a table of verdicts, then walks
-the assignments of faces to pieces depth first, pruning on the first
-partial piece the table rejects (a piece that passes passes on every
-sub-piece).  Its budget bounds the ``(2^s - 1)^n`` assignments of the
-full enumeration, which the table's ``2^n`` entries never exceed for two
-or more pieces.  The greedy strategy grows pieces face by face
+search proves nonexistence within that family: it tries the first
+``2^n`` assignments of faces to pieces, then evaluates every nonempty set
+of maximal faces once into a table of verdicts and walks the assignments
+depth first, pruning on the first partial piece the table rejects (a
+piece that passes passes on every sub-piece).  Its budget bounds the
+``(2^s - 1)^n`` assignments of the full enumeration, which the table's
+``2^n`` entries never exceed for two or more pieces.  The greedy strategy
+grows pieces face by face
 and repairs by local moves, re-verifying any cover before returning it.
 
 Everything is pure and deterministic given the seed; independent pieces
@@ -204,13 +205,10 @@ class _PieceChecker:
             return 0
         hit = self._cache.get(fs)
         if hit is None:
-            hit = self._cache[fs] = self._evaluate(fs)
+            q = self.query
+            hit = self._cache[fs] = equality_obstruction(
+                q.phi, q.psi, q.ring, q.variance, piece=self.mask(fs))
         return hit
-
-    def _evaluate(self, face_set) -> int:
-        q = self.query
-        return equality_obstruction(q.phi, q.psi, q.ring, q.variance,
-                                    piece=self.mask(face_set))
 
     def passes(self, face_set) -> bool:
         return self.obstruction(face_set) == 0
@@ -218,12 +216,13 @@ class _PieceChecker:
     def verdict_table(self) -> bytearray:
         """``table[m]`` is 1 when the piece spanned by the faces in the bit
         mask ``m`` passes (the empty piece does), 0 otherwise; each of the
-        ``2^n - 1`` nonempty face sets is evaluated once."""
+        ``2^n - 1`` nonempty face sets is evaluated once, verdicts already
+        memoized included."""
         n = len(self.faces)
         table = bytearray(1 << n)
         table[0] = 1
         for m in range(1, 1 << n):
-            table[m] = self._evaluate([i for i in range(n) if m >> i & 1]) == 0
+            table[m] = self.passes([i for i in range(n) if m >> i & 1])
         return table
 
     def cover_from(self, face_sets) -> Cover:
@@ -243,16 +242,21 @@ def search_exhaustive(query: DistanceQuery, size: int,
     none exists.
 
     The candidates are the assignments of each maximal face to a nonempty
-    set of pieces, ``(2^size - 1)^n`` of them for n faces; the budget caps
-    that count.  One piece is the whole source and is evaluated
-    once.  For more pieces every nonempty face set is evaluated once into a
-    table of verdicts indexed by face mask, and a depth-first walk assigns
-    faces 0..n-1 in the order of ``itertools.product`` over the membership
-    patterns, pruning as soon as a partial piece fails in the table.  A
-    piece that passes passes on every sub-piece (restriction to it factors
-    through the inclusion), so the walk reaches exactly the all-passing
-    assignments of the full enumeration, in the same order; each is built
-    and verified, and the first that verifies is returned.
+    set of pieces, ``(2^size - 1)^n`` of them for n faces, in the order of
+    ``itertools.product`` over the membership patterns; the budget caps
+    that count.  One piece is the whole source and is evaluated once.
+
+    For more pieces the first ``2^n`` assignments are tried in turn, each
+    piece evaluated with memo, so a cover found early costs a few
+    evaluations.  Past them every nonempty face set is evaluated once into
+    a table of verdicts indexed by face mask (the memo is reused), and a
+    depth-first walk assigns faces 0..n-1 in the same order, pruning as
+    soon as a partial piece fails in the table.  A piece that passes
+    passes on every sub-piece (restriction to it factors through the
+    inclusion), so the walk reaches exactly the all-passing assignments of
+    the full enumeration, in the same order; each is built and verified,
+    and the first that verifies is returned.  A proof that no cover exists
+    therefore makes ``2^n - 1`` evaluations.
     """
     checker = _PieceChecker(query)
     n = len(checker.faces)
@@ -266,9 +270,20 @@ def search_exhaustive(query: DistanceQuery, size: int,
             return None
         cover = checker.cover_from([whole])
         return cover if verify(query, cover).verified else None
-    table = checker.verdict_table()
     patterns = [[j for j, inside in enumerate(m) if inside]
                 for m in itertools.product((False, True), repeat=size) if any(m)]
+    # as many assignments as the table has entries; fewer than all
+    # (2^size - 1)^n of them, so this pass never proves that none exists
+    for assignment in itertools.islice(itertools.product(patterns, repeat=n), 1 << n):
+        face_sets = [[] for _ in range(size)]
+        for f, pattern in enumerate(assignment):
+            for j in pattern:
+                face_sets[j].append(f)
+        if all(checker.passes(fs) for fs in face_sets):
+            cover = checker.cover_from(face_sets)
+            if verify(query, cover).verified:
+                return cover
+    table = checker.verdict_table()
     blocks = [0] * size
 
     def walk(i):

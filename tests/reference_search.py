@@ -1,8 +1,9 @@
 """The product enumeration of exhaustive cover search, kept as a reference.
 
-``distance.search_exhaustive`` evaluates every face set once into a table
-and walks the assignments depth first, pruning on the first failing
-partial piece.  The search below is the earlier one: it runs through all
+Past its first ``2^n`` assignments ``distance.search_exhaustive`` evaluates
+every face set once into a table and walks the assignments depth first,
+pruning on the first failing partial piece.  The search below is the
+earlier one: it runs through all
 ``(2^s - 1)^n`` assignments of faces to nonempty piece sets in
 ``itertools.product`` order and checks each candidate's pieces, memoized
 per face set.  The tests check that both return the same cover, or None.

@@ -1,11 +1,12 @@
 """Exhaustive cover search from one table of face-set verdicts.
 
-``search_exhaustive`` evaluates every nonempty face set once and walks the
-assignments depth first, pruning on failing partial pieces.  These tests
-compare it with the product enumeration it replaced
-(``reference_search.search_by_product``) on fixtures and random complexes
-in shuffled vertex orders, over GF(2), GF(3) and Q in both variances, and
-count the piece evaluations it makes.
+``search_exhaustive`` tries the first ``2^n`` assignments in turn, then
+evaluates every nonempty face set once and walks the assignments depth
+first, pruning on failing partial pieces.  These tests compare it with the
+product enumeration it replaced (``reference_search.search_by_product``) on
+fixtures and random complexes in shuffled vertex orders, over GF(2), GF(3)
+and Q in both variances and over Z on the small fixtures, count the piece
+evaluations it makes, and check the property the pruning rests on.
 """
 
 import random
@@ -22,7 +23,7 @@ from cohodist.distance import (
     stc_query,
 )
 from cohodist.errors import BudgetExceededError
-from cohodist.exactalg import GF, GF2, QQ
+from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.fixtures import fixture_complex
 
 from .reference_search import search_by_product
@@ -63,21 +64,49 @@ def evaluations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def tables(monkeypatch):
+    """Counts the verdict tables cover search fills."""
+    built = []
+    inner = distance._PieceChecker.verdict_table
+
+    def counted(self):
+        built.append(len(self.faces))
+        return inner(self)
+
+    monkeypatch.setattr(distance._PieceChecker, "verdict_table", counted)
+    return built
+
+
 def signature(cover):
     if cover is None:
         return None
     return [(p.name, p.simplices) for p in cover.pieces]
 
 
-def compare(query, size, evaluations):
+def compare(query, size, evaluations, tables):
+    """The outcome: "none", "early" (found without a table) or "table"."""
     n = len(query.source.maximal_faces)
     want = search_by_product(query, size)
     evaluations.clear()
+    tables.clear()
     got = search_exhaustive(query, size)
     assert signature(got) == signature(want)
     if got is None:
         assert len(evaluations) == (1 if size == 1 else 2 ** n - 1)
-    return got
+        return "none"
+    return "table" if tables else "early"
+
+
+def lollipop(tail):
+    """A triangle's edges, faces 0-2, with a path of `tail` edges attached.
+
+    Every cover by two (tail 6) or three (tail 5) pieces splits the
+    triangle, which the first ``2^n`` assignments keep in one piece, so the
+    search finds its cover on the walk through the table.
+    """
+    return from_maximal_faces([[0, 1], [0, 2], [1, 2]]
+                              + [[v, v + 1] for v in range(2, 2 + tail)])
 
 
 def cases(rng):
@@ -86,9 +115,11 @@ def cases(rng):
         yield name, shuffled(rng, base.maximal_faces, base.vertices)
     for k in range(10):
         yield f"random {k}", random_complex(rng)
+    for tail in (5, 6):
+        yield f"lollipop {tail}", lollipop(tail)
 
 
-def test_same_cover_as_product_enumeration(evaluations):
+def test_same_cover_as_product_enumeration(evaluations, tables):
     rng = random.Random(9)
     outcomes = {}
     for label, K in cases(rng):
@@ -99,20 +130,59 @@ def test_same_cover_as_product_enumeration(evaluations):
                 for size in (1, 2, 3):
                     if exhaustive_count(n, size) > DEFAULT_BUDGET:
                         continue
-                    got = compare(q, size, evaluations)
-                    key = (size, got is None)
+                    key = (size, compare(q, size, evaluations, tables))
                     outcomes[key] = outcomes.get(key, 0) + 1
-    # both outcomes are exercised at every size the fixtures reach
-    assert outcomes[1, True] >= 20 and outcomes[2, True] >= 8
-    assert all(outcomes[size, False] > 50 for size in (1, 2, 3))
+    # every outcome is exercised at every size the fixtures reach
+    assert outcomes[1, "none"] >= 20 and outcomes[2, "none"] >= 8
+    assert all(outcomes[size, "early"] > 50 for size in (1, 2, 3))
+    # the lollipops, over every ring and variance
+    assert outcomes[2, "table"] >= 6 and outcomes[3, "table"] >= 6
 
 
-def test_no_two_cover_evaluates_every_face_set_once(evaluations):
+def test_same_cover_over_integers(evaluations, tables):
+    # over Z the verdicts see torsion: rp2 has a two-piece cover in
+    # cohomology and none in homology, where H_1 is Z/2
+    rng = random.Random(4)
+    outcomes = set()
+    for name in ("point", "edge", "c3", "s2", "rp2"):
+        base = fixture_complex(name)
+        K = shuffled(rng, base.maximal_faces, base.vertices)
+        for variance in VARIANCES:
+            for size in (1, 2):
+                outcomes.add((name, variance, size,
+                              compare(scat_query(K, ZZ, variance), size,
+                                      evaluations, tables)))
+    assert ("rp2", "cohomology", 2, "early") in outcomes
+    assert ("rp2", "homology", 2, "none") in outcomes
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF2], ids=["z", "z2"])
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_sub_pieces_of_passing_pieces_pass(ring, variance):
+    # the walk prunes a branch on its first failing partial piece
+    checker = distance._PieceChecker(scat_query(fixture_complex("rp2"), ring, variance))
+    table = checker.verdict_table()
+    assert 0 in table
+    for m in range(1, len(table)):
+        if table[m]:
+            assert all(table[m & ~(1 << i)] for i in range(10) if m >> i & 1)
+
+
+def test_no_two_cover_evaluates_every_face_set_once(evaluations, tables):
     for name, ring in (("k5", GF(3)), ("rp2", GF2)):
         q = scat_query(fixture_complex(name), ring)
-        assert compare(q, 2, evaluations) is None
+        assert compare(q, 2, evaluations, tables) == "none"
         assert len(evaluations) == 1023
         assert len(set(evaluations)) == 1023
+
+
+def test_early_cover_fills_no_table(evaluations, tables):
+    # a 14-edge cycle has a two-piece cover among the first assignments;
+    # filling the table first would take 2^14 - 1 evaluations
+    K = from_maximal_faces([[i, (i + 1) % 14] for i in range(14)])
+    q = scat_query(K, GF2)
+    assert compare(q, 2, evaluations, tables) == "early"
+    assert len(evaluations) <= 4
 
 
 def test_one_piece_is_one_evaluation(evaluations):
