@@ -3,9 +3,13 @@ two constructions everything else leans on: barycentric subdivision and the
 staircase triangulation of a product.
 
 A complex carries a fixed total order on its vertices; simplices are stored
-as tuples sorted by that order.  All objects are immutable after
-construction and hash by content, so value-equal complexes share cached
-chain data downstream.
+as tuples sorted by that order.  Each simplex is also kept as its key, the
+sorted tuple of its vertices' positions in that order
+(:meth:`SimplicialComplex.keys_of_dim`).  Subdivision, product and
+:func:`from_maximal_faces` hand the constructor keys, and the chain data
+downstream indexes keys, so no label tuple is hashed per simplex on those
+paths.  All objects are immutable after construction and hash by content,
+so value-equal complexes share cached chain data downstream.
 """
 
 from itertools import chain, combinations, repeat
@@ -40,28 +44,34 @@ class SimplicialComplex:
     """Finite abstract simplicial complex with a fixed vertex order."""
 
     __slots__ = ("vertices", "_pos", "simplices", "maximal_faces", "_by_dim",
-                 "_hash")
+                 "_keys", "_hash")
 
-    def __init__(self, vertices, simplices):
+    def __init__(self, vertices, simplices, by_position=False):
         """Internal constructor; use :func:`from_maximal_faces`.
 
         ``vertices``: ordered tuple of labels.  ``simplices``: iterable of
         tuples of those labels, downward closed; a simplex may list its
-        vertices in any order and may occur more than once.
+        vertices in any order and may occur more than once.  With
+        ``by_position`` each simplex is given instead as a tuple of
+        positions in ``vertices``, under the same rules.
         """
         self.vertices = verts = tuple(vertices)
         self._pos = pos = {v: i for i, v in enumerate(verts)}
+        if not by_position:
+            simplices = (map(pos.__getitem__, s) for s in simplices)
         # work on position tuples: each simplex sorted once, each degree
         # sorted as plain int tuples, labels built once from the result
         keys_by_len = {}
-        for key in {tuple(sorted(map(pos.__getitem__, s))) for s in simplices}:
+        for key in {tuple(sorted(s)) for s in simplices}:
             keys_by_len.setdefault(len(key), []).append(key)
         label = verts.__getitem__
         by_dim = {}
+        self._keys = keys_by_dim = {}
         maximal = []
         for n in sorted(keys_by_len):
             keys = keys_by_len[n]
             keys.sort()
+            keys_by_dim[n - 1] = tuple(keys)
             by_dim[n - 1] = simps = tuple(tuple(map(label, k)) for k in keys)
             # a simplex is maximal iff it is no facet of a simplex one up
             # (closure makes this enough)
@@ -88,6 +98,11 @@ class SimplicialComplex:
 
     def simplices_of_dim(self, d: int):
         return self._by_dim.get(d, ())
+
+    def keys_of_dim(self, d: int):
+        """The degree-d simplices as sorted tuples of vertex positions, in
+        the order of :meth:`simplices_of_dim`."""
+        return self._keys.get(d, ())
 
     def f_vector(self):
         return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
@@ -129,9 +144,11 @@ class SimplicialComplex:
     # -- equality / hashing by content
 
     def __eq__(self, other):
+        # each degree is listed in one order fixed by the vertex order, so
+        # this is equality of the simplex sets
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices
-                and self.simplices == other.simplices)
+                and self._by_dim == other._by_dim)
 
     def __hash__(self):
         if self._hash is None:
@@ -146,10 +163,8 @@ class SimplicialComplex:
 def _downward_closure(faces):
     closure = set()
     for face in faces:
-        n = len(face)
-        for mask in range(1, 1 << n):
-            sub = tuple(face[i] for i in range(n) if mask >> i & 1)
-            closure.add(sub)
+        for k in range(1, len(face) + 1):
+            closure.update(combinations(face, k))
     return closure
 
 
@@ -177,8 +192,8 @@ def from_maximal_faces(faces, order=None, require_connected=True) -> SimplicialC
         if set(vertices) != verts or len(vertices) != len(set(vertices)):
             raise EmptyInputError("explicit order must list each vertex exactly once")
     pos = {v: i for i, v in enumerate(vertices)}
-    sorted_faces = [tuple(sorted(f, key=pos.__getitem__)) for f in faces]
-    K = SimplicialComplex(vertices, _downward_closure(sorted_faces))
+    keys = [tuple(sorted(map(pos.__getitem__, f))) for f in faces]
+    K = SimplicialComplex(vertices, _downward_closure(keys), by_position=True)
     if require_connected and not K.is_connected():
         raise DisconnectedComplexError("1-skeleton is not path-connected")
     return K
@@ -274,17 +289,20 @@ def is_cover(parent: SimplicialComplex, pieces):
 class SimplicialMap:
     """Vertex assignment between complexes that carries simplices to simplices."""
 
-    __slots__ = ("source", "target", "assignment", "_hash")
+    __slots__ = ("source", "target", "assignment", "_at", "_hash")
 
     def __init__(self, source, target, assignment):
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
+        self._at = at = []
         for v in source.vertices:
             if v not in self.assignment:
                 raise NotSimplicialError(f"vertex {v!r} has no image")
-            if self.assignment[v] not in target._pos:
+            w = target._pos.get(self.assignment[v])
+            if w is None:
                 raise NotSimplicialError(f"image {self.assignment[v]!r} is not a vertex")
+            at.append(w)
         for s in source.maximal_faces:
             if self.image_simplex(s) not in target.simplices:
                 raise NotSimplicialError(f"image of {s!r} is not a simplex")
@@ -292,6 +310,11 @@ class SimplicialMap:
 
     def __call__(self, vertex):
         return self.assignment[vertex]
+
+    def image_positions(self):
+        """The target position of the image of each source vertex, listed
+        by source position."""
+        return self._at
 
     def image_simplex(self, simplex):
         """Image vertex set, sorted in the target order (duplicates removed)."""
@@ -356,23 +379,30 @@ def barycentric_subdivision(K: SimplicialComplex):
     under strict inclusion.  The carrier map sends a barycenter to the last
     vertex of its simplex in K's order, a simplicial approximation of the
     identity.
+
+    The chains are built on positions: a simplex of K is found by its key
+    (:meth:`SimplicialComplex.keys_of_dim`), and a chain is the tuple of
+    its members' positions in the vertex order of sd K.
     """
-    simplices = K.simplices_of_dim_all()
+    simplices = K.simplices_of_dim_all()  # by ascending dimension
+    keys = [k for d in range(K.dim + 1) for k in K.keys_of_dim(d)]
+    order = sorted(range(len(simplices)), key=lambda g: label_key(simplices[g]))
+    vertices = [simplices[g] for g in order]
+    at = [0] * len(order)  # position in sd K of simplex g of K
+    for p, g in enumerate(order):
+        at[g] = p
     chains_ending = {}
     all_chains = []
-    for s in simplices:  # by ascending dimension
-        sset = set(s)
-        ending = [(s,)]
-        n = len(s)
-        if n > 1:
-            for mask in range(1, (1 << n) - 1):
-                t = tuple(s[i] for i in range(n) if mask >> i & 1)
-                for c in chains_ending[t]:
-                    ending.append(c + (s,))
-        chains_ending[s] = ending
+    for key, p in zip(keys, at):
+        tail = (p,)
+        ending = [tail]
+        n = len(key)
+        for mask in range(1, (1 << n) - 1):
+            face = tuple(key[i] for i in range(n) if mask >> i & 1)
+            ending.extend([c + tail for c in chains_ending[face]])
+        chains_ending[key] = ending
         all_chains.extend(ending)
-    vertices = sorted(simplices, key=lambda s: label_key(tuple(s)))
-    sd = SimplicialComplex(vertices, all_chains)
+    sd = SimplicialComplex(vertices, all_chains, by_position=True)
     carrier = SimplicialMap(sd, K, {s: s[-1] for s in simplices})
     return sd, carrier
 
@@ -432,22 +462,21 @@ def product(K: SimplicialComplex, L: SimplicialComplex):
     """Staircase triangulation of |K| x |L| plus the two projections.
 
     Simplices are the monotone chains in the product of the vertex orders
-    whose coordinate projections are simplices of K and L.
+    whose coordinate projections are simplices of K and L.  The vertex
+    (u, v) sits at position pos(u) * |L| + pos(v), so a chain is built as
+    the tuple of those positions.
     """
-    simplices = set()
-    path_cache = {}
+    simplices = []  # each chain once: its projections and steps fix it
+    width = len(L.vertices)
     for dk in range(K.dim + 1):
-        for sigma in K.simplices_of_dim(dk):
-            for dl in range(L.dim + 1):
-                key = (dk, dl)
-                if key not in path_cache:
-                    path_cache[key] = _staircase_paths(dk, dl)
-                for tau in L.simplices_of_dim(dl):
-                    for path in path_cache[key]:
-                        simplices.add(tuple((sigma[i], tau[j]) for i, j in path))
-    vertices = sorted({(u, v) for u in K.vertices for v in L.vertices},
-                      key=lambda p: (K.position(p[0]), L.position(p[1])))
-    P = SimplicialComplex(vertices, simplices)
+        for dl in range(L.dim + 1):
+            paths = _staircase_paths(dk, dl)
+            for sigma in K.keys_of_dim(dk):
+                for tau in L.keys_of_dim(dl):
+                    for path in paths:
+                        simplices.append(tuple(sigma[i] * width + tau[j] for i, j in path))
+    vertices = [(u, v) for u in K.vertices for v in L.vertices]
+    P = SimplicialComplex(vertices, simplices, by_position=True)
     pi1 = SimplicialMap(P, K, {p: p[0] for p in vertices})
     pi2 = SimplicialMap(P, L, {p: p[1] for p in vertices})
     return P, pi1, pi2

@@ -48,8 +48,11 @@ class CohomologyClass:
         for i, col in enumerate(data.sparse_coboundary(self.degree)):
             v = self.vector[i]
             if v != z:
-                for j, sign in col:
-                    out[j] = R.add(out[j], v if sign == 1 else R.neg(v))
+                for j in col:
+                    if j >= 0:
+                        out[j] = R.add(out[j], v)
+                    else:
+                        out[~j] = R.add(out[~j], R.neg(v))
         return all(x == z for x in out)
 
     def coordinates(self):
@@ -110,13 +113,13 @@ def cup(alpha: CohomologyClass, beta: CohomologyClass) -> CohomologyClass:
     if n == 0:
         return zero_class(K, R, p + q)
     z = R.zero
-    front_idx = data.index
+    index = data.index  # faces of a key are keys: its slices stay sorted
     out = [z] * n
-    for i, s in enumerate(data.basis[p + q]):
-        a = alpha.vector[front_idx[s[:p + 1]]]
+    for i, s in enumerate(data.keys[p + q]):
+        a = alpha.vector[index[s[:p + 1]]]
         if a == z:
             continue
-        b = beta.vector[front_idx[s[p:]]]
+        b = beta.vector[index[s[p:]]]
         if b == z:
             continue
         out[i] = R.mul(a, b)

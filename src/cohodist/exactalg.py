@@ -23,8 +23,10 @@ as dicts over Z_p and Q.  Both key a pivot by its highest row, and every
 field kernel (rank, kernel, image, solve, quotient) is written once on top
 of them, as is :func:`field_presentations`, which presents every degree of
 a cochain complex's cohomology from one reduction per matrix, with
-clearing.  :func:`field_span` and :func:`signed_columns` are the only code
-that tells Z_2 apart from the other fields.
+clearing.  Boundary-style columns come in as tuples of signed rows (``r``
+for +1 at row r, ``~r`` for -1); :func:`signed_columns` converts them to
+a span's form.  :func:`field_span` and :func:`signed_columns` are the only
+code that tells Z_2 apart from the other fields.
 """
 
 from fractions import Fraction
@@ -499,8 +501,8 @@ def field_span(ring: Ring, track: bool = True):
 
 
 def signed_columns(ring: Ring, cols) -> list:
-    """Columns of (row, +-1) pairs, such as boundary columns, in the form
-    :func:`field_span` keeps for ``ring``."""
+    """Columns of signed rows, such as boundary columns (``r`` for +1 at row
+    r, ``~r`` for -1), in the form :func:`field_span` keeps for ``ring``."""
     return list(_signed(ring, cols))
 
 
@@ -510,13 +512,21 @@ def _signed(ring: Ring, cols):
     if ring == GF2:
         for col in cols:
             v = 0
-            for i, _ in col:
-                v |= 1 << i
+            for r in col:
+                if r < 0:
+                    r = ~r
+                v |= 1 << r
             yield v
         return
     one, minus = ring.normalize(1), ring.normalize(-1)
     for col in cols:
-        yield {i: one if sign == 1 else minus for i, sign in col}
+        vec = {}
+        for r in col:
+            if r >= 0:
+                vec[r] = one
+            else:
+                vec[~r] = minus
+        yield vec
 
 
 def _field_rank(ring: Ring, cols) -> int:
@@ -1024,7 +1034,8 @@ def field_presentations(ring: Ring, steps) -> list:
 
     ``steps`` yields ``(n, cols)`` for C^0, C^1, ... in turn: n is the
     dimension of C^k and ``cols`` the n columns of d^k : C^k -> C^{k+1} as
-    lists of (row, +-1) pairs (empty columns after the last group).
+    sequences of signed rows, ``r`` for +1 and ``~r`` for -1 (empty columns
+    after the last group).
     Homology is the same computation with the chain groups taken from the
     top degree down.
 
@@ -1042,7 +1053,7 @@ def field_presentations(ring: Ring, steps) -> list:
     Clearing is sound only when d^k o d^{k-1} == 0; the caller checks
     that (:func:`homology._presentations` does, once per chain complex).
 
-    >>> d0 = [[(0, -1)], [(0, 1)]]   # one edge: the coboundary of each end
+    >>> d0 = [(~0,), (0,)]   # one edge: the coboundary of each end
     >>> [p.group_str() for p in field_presentations(GF2, [(2, d0), (1, [[]])])]
     ['Z_2', '0']
     """

@@ -2,11 +2,15 @@
 of simplicial maps, and degreewise equality of induced maps.
 
 Boundary operators are kept as sparse integral columns with the usual
-alternating signs in the complex's vertex order.  Coefficients are handled
-by two paths, both fed those columns as they are.  Over a field (Z_2, Z_p,
-Q) every degree comes from one pass, :func:`exactalg.field_presentations`,
-that reduces each (co)boundary matrix once on the spans of
-:func:`exactalg.field_span` (bitsets over Z_2).  Cohomology is walked
+alternating signs in the complex's vertex order.  A column is one tuple of
+signed row indices, ``r`` for +1 and ``~r`` for -1, each row found by the
+face's key (its sorted tuple of vertex positions); chain maps give signed
+rows of the same form, read through one array of image positions per map.
+Coefficients are handled by two paths, both fed those columns as they are.
+Over a field (Z_2, Z_p, Q) every degree comes from one pass,
+:func:`exactalg.field_presentations`, that reduces each (co)boundary
+matrix once on the spans of :func:`exactalg.field_span` (bitsets over
+Z_2).  Cohomology is walked
 upward and homology downward, so a degree's incoming matrix is reduced
 before its outgoing one, and the outgoing reduction skips the columns
 whose index is a pivot row of the incoming one (clearing).  Clearing is
@@ -36,6 +40,7 @@ ring).
 """
 
 from math import gcd
+from operator import invert, itemgetter
 
 from . import exactalg
 from .exactalg import (
@@ -68,27 +73,27 @@ def _check_variance(variance):
 
 
 class ChainComplexData:
-    """Bases and boundary operators of a complex, in one place."""
+    """Bases and boundary operators of a complex, in one place.
 
-    __slots__ = ("complex", "basis", "index", "_sparse", "_contents")
+    ``basis[d]`` lists the degree-d simplices as label tuples and
+    ``keys[d]`` the same simplices, in the same order, as sorted tuples of
+    vertex positions (:meth:`SimplicialComplex.keys_of_dim`).  ``index``
+    maps a key to its place in its degree.  A boundary column is a tuple
+    of signed row indices, ``r`` for +1 and ``~r`` for -1, one per face in
+    the order the left-out vertex has in the simplex (:func:`_boundary`).
+    """
+
+    __slots__ = ("complex", "basis", "keys", "index", "_sparse", "_contents")
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
-        self.basis = {d: K.simplices_of_dim(d) for d in range(K.dim + 1)}
-        self.index = {}
-        for d, simps in self.basis.items():
-            for i, s in enumerate(simps):
-                self.index[s] = i
-        self._sparse = {}
-        for d in range(1, K.dim + 1):
-            cols = []
-            for s in self.basis[d]:
-                col = []
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    col.append((self.index[face], -1 if i % 2 else 1))
-                cols.append(col)
-            self._sparse[d] = cols
+        degrees = range(K.dim + 1)
+        self.basis = {d: K.simplices_of_dim(d) for d in degrees}
+        self.keys = keys = {d: K.keys_of_dim(d) for d in degrees}
+        self.index = index = {}
+        for simps in keys.values():
+            index.update(zip(simps, range(len(simps))))
+        self._sparse = {d: _boundary(keys[d], d, index) for d in degrees if d}
         self._contents = {}  # d -> _composite_content(self, d)
 
     @property
@@ -99,10 +104,10 @@ class ChainComplexData:
         return len(self.basis.get(d, ()))
 
     def sparse_boundary(self, d: int):
-        """Columns of the boundary C_d -> C_{d-1} as (row, sign) lists."""
+        """Columns of the boundary C_d -> C_{d-1} as tuples of signed rows."""
         cols = self._sparse.get(d)
         if cols is None:
-            return [[] for _ in range(self.rank_of(d))]
+            return [() for _ in range(self.rank_of(d))]
         return cols
 
     def sparse_coboundary(self, d: int):
@@ -117,11 +122,12 @@ class ChainComplexData:
         """
         bits = [0] * (self.complex.dim + 1)
         index = self.index
+        pos = self.complex.position
         for face in faces:
-            face = self.complex.sort_simplex(face)
-            n = len(face)
+            key = sorted(map(pos, face))
+            n = len(key)
             for m in range(1, 1 << n):
-                sub = tuple(face[i] for i in range(n) if m >> i & 1)
+                sub = tuple(key[i] for i in range(n) if m >> i & 1)
                 bits[len(sub) - 1] |= 1 << index[sub]
         return tuple(bits)
 
@@ -135,6 +141,23 @@ class ChainComplexData:
                                    self.rank_of(d - 1))
 
 
+def _boundary(keys, d: int, index) -> list:
+    """Boundary columns of the degree-d simplices ``keys`` (d >= 1).
+
+    Face i of a simplex leaves out its vertex i and has sign (-1)^i; its
+    row is its place in ``index``, stored as ``r`` or ``~r``.  The faces
+    are read one i at a time over the whole degree.
+    """
+    rows = []
+    for i in range(d + 1):
+        rest = [k for k in range(d + 1) if k != i]
+        get = itemgetter(*rest)
+        faces = zip(map(get, keys)) if d == 1 else map(get, keys)
+        face_rows = map(index.__getitem__, faces)
+        rows.append(list(map(invert, face_rows) if i % 2 else face_rows))
+    return list(zip(*rows))
+
+
 _chain_cache: dict = {}
 
 
@@ -146,10 +169,14 @@ def chain_complex(K: SimplicialComplex) -> ChainComplexData:
 
 
 def _transpose(sparse_cols, nrows: int):
+    """The transpose of columns of signed rows, in the same form."""
     cols = [[] for _ in range(nrows)]
     for j, col in enumerate(sparse_cols):
-        for i, sign in col:
-            cols[i].append((j, sign))
+        for r in col:
+            if r >= 0:
+                cols[r].append(j)
+            else:
+                cols[~r].append(~j)
     return cols
 
 
@@ -183,11 +210,15 @@ class _PieceChains:
         return len(self.basis_indices(d))
 
     def sparse_boundary(self, d: int):
-        # a subcomplex holds every face of its simplices, so every row is local
-        local = {i: k for k, i in enumerate(self.basis_indices(d - 1))}
+        # a subcomplex holds every face of its simplices, so every row is
+        # local; ``local`` renumbers a signed row, ~i as well as i
+        local = {}
+        for k, i in enumerate(self.basis_indices(d - 1)):
+            local[i] = k
+            local[~i] = ~k
+        get = local.__getitem__
         parent_cols = self.parent.sparse_boundary(d)
-        return [[(local[i], sign) for i, sign in parent_cols[j]]
-                for j in self.basis_indices(d)]
+        return [tuple(map(get, parent_cols[j])) for j in self.basis_indices(d)]
 
     def sparse_coboundary(self, d: int):
         return _transpose(self.sparse_boundary(d + 1), self.rank_of(d))
@@ -276,19 +307,19 @@ def _check_composites(data, ring: Ring):
 
 def _composite_content(data, d: int) -> int:
     """gcd over Z of the entries of boundary_d o boundary_{d+1} of ``data``,
-    from its (row, +-1) columns; 0 when the composite is zero."""
+    from its columns of signed rows; 0 when the composite is zero."""
     outgoing = data.sparse_boundary(d)
     g = 0
     for col in data.sparse_boundary(d + 1):
         acc = {}  # the image of col, over Z
         get = acc.get
-        for i, s in col:
-            if s > 0:
-                for r, t in outgoing[i]:
-                    acc[r] = get(r, 0) + t
-            else:
-                for r, t in outgoing[i]:
-                    acc[r] = get(r, 0) - t
+        for i in col:
+            s = 1 if i >= 0 else -1
+            for r in outgoing[i if i >= 0 else ~i]:
+                if r >= 0:
+                    acc[r] = get(r, 0) + s
+                else:
+                    acc[~r] = get(~r, 0) - s
         g = gcd(g, *acc.values())
     return g
 
@@ -341,23 +372,28 @@ _chain_map_cache: dict = {}
 
 
 def chain_map(phi: SimplicialMap, d: int):
-    """Degree-d chain map as a list over the source basis: (target index, sign)
-    per simplex, or None when the image is degenerate."""
+    """Degree-d chain map as a list over the source basis: the signed target
+    row (``j`` or ``~j``, as in a boundary column) per simplex, or None when
+    the image is degenerate.
+
+    Each simplex is read as its key, through one array of the target
+    position of every source vertex."""
     key = (phi, d)
     out = _chain_map_cache.get(key)
     if out is not None:
         return out
-    src = chain_complex(phi.source)
     tgt = chain_complex(phi.target)
+    at = phi.image_positions()
+    index = tgt.index
     entries = []
-    for s in src.basis.get(d, ()):
-        image = [phi.assignment[v] for v in s]
-        if len(set(image)) != len(image):
+    for s in chain_complex(phi.source).keys.get(d, ()):
+        image = [at[v] for v in s]
+        image_key = tuple(sorted(image))
+        if len(set(image_key)) != len(image_key):
             entries.append(None)
             continue
-        pos = [phi.target.position(v) for v in image]
-        sign = _permutation_sign(pos)
-        entries.append((tgt.index[tuple(sorted(image, key=phi.target.position))], sign))
+        j = index[image_key]
+        entries.append(j if _permutation_sign(image) == 1 else ~j)
     _chain_map_cache[key] = entries
     return entries
 
@@ -378,9 +414,7 @@ def pullback_cochain(phi: SimplicialMap, ring: Ring, d: int, cochain):
     out = [z] * len(entries)
     for i, e in enumerate(entries):
         if e is not None:
-            j, sign = e
-            v = cochain[j]
-            out[i] = ring.normalize(v if sign == 1 else -v)
+            out[i] = ring.normalize(cochain[e] if e >= 0 else -cochain[~e])
     return out
 
 
@@ -395,9 +429,10 @@ def _push(ring: Ring, entries, n_t: int, chain):
     out = [z] * n_t
     for i, e in enumerate(entries):
         if e is not None and chain[i] != z:
-            j, sign = e
-            term = chain[i] if sign == 1 else ring.neg(chain[i])
-            out[j] = ring.add(out[j], term)
+            if e >= 0:
+                out[e] = ring.add(out[e], chain[i])
+            else:
+                out[~e] = ring.add(out[~e], ring.neg(chain[i]))
     return out
 
 
@@ -475,7 +510,7 @@ class _ZSpan:
 
 
 def _membership(ring: Ring, sparse_cols, nrows: int):
-    """Membership tester for the span of (row, sign) columns with ``nrows`` rows."""
+    """Membership tester for the span of signed-row columns with ``nrows`` rows."""
     if not ring.is_field:
         return _ZSpan(signed_columns(ring, sparse_cols), nrows)
     span = field_span(ring, track=False)

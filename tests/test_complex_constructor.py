@@ -105,3 +105,27 @@ def test_product():
     P, _, _ = product(s2, s2)
     assert P.f_vector() == (16, 84, 216, 240, 96)
     check_scrambled(P, "s2xs2")
+
+
+def test_equality_and_hash_agree_with_simplex_sets():
+    # == compares the vertex order and the simplices degree by degree; it
+    # must say what comparing the vertex orders and the simplex sets says,
+    # and equal complexes must hash alike
+    rng = random.Random("equality")
+    for kind in ("int", "str", "tuple", "mixed"):
+        built = []
+        for _ in range(25):
+            order, simplices = random_input(rng, kind)
+            K = SimplicialComplex(order, simplices)
+            smaller = set(K.simplices) - {K.maximal_faces[-1]}
+            built += [K, SimplicialComplex(order, scrambled(rng, list(K.simplices))),
+                      reference_complex(order, simplices),
+                      SimplicialComplex(order[::-1], simplices)]
+            if smaller:
+                built.append(SimplicialComplex(order, smaller))
+        for K in built:
+            for L in built:
+                same = K.vertices == L.vertices and K.simplices == L.simplices
+                assert (K == L) == same
+                if same:
+                    assert hash(K) == hash(L)

@@ -38,9 +38,11 @@ def rand_class(rng, K, ring, degree):
     if degree >= 1 and below:
         noise = [ring.normalize(rng.randint(-2, 2)) for _ in range(below)]
         for i, col in enumerate(data.sparse_coboundary(degree - 1)):
-            for j, sign in col:
-                term = noise[i] if sign == 1 else ring.neg(noise[i])
-                vec[j] = ring.add(vec[j], term)
+            for j in col:
+                if j >= 0:
+                    vec[j] = ring.add(vec[j], noise[i])
+                else:
+                    vec[~j] = ring.add(vec[~j], ring.neg(noise[i]))
     return CohomologyClass(K, ring, degree, vec)
 
 

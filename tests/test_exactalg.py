@@ -251,7 +251,7 @@ class TestSpans:
             field_span(ZZ)
 
     def test_signed_columns(self):
-        cols = [[(0, 1), (2, -1)], [], [(1, -1)]]
+        cols = [(0, ~2), (), (~1,)]  # r for +1 at row r, ~r for -1
         for R in (GF2, GF(3), QQ):
             span = field_span(R)
             dense = [span.dense(v, 3) for v in signed_columns(R, cols)]

@@ -47,12 +47,16 @@ def oracle_betti(faces, ring):
 
 
 def apply(ring, cols, nrows, vec):
-    """The image of a dense vector under the map with (row, +-1) columns."""
+    """The image of a dense vector under the map with columns of signed
+    rows (r for +1, ~r for -1)."""
     out = [ring.zero] * nrows
     for x, col in zip(vec, cols):
         if x:
-            for r, sign in col:
-                out[r] = ring.add(out[r], x if sign == 1 else ring.neg(x))
+            for r in col:
+                if r >= 0:
+                    out[r] = ring.add(out[r], x)
+                else:
+                    out[~r] = ring.add(out[~r], ring.neg(x))
     return out
 
 
@@ -85,16 +89,13 @@ def check_against_reference(data, ring, variance, betti, rng):
             assert rank(Matrix.from_columns(ring, cols, k)) == k
         # a boundary has zero coordinates, also with a generator added to it
         for col in incoming:
-            dense = [ring.zero] * n
-            for r, sign in col:
-                dense[r] = ring.normalize(sign)
+            dense = apply(ring, [col], n, [ring.one])
             assert not any(pres.coordinates(dense))
         if incoming and k:
             mix = [ring.zero] * n
             for col in rng.sample(incoming, min(4, len(incoming))):
                 c = ring.normalize(rng.randint(1, 5))
-                for r, sign in col:
-                    mix[r] = ring.add(mix[r], c if sign == 1 else ring.neg(c))
+                mix = [ring.add(a, b) for a, b in zip(mix, apply(ring, [col], n, [c]))]
             j = rng.randrange(k)
             mix = [ring.add(a, b) for a, b in zip(mix, pres.gens[j])]
             assert list(pres.coordinates(mix)) == unit[j]
@@ -143,7 +144,7 @@ class HandMade:
 
     def __init__(self, ranks, boundaries):
         self.ranks = ranks
-        self.boundaries = boundaries  # degree -> (row, sign) columns
+        self.boundaries = boundaries  # degree -> columns of signed rows
         self.dim = len(ranks) - 1
 
     def rank_of(self, d):
@@ -159,7 +160,7 @@ class HandMade:
 def test_boundary_of_boundary_not_zero_raises():
     # one vertex, one edge, one triangle, each boundary the generator below:
     # d o d is 1 in every ring
-    data = HandMade([1, 1, 1], {1: [[(0, 1)]], 2: [[(0, 1)]]})
+    data = HandMade([1, 1, 1], {1: [(0,)], 2: [(0,)]})
     for ring in RINGS:
         for variance in VARIANCES:
             with pytest.raises(BoundaryNotInCyclesError):
@@ -170,7 +171,7 @@ def test_boundary_of_boundary_not_zero_raises():
 
 def test_boundary_of_boundary_checked_in_the_ring():
     # d o d is 2: zero over Z_2, where this is a chain complex, not over Z_3 or Q
-    data = HandMade([1, 2, 1], {1: [[(0, 1)], [(0, 1)]], 2: [[(0, 1), (1, 1)]]})
+    data = HandMade([1, 2, 1], {1: [(0,), (0,)], 2: [(0, 1)]})
     for variance in VARIANCES:
         modules = _presentations(data, GF2, variance)
         for d, pres in modules.items():
@@ -203,7 +204,7 @@ def test_boundary_of_boundary_content_once_per_composite(monkeypatch):
 
 def test_boundary_of_boundary_content_three():
     # d o d is 3: zero over Z_3 only
-    data = HandMade([1, 3, 1], {1: [[(0, 1)]] * 3, 2: [[(0, 1), (1, 1), (2, 1)]]})
+    data = HandMade([1, 3, 1], {1: [(0,)] * 3, 2: [(0, 1, 2)]})
     for variance in VARIANCES:
         modules = _presentations(data, GF(3), variance)
         for d, pres in modules.items():
