@@ -110,9 +110,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(v) for d, v in self._by_dim.items())
 
-    def num_simplices(self) -> int:
-        return len(self.simplices)
-
     def position(self, vertex):
         return self._pos[vertex]
 
@@ -197,10 +194,6 @@ def from_maximal_faces(faces, order=None, require_connected=True) -> SimplicialC
     if require_connected and not K.is_connected():
         raise DisconnectedComplexError("1-skeleton is not path-connected")
     return K
-
-
-def point_complex(label=0) -> SimplicialComplex:
-    return from_maximal_faces([[label]])
 
 
 class Subcomplex:

@@ -15,15 +15,16 @@ comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A candidate piece is evaluated as a mask over the
 source's chain complex and never built; ``verify`` builds every piece of
 a cover before search returns it and checks it again.  Exhaustive
-search proves nonexistence within that family: it tries the first
-``2^n`` assignments of faces to pieces, then evaluates every nonempty set
-of maximal faces once into a table of verdicts and walks the assignments
-depth first, pruning on the first partial piece the table rejects (a
-piece that passes passes on every sub-piece).  Its budget bounds the
-``(2^s - 1)^n`` assignments of the full enumeration, which the table's
-``2^n`` entries never exceed for two or more pieces.  The greedy strategy
-grows pieces face by face
-and repairs by local moves, re-verifying any cover before returning it.
+search proves nonexistence within that family.  One depth-first walk
+assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
+then every nonempty set of maximal faces is evaluated once into a table of
+verdicts and the walk runs again, cut at the first partial piece the table
+rejects (a piece that passes passes on every sub-piece).  Face sets are
+int bit masks throughout.  Its budget bounds the ``(2^s - 1)^n``
+assignments of the full enumeration, which the table's ``2^n`` entries
+never exceed for two or more pieces.  The greedy strategy grows pieces
+face by face and repairs by local moves, re-verifying any cover before
+returning it.
 
 Everything is pure and deterministic given the seed; independent pieces
 and candidate covers could be evaluated concurrently without changing any
@@ -32,6 +33,7 @@ verdict.
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 
 from .complexes import (
@@ -52,6 +54,7 @@ from .exactalg import Ring
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
+    _bit_indices,
     chain_complex,
     equality_obstruction,
     maps_equal,
@@ -170,11 +173,12 @@ def lower_bound(query: DistanceQuery):
 
 
 class _PieceChecker:
-    """Memoized evaluation of face subsets as candidate cover pieces.
+    """Memoized evaluation of face sets as candidate cover pieces.
 
-    A piece is not built as a complex: each maximal face's closure is kept
-    as a mask over the source's chain bases, the piece of a face set is the
-    union of its faces' masks, and the query's maps are compared on it by
+    A face set is an int bit mask over the source's maximal faces.  A piece
+    is not built as a complex: each maximal face's closure is kept as a mask
+    over the source's chain bases, the piece of a face set is the union of
+    its faces' masks, and the query's maps are compared on it by
     :func:`homology.equality_obstruction`.
     """
 
@@ -183,47 +187,38 @@ class _PieceChecker:
         self.faces = query.source.maximal_faces
         data = chain_complex(query.source)
         self._closures = [data.closure_mask([f]) for f in self.faces]
-        self._cache = {}
+        self._cache = {0: 0}  # the empty piece is vacuous
 
-    def subcomplex(self, face_set, name="") -> Subcomplex:
+    def subcomplex(self, face_set: int, name="") -> Subcomplex:
         return Subcomplex.spanned_by(self.query.source,
-                                     [self.faces[i] for i in sorted(face_set)],
+                                     [self.faces[i] for i in _bit_indices(face_set)],
                                      name=name)
 
-    def mask(self, face_set):
+    def mask(self, face_set: int):
         """The piece spanned by the faces, as a mask over the source's bases."""
         bits = [0] * len(self._closures[0])
-        for i in face_set:
+        for i in _bit_indices(face_set):
             for d, b in enumerate(self._closures[i]):
                 bits[d] |= b
         return tuple(bits)
 
-    def obstruction(self, face_set) -> int:
-        """0 when the restrictions agree on the piece (empty piece is vacuous)."""
-        fs = frozenset(face_set)
-        if not fs:
-            return 0
-        hit = self._cache.get(fs)
+    def obstruction(self, face_set: int) -> int:
+        """0 when the restrictions agree on the piece."""
+        hit = self._cache.get(face_set)
         if hit is None:
             q = self.query
-            hit = self._cache[fs] = equality_obstruction(
-                q.phi, q.psi, q.ring, q.variance, piece=self.mask(fs))
+            hit = self._cache[face_set] = equality_obstruction(
+                q.phi, q.psi, q.ring, q.variance, piece=self.mask(face_set))
         return hit
 
-    def passes(self, face_set) -> bool:
+    def passes(self, face_set: int) -> bool:
         return self.obstruction(face_set) == 0
 
     def verdict_table(self) -> bytearray:
-        """``table[m]`` is 1 when the piece spanned by the faces in the bit
-        mask ``m`` passes (the empty piece does), 0 otherwise; each of the
-        ``2^n - 1`` nonempty face sets is evaluated once, verdicts already
-        memoized included."""
-        n = len(self.faces)
-        table = bytearray(1 << n)
-        table[0] = 1
-        for m in range(1, 1 << n):
-            table[m] = self.passes([i for i in range(n) if m >> i & 1])
-        return table
+        """``table[m]`` is 1 when the piece of the face set ``m`` passes (the
+        empty piece does), 0 otherwise; each of the ``2^n - 1`` nonempty
+        face sets is evaluated once, verdicts already memoized included."""
+        return bytearray(map(self.passes, range(1 << len(self.faces))))
 
     def cover_from(self, face_sets) -> Cover:
         pieces = [self.subcomplex(fs, name=f"S{i}")
@@ -235,6 +230,38 @@ def exhaustive_count(n_faces: int, size: int) -> int:
     return (2 ** size - 1) ** n_faces
 
 
+def _assignments(n: int, size: int, fits):
+    """Assign faces 0..n-1 to nonempty sets of `size` pieces, in the order
+    of ``itertools.product`` over the membership patterns, and yield each
+    assignment as the list of its pieces' face masks.  A branch is cut as
+    soon as ``fits`` rejects a piece that a face joins.  The list yielded is
+    the walk's own state, so read it before resuming the walk.  The walk
+    keeps its own stack, so thousands of faces do not recurse."""
+    patterns = [[j for j, inside in enumerate(m) if inside]
+                for m in itertools.product((False, True), repeat=size) if any(m)]
+    pieces = [0] * size
+    stack = []  # each assigned face's pattern and the patterns it has left
+    left = iter(patterns)
+    while True:
+        bit = 1 << len(stack)
+        if len(stack) == n:
+            yield pieces
+        else:
+            pattern = next((p for p in left
+                            if all(fits(pieces[j] | bit) for j in p)), None)
+            if pattern is not None:
+                for j in pattern:
+                    pieces[j] |= bit
+                stack.append((pattern, left))
+                left = iter(patterns)
+                continue
+        if not stack:
+            return
+        pattern, left = stack.pop()
+        for j in pattern:
+            pieces[j] ^= 1 << len(stack)
+
+
 def search_exhaustive(query: DistanceQuery, size: int,
                       budget: int = DEFAULT_BUDGET) -> Cover | None:
     """Decide whether some cover by `size` pieces spanned by maximal faces
@@ -244,19 +271,18 @@ def search_exhaustive(query: DistanceQuery, size: int,
     The candidates are the assignments of each maximal face to a nonempty
     set of pieces, ``(2^size - 1)^n`` of them for n faces, in the order of
     ``itertools.product`` over the membership patterns; the budget caps
-    that count.  One piece is the whole source and is evaluated once.
+    that count.
 
-    For more pieces the first ``2^n`` assignments are tried in turn, each
-    piece evaluated with memo, so a cover found early costs a few
-    evaluations.  Past them every nonempty face set is evaluated once into
-    a table of verdicts indexed by face mask (the memo is reused), and a
-    depth-first walk assigns faces 0..n-1 in the same order, pruning as
-    soon as a partial piece fails in the table.  A piece that passes
-    passes on every sub-piece (restriction to it factors through the
-    inclusion), so the walk reaches exactly the all-passing assignments of
-    the full enumeration, in the same order; each is built and verified,
-    and the first that verifies is returned.  A proof that no cover exists
-    therefore makes ``2^n - 1`` evaluations.
+    One walk, :func:`_assignments`, runs uncut over the first ``2^n``
+    assignments, each piece evaluated with memo, so an early cover costs a
+    few evaluations; for one piece these are all of them.  Past them every
+    nonempty face set is evaluated once into a table of verdicts (the memo
+    is reused) and the walk runs again, cut at the first partial piece the
+    table rejects.  A piece that passes passes on every sub-piece
+    (restriction to it factors through the inclusion), so the cut walk
+    reaches exactly the all-passing assignments, in the same order, and
+    returns the first that verifies.  A proof that no cover by two or more
+    pieces exists therefore makes ``2^n - 1`` evaluations.
     """
     checker = _PieceChecker(query)
     n = len(checker.faces)
@@ -264,46 +290,23 @@ def search_exhaustive(query: DistanceQuery, size: int,
     if total > budget:
         raise BudgetExceededError(
             f"{total} candidate covers exceed the budget of {budget}")
-    if size == 1:
-        whole = range(n)
-        if not checker.passes(whole):
-            return None
-        cover = checker.cover_from([whole])
-        return cover if verify(query, cover).verified else None
-    patterns = [[j for j, inside in enumerate(m) if inside]
-                for m in itertools.product((False, True), repeat=size) if any(m)]
-    # as many assignments as the table has entries; fewer than all
-    # (2^size - 1)^n of them, so this pass never proves that none exists
-    for assignment in itertools.islice(itertools.product(patterns, repeat=n), 1 << n):
-        face_sets = [[] for _ in range(size)]
-        for f, pattern in enumerate(assignment):
-            for j in pattern:
-                face_sets[j].append(f)
-        if all(checker.passes(fs) for fs in face_sets):
-            cover = checker.cover_from(face_sets)
+    first = min(total, 1 << n)
+    if first > sys.maxsize:
+        raise BudgetExceededError(
+            f"a table of 2^{n} verdicts is too large to index")
+    for pieces in itertools.islice(_assignments(n, size, lambda m: True), first):
+        if all(map(checker.passes, pieces)):
+            cover = checker.cover_from(pieces)
             if verify(query, cover).verified:
                 return cover
-    table = checker.verdict_table()
-    blocks = [0] * size
-
-    def walk(i):
-        if i == n:
-            cover = checker.cover_from(
-                [[f for f in range(n) if b >> f & 1] for b in blocks])
-            return cover if verify(query, cover).verified else None
-        bit = 1 << i
-        for pattern in patterns:
-            if all(table[blocks[j] | bit] for j in pattern):
-                for j in pattern:
-                    blocks[j] |= bit
-                found = walk(i + 1)
-                for j in pattern:
-                    blocks[j] ^= bit
-                if found is not None:
-                    return found
+    if first == total:
         return None
-
-    return walk(0)
+    table = checker.verdict_table()
+    for pieces in _assignments(n, size, table.__getitem__):
+        cover = checker.cover_from(pieces)
+        if verify(query, cover).verified:
+            return cover
+    return None
 
 
 def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
@@ -319,30 +322,25 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
     checker = _PieceChecker(query)
     n = len(checker.faces)
     rng = random.Random(seed)
-    base_order = list(range(n))
     for attempt in range(max(1, restarts)):
-        order = list(base_order)
+        order = list(range(n))
         if attempt:
             rng.shuffle(order)
-        face_sets = [set() for _ in range(size)]
+        face_sets = [0] * size
         for face_idx in order:
-            scored = []
-            for j in range(size):
-                ob = checker.obstruction(face_sets[j] | {face_idx})
-                scored.append((ob, j))
-            ob, j = min(scored)
-            face_sets[j].add(face_idx)
+            bit = 1 << face_idx
+            _, j = min((checker.obstruction(fs | bit), j)
+                        for j, fs in enumerate(face_sets))
+            face_sets[j] |= bit
         face_sets = _repair(checker, face_sets, max_steps=4 * n)
         if face_sets is not None:
             cover = checker.cover_from(face_sets)
-            cert = verify(query, cover)
-            if cert.verified:
+            if verify(query, cover).verified:
                 return cover
     return None
 
 
 def _repair(checker, face_sets, max_steps):
-    size = len(face_sets)
     obs = [checker.obstruction(fs) for fs in face_sets]
     for _ in range(max_steps):
         total = sum(obs)
@@ -351,10 +349,10 @@ def _repair(checker, face_sets, max_steps):
         move = _first_improving_move(checker, face_sets, obs, total)
         if move is None:
             return None
-        kind, f, src, dst = move
+        kind, bit, src, dst = move
         if kind == "move":
-            face_sets[src].discard(f)
-        face_sets[dst].add(f)
+            face_sets[src] ^= bit
+        face_sets[dst] |= bit
         obs = [checker.obstruction(fs) for fs in face_sets]
     return None
 
@@ -364,19 +362,20 @@ def _first_improving_move(checker, face_sets, obs, total):
     for src in range(size):
         if obs[src] == 0:
             continue
-        for f in sorted(face_sets[src]):
+        for f in _bit_indices(face_sets[src]):
+            bit = 1 << f
             for dst in range(size):
                 if dst == src:
                     continue
-                gain_dst = checker.obstruction(face_sets[dst] | {f})
-                if len(face_sets[src]) > 1:
-                    new_src = checker.obstruction(face_sets[src] - {f})
+                gain_dst = checker.obstruction(face_sets[dst] | bit)
+                if face_sets[src] != bit:
+                    new_src = checker.obstruction(face_sets[src] ^ bit)
                     new_total = (total - obs[src] - obs[dst]) + new_src + gain_dst
                     if new_total < total:
-                        return ("move", f, src, dst)
+                        return ("move", bit, src, dst)
                 new_total = (total - obs[dst]) + gain_dst
                 if new_total < total:
-                    return ("copy", f, src, dst)
+                    return ("copy", bit, src, dst)
     return None
 
 
@@ -393,9 +392,8 @@ def search(query: DistanceQuery, size: int, strategy: str = "auto",
     if strategy not in ("auto", "exhaustive", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
     n = len(query.source.maximal_faces)
-    if strategy == "exhaustive":
-        return search_exhaustive(query, size, budget)
-    if strategy == "auto" and exhaustive_count(n, size) <= budget:
+    if strategy == "exhaustive" or (strategy == "auto"
+                                    and exhaustive_count(n, size) <= budget):
         return search_exhaustive(query, size, budget)
     return search_greedy(query, size, seed=seed, restarts=restarts)
 
@@ -432,8 +430,11 @@ class BoundReport:
         }
 
 
-def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
-                    max_size, exhaustive_upto) -> BoundReport:
+def bounds_for(query: DistanceQuery, cover: Cover | None = None,
+               strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
+               max_size: int | None = None,
+               exhaustive_upto: int | None = None) -> BoundReport:
+    """Bounds for an arbitrary query; hscat/hstc are the common wrappers."""
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     if exhaustive_upto is not None and exhaustive_upto < 1:
@@ -443,19 +444,13 @@ def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
     if cover is not None:
         cert = verify(query, cover)
         if cert.verified:
-            upper = cert.n
-        else:
-            upper = None
-            notes.append("supplied cover failed verification")
-        if upper is not None:
-            exact = upper if upper == lower else None
-            return BoundReport(query, lower, witness, upper, cert, exact, notes)
+            exact = cert.n if cert.n == lower else None
+            return BoundReport(query, lower, witness, cert.n, cert, exact, notes)
+        notes.append("supplied cover failed verification")
     n_faces = len(query.source.maximal_faces)
     hard_cap = n_faces if max_size is None else min(max_size, n_faces)
-    size = lower + 1
-    upper = None
-    cert = None
-    while size <= hard_cap:
+    upper = cert = None
+    for size in range(lower + 1, hard_cap + 1):
         feasible = exhaustive_count(n_faces, size) <= budget
         want_exhaustive = (strategy == "exhaustive"
                            or (strategy == "auto" and feasible)
@@ -468,7 +463,6 @@ def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
             if found is None:
                 notes.append(f"no cover with {size} pieces (exhaustive)")
                 lower = size
-                size += 1
                 continue
         else:
             if want_exhaustive:
@@ -477,15 +471,15 @@ def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
             found = search_greedy(query, size, seed=seed)
             if found is None:
                 notes.append(f"greedy found no cover with {size} pieces")
-                size += 1
                 continue
         cert = verify(query, found)
         upper = cert.n
         break
     if upper is None:
         # one maximal simplex per piece always verifies for a connected target
-        checker = _PieceChecker(query)
-        cover = checker.cover_from([{i} for i in range(n_faces)])
+        cover = Cover.from_face_lists(query.source,
+                                      [[f] for f in query.source.maximal_faces],
+                                      names=[f"S{i}" for i in range(n_faces)])
         cert = verify(query, cover)
         if cert.verified:
             upper = cert.n
@@ -494,29 +488,20 @@ def _bound_pipeline(query: DistanceQuery, cover, strategy, budget, seed,
     return BoundReport(query, lower, witness, upper, cert, exact, notes)
 
 
-def bounds_for(query: DistanceQuery, cover: Cover | None = None,
-               strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
-               max_size: int | None = None,
-               exhaustive_upto: int | None = None) -> BoundReport:
-    """Bounds for an arbitrary query; hscat/hstc are the common wrappers."""
-    return _bound_pipeline(query, cover, strategy, budget, seed, max_size,
-                           exhaustive_upto)
-
-
 def hscat(K: SimplicialComplex, ring: Ring, cover: Cover | None = None,
           strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
           max_size: int | None = None, exhaustive_upto: int | None = None) -> BoundReport:
     """Bounds on the cohomological category of K (constant versus identity)."""
-    return _bound_pipeline(scat_query(K, ring), cover, strategy, budget, seed,
-                           max_size, exhaustive_upto)
+    return bounds_for(scat_query(K, ring), cover, strategy, budget, seed,
+                      max_size, exhaustive_upto)
 
 
 def hstc(K: SimplicialComplex, ring: Ring, cover: Cover | None = None,
          strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
          max_size: int | None = None, exhaustive_upto: int | None = None) -> BoundReport:
     """Bounds on the cohomological complexity of K (the two projections)."""
-    return _bound_pipeline(stc_query(K, ring), cover, strategy, budget, seed,
-                           max_size, exhaustive_upto)
+    return bounds_for(stc_query(K, ring), cover, strategy, budget, seed,
+                      max_size, exhaustive_upto)
 
 
 def subdivision_monotonicity_check(query: DistanceQuery, cover: Cover) -> bool:

@@ -8,6 +8,8 @@ inside the quotes.  Cover files group face lines under ``piece <name>``
 headers; map files hold ``u -> v`` lines.
 """
 
+import functools
+
 from .complexes import (
     Cover,
     SimplicialComplex,
@@ -74,6 +76,14 @@ def parse_label(token: str):
         return token
 
 
+def _header(line, keyword):
+    """The rest of the line when its first word is ``keyword``, else None."""
+    words = line.split(None, 1)
+    if words[0] != keyword:
+        return None
+    return words[1] if len(words) > 1 else ""
+
+
 def _iter_content_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -98,19 +108,21 @@ def complex_to_text(K: SimplicialComplex, comment: str = "") -> str:
 def complex_from_text(text: str, require_connected: bool = True) -> SimplicialComplex:
     order = None
     faces = []
+    label = functools.cache(parse_label)  # each distinct token once
     for lineno, line in _iter_content_lines(text):
-        if line.startswith("order:"):
+        header = _header(line, "order:")
+        if header is not None:
             if faces:
                 raise ParseError("order header must precede faces", lineno)
             if order is not None:
                 raise ParseError("order header given twice", lineno)
             try:
-                order = [parse_label(tok) for tok in line[len("order:"):].split()]
+                order = [label(tok) for tok in header.split()]
             except ValueError as e:
                 raise ParseError(str(e), lineno)
             continue
         try:
-            faces.append([parse_label(tok) for tok in _split_top_level(line)])
+            faces.append([label(tok) for tok in _split_top_level(line)])
         except ValueError as e:
             raise ParseError(str(e), lineno)
     if not faces:
@@ -158,16 +170,18 @@ def cover_from_text(text: str, parent: SimplicialComplex) -> Cover:
         name, faces = None, []
 
     last = None
+    label = functools.cache(parse_label)
     for lineno, line in _iter_content_lines(text):
         last = lineno
-        if line.startswith("piece"):
+        header = _header(line, "piece")
+        if header is not None:
             flush(lineno)
-            name = line[len("piece"):].strip() or f"K{len(pieces)}"
+            name = header or f"K{len(pieces)}"
             continue
         if name is None:
             raise ParseError("face line before any 'piece' header", lineno)
         try:
-            face = [parse_label(tok) for tok in _split_top_level(line)]
+            face = [label(tok) for tok in _split_top_level(line)]
         except ValueError as e:
             raise ParseError(str(e), lineno)
         for v in face:
@@ -204,12 +218,13 @@ def map_to_text(phi: SimplicialMap) -> str:
 def map_from_text(text: str, source: SimplicialComplex,
                   target: SimplicialComplex) -> SimplicialMap:
     assignment = {}
+    label = functools.cache(parse_label)
     for lineno, line in _iter_content_lines(text):
         if "->" not in line:
             raise ParseError("expected 'u -> v'", lineno)
         left, right = line.split("->", 1)
         try:
-            u, v = parse_label(left), parse_label(right)
+            u, v = label(left), label(right)
         except ValueError as e:
             raise ParseError(str(e), lineno)
         if (u,) not in source:

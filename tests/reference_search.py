@@ -6,7 +6,8 @@ pruning on the first failing partial piece.  The search below is the
 earlier one: it runs through all
 ``(2^s - 1)^n`` assignments of faces to nonempty piece sets in
 ``itertools.product`` order and checks each candidate's pieces, memoized
-per face set.  The tests check that both return the same cover, or None.
+per face set (a bit mask over the maximal faces).  The tests check that
+both return the same cover, or None.
 Like ``reference_complex.py`` this helper is built from package code.
 """
 
@@ -21,11 +22,11 @@ def search_by_product(query, size):
     n = len(checker.faces)
     memberships = [m for m in itertools.product((False, True), repeat=size) if any(m)]
     for assignment in itertools.product(range(len(memberships)), repeat=n):
-        face_sets = [set() for _ in range(size)]
+        face_sets = [0] * size
         for face_idx, m_idx in enumerate(assignment):
             for j, inside in enumerate(memberships[m_idx]):
                 if inside:
-                    face_sets[j].add(face_idx)
+                    face_sets[j] |= 1 << face_idx
         if all(checker.passes(fs) for fs in face_sets):
             cover = checker.cover_from(face_sets)
             if verify(query, cover).verified:

@@ -4,8 +4,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from cohodist import cli, fileio
-from cohodist.complexes import barycentric_subdivision, product
+from cohodist import cli, distance, fileio
+from cohodist.complexes import Cover, barycentric_subdivision, from_maximal_faces, product
 from cohodist.errors import ParseError
 from cohodist.fixtures import fixture_complex, fixture_cover
 
@@ -42,6 +42,15 @@ class TestComplexFiles:
         fileio.write_complex(K, path)
         assert fileio.read_complex(path) == K
 
+    def test_round_trip_vertex_named_like_header(self, tmp_path):
+        # face lines start with the vertex order:1; only a first word that
+        # is the keyword itself makes a header
+        K = from_maximal_faces([["order:1", "a"], ["a", "b"], ["b", "order:1"]],
+                               order=["order:1", "a", "b"])
+        path = tmp_path / "k.cx"
+        fileio.write_complex(K, path)
+        assert fileio.read_complex(path) == K
+
     def test_parse_error_line_number(self):
         with pytest.raises(ParseError) as err:
             fileio.complex_from_text("0,1\n0,((\n")
@@ -64,6 +73,17 @@ class TestCoverAndMapFiles:
         cov2 = fileio.read_cover(path, cov.parent)
         assert [p.simplices for p in cov2.pieces] == [p.simplices for p in cov.pieces]
         assert [p.name for p in cov2.pieces] == [p.name for p in cov.pieces]
+
+    def test_cover_round_trip_vertex_named_like_header(self, tmp_path):
+        K = from_maximal_faces([["piece0", "q"], ["q", "r"], ["r", "piece0"]],
+                               order=["piece0", "q", "r"])
+        cov = Cover.from_face_lists(K, [[["piece0", "q"]],
+                                        [["q", "r"], ["piece0", "r"]]])
+        path = tmp_path / "cover.txt"
+        fileio.write_cover(cov, path)
+        cov2 = fileio.read_cover(path, K)
+        assert [p.simplices for p in cov2.pieces] == [p.simplices for p in cov.pieces]
+        assert [p.name for p in cov2.pieces] == ["K0", "K1"]
 
     def test_map_round_trip(self, tmp_path):
         K = fixture_complex("s2")
@@ -276,6 +296,22 @@ class TestBadInputFiles:
     def test_map_label_not_a_source_vertex(self, capsys, tmp_path):
         argv = self.map_pair_argv(tmp_path, "0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n7 -> 0\n")
         self.run_bad(capsys, argv, "line 5: 7 is not a vertex of the source complex")
+
+    def test_budget_beyond_table_index(self, capsys, monkeypatch):
+        # 3^96 assignments fit the budget, but the table of 2^96 verdicts
+        # cannot be indexed; the search stops before any piece evaluation
+        calls = []
+        inner = distance.equality_obstruction
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("piece"))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(distance, "equality_obstruction", counted)
+        self.run_bad(capsys, ["bounds", "--tc", "s2", "--ring", "z2",
+                              "--strategy", "exhaustive", "--budget", str(10 ** 50)],
+                     "a table of 2^96 verdicts is too large to index")
+        assert calls == []
 
     def test_second_order_header(self, capsys, tmp_path):
         # the second header used to replace the first

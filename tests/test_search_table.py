@@ -18,6 +18,8 @@ from cohodist.complexes import from_maximal_faces
 from cohodist.distance import (
     DEFAULT_BUDGET,
     exhaustive_count,
+    hscat,
+    hstc,
     scat_query,
     search_exhaustive,
     stc_query,
@@ -201,3 +203,21 @@ def test_budget_still_counts_assignments():
     with pytest.raises(BudgetExceededError):
         search_exhaustive(q, 2, budget=3 ** 10 - 1)
     assert search_exhaustive(q, 2, budget=3 ** 10) is None
+
+
+def test_bounds_make_pinned_evaluations(evaluations):
+    # the work of a greedy and of an exhaustive bound search, at fixture order
+    report = hstc(fixture_complex("s2"), GF(3))
+    assert len(evaluations) == 652
+    faces = report.query.source.maximal_faces
+    pieces = [(p.name, sum(1 << faces.index(f) for f in p.complex.maximal_faces))
+              for p in report.certificate.cover.pieces]
+    assert pieces == [("S0", 0x19e40d40019e3a9a8b7fdef),
+                      ("S1", 0x2e61ba0b9ee61c5641480210),
+                      ("S2", 0xd00005206100000016000000)]
+    assert (report.lower, report.exact) == (2, 2)
+    evaluations.clear()
+    report = hscat(fixture_complex("k5"), GF2, exhaustive_upto=2)
+    assert len(evaluations) == 1055
+    assert report.notes == ["no cover with 2 pieces (exhaustive)"]
+    assert report.exact == 2
