@@ -14,15 +14,19 @@ neither positive-degree cohomology nor the always-equal degree-0
 comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A candidate piece is evaluated as a mask over the
 source's chain complex and never built; ``verify`` builds every piece of
-a cover before search returns it and checks it again.  Exhaustive
+a cover before search returns it and checks it again.  In field
+cohomology a piece is evaluated as a :class:`homology.PairingState`,
+grown by one face from a piece the search holds, so only the new
+simplices' boundary columns are reduced and paired; over Z and in
+homology each piece is decided from its mask alone.  Exhaustive
 search proves nonexistence within that family.  One depth-first walk
 assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
 then every nonempty set of maximal faces is evaluated once into a table of
-verdicts and the walk runs again, cut at the first partial piece the table
-rejects (a piece that passes passes on every sub-piece).  Face sets are
-int bit masks throughout.  Its budget bounds the ``(2^s - 1)^n``
-assignments of the full enumeration, which the table's ``2^n`` entries
-never exceed for two or more pieces.  The greedy strategy grows pieces
+verdicts, depth first over the sets, and the walk runs again, cut at the
+first partial piece the table rejects (a piece that passes passes on
+every sub-piece).  Face sets are int bit masks throughout.  Its budget
+bounds the ``(2^s - 1)^n`` assignments of the full enumeration, which the
+table's ``2^n`` entries never exceed for two or more pieces.  The greedy strategy grows pieces
 face by face and repairs by local moves, re-verifying any cover before
 returning it.
 
@@ -58,6 +62,7 @@ from .homology import (
     chain_complex,
     equality_obstruction,
     maps_equal,
+    pairing_state,
 )
 
 DEFAULT_BUDGET = 2 ** 24
@@ -179,7 +184,16 @@ class _PieceChecker:
     is not built as a complex: each maximal face's closure is kept as a mask
     over the source's chain bases, the piece of a face set is the union of
     its faces' masks, and the query's maps are compared on it by
-    :func:`homology.equality_obstruction`.
+    :func:`homology.equality_obstruction`, once per face set.
+
+    In field cohomology a piece is passed as a :class:`homology.PairingState`
+    instead, grown from the largest held piece inside it.  Verdicts are
+    memoized, states are not: the checker holds states only for the pieces
+    a search holds (:meth:`hold`), which are greedy's current pieces, and
+    in :meth:`verdict_table` the chain of face sets that leads to the set
+    being evaluated.  Any other piece, such as the first-pass assignments
+    of exhaustive search and greedy's repair removals, grows from the empty
+    state.  Over Z and in homology a piece is its mask.
     """
 
     def __init__(self, query: DistanceQuery):
@@ -188,6 +202,9 @@ class _PieceChecker:
         data = chain_complex(query.source)
         self._closures = [data.closure_mask([f]) for f in self.faces]
         self._cache = {0: 0}  # the empty piece is vacuous
+        paired = query.ring.is_field and query.variance == COHOMOLOGY
+        self._empty = pairing_state(query.phi, query.psi, query.ring) if paired else None
+        self._held = {}  # face set -> PairingState, for the pieces held
 
     def subcomplex(self, face_set: int, name="") -> Subcomplex:
         return Subcomplex.spanned_by(self.query.source,
@@ -202,28 +219,100 @@ class _PieceChecker:
                 bits[d] |= b
         return tuple(bits)
 
+    def _piece(self, face_set: int):
+        """The piece as :func:`equality_obstruction` takes it: its mask, or
+        a pairing state grown from the largest held piece inside it."""
+        if self._empty is None:
+            return self.mask(face_set)
+        inside, state = 0, self._empty
+        for held, held_state in self._held.items():
+            if held & ~face_set == 0 and held.bit_count() > inside.bit_count():
+                inside, state = held, held_state
+        if inside == face_set:
+            return state
+        return state.extended(self.mask(face_set & ~inside))
+
+    def _evaluate(self, face_set: int, piece) -> int:
+        q = self.query
+        hit = self._cache[face_set] = equality_obstruction(
+            q.phi, q.psi, q.ring, q.variance, piece=piece)
+        return hit
+
     def obstruction(self, face_set: int) -> int:
         """0 when the restrictions agree on the piece."""
         hit = self._cache.get(face_set)
         if hit is None:
-            q = self.query
-            hit = self._cache[face_set] = equality_obstruction(
-                q.phi, q.psi, q.ring, q.variance, piece=self.mask(face_set))
+            hit = self._evaluate(face_set, self._piece(face_set))
         return hit
 
     def passes(self, face_set: int) -> bool:
         return self.obstruction(face_set) == 0
 
+    def hold(self, face_sets):
+        """Hold the states of these face sets, and drop every other; a state
+        not held yet is grown from the largest held piece inside it, and
+        reduced at once, so that it keeps no other state alive."""
+        if self._empty is None:
+            return
+        held = {}
+        for fs in face_sets:
+            if fs and fs not in held:
+                held[fs] = self._piece(fs).settle()
+        self._held = held
+
     def verdict_table(self) -> bytearray:
         """``table[m]`` is 1 when the piece of the face set ``m`` passes (the
         empty piece does), 0 otherwise; each of the ``2^n - 1`` nonempty
-        face sets is evaluated once, verdicts already memoized included."""
-        return bytearray(map(self.passes, range(1 << len(self.faces))))
+        face sets is evaluated once, verdicts already memoized included.
+
+        The sets are visited depth first, each after the set without its
+        highest face, and each piece grows from that set's by one face.  The
+        sets held are the chain of those parents, at most ``n - 1``.
+        """
+        n = len(self.faces)
+        table = bytearray(1 << n)
+        table[0] = 1
+        self._held = {}
+        chain = []  # the held face sets, each the parent of the next
+        for m in _depth_first_sets(n):
+            top = m.bit_length() - 1
+            parent = m ^ 1 << top
+            while chain and chain[-1] != parent:
+                self._held.pop(chain.pop())
+            piece = None
+            if self._empty is not None:
+                base = self._held[parent] if parent else self._empty
+                piece = base.extended(self._closures[top])
+            hit = self._cache.get(m)
+            if hit is None:
+                hit = self._evaluate(m, self.mask(m) if piece is None else piece)
+            table[m] = hit == 0
+            if piece is not None and top < n - 1:
+                self._held[m] = piece
+                chain.append(m)
+        self._held = {}
+        return table
 
     def cover_from(self, face_sets) -> Cover:
         pieces = [self.subcomplex(fs, name=f"S{i}")
                   for i, fs in enumerate(face_sets) if fs]
         return Cover(self.query.source, pieces)
+
+
+def _depth_first_sets(n: int):
+    """The nonempty subsets of range(n) as bit masks, depth first: each set
+    is followed by the sets that add faces above its highest one."""
+    m = 1 if n else 0
+    while m:
+        yield m
+        top = m.bit_length() - 1
+        if top < n - 1:
+            m |= 1 << top + 1
+        else:
+            m ^= 1 << top
+            if m:
+                top = m.bit_length() - 1
+                m ^= 3 << top  # move its highest face up by one
 
 
 def exhaustive_count(n_faces: int, size: int) -> int:
@@ -327,11 +416,13 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
         if attempt:
             rng.shuffle(order)
         face_sets = [0] * size
+        checker.hold(face_sets)
         for face_idx in order:
             bit = 1 << face_idx
             _, j = min((checker.obstruction(fs | bit), j)
                         for j, fs in enumerate(face_sets))
             face_sets[j] |= bit
+            checker.hold(face_sets)
         face_sets = _repair(checker, face_sets, max_steps=4 * n)
         if face_sets is not None:
             cover = checker.cover_from(face_sets)
@@ -353,6 +444,7 @@ def _repair(checker, face_sets, max_steps):
         if kind == "move":
             face_sets[src] ^= bit
         face_sets[dst] |= bit
+        checker.hold(face_sets)
         obs = [checker.obstruction(fs) for fs in face_sets]
     return None
 

@@ -327,6 +327,11 @@ class Gf2Span:
     def coefficient(vec: int, i: int) -> int:
         return (vec >> i) & 1
 
+    @staticmethod
+    def support(vec: int) -> int:
+        """The rows where ``vec`` is nonzero, as a bitset: ``vec`` itself."""
+        return vec
+
     def _reduce(self, col, combo):
         pivots = self.pivots
         while col:
@@ -338,11 +343,14 @@ class Gf2Span:
             combo ^= hit[1]
         return col, combo
 
-    def _absorb(self, col):
+    def _absorb(self, col, combo=None):
         """Add a column.  Returns (enlarged, combo), where combo is the
         reduced column's combination over the added columns: a kernel
-        vector when the span did not grow."""
-        combo = 1 << self.n_added
+        vector when the span did not grow.  ``combo`` replaces the
+        column's own combination, the unit bitset at its index; any linear
+        image of the combinations can be carried this way."""
+        if combo is None:
+            combo = 1 << self.n_added
         self.n_added += 1
         col, combo = self._reduce(self.vector(col), combo)
         if not col:
@@ -358,6 +366,13 @@ class Gf2Span:
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
+
+    def copy(self) -> "Gf2Span":
+        """A span with the same pivots that grows on its own."""
+        twin = Gf2Span()
+        twin.pivots = dict(self.pivots)
+        twin.n_added = self.n_added
+        return twin
 
     def contains(self, col) -> bool:
         return not self._reduce(self.vector(col), 0)[0]
@@ -426,6 +441,11 @@ class FieldSpan:
     def coefficient(self, vec: dict, i: int):
         return vec.get(i, self.ring.zero)
 
+    @staticmethod
+    def support(vec: dict) -> int:
+        """The rows where ``vec`` is nonzero, as a bitset."""
+        return sum(1 << i for i in vec)
+
     def _reduce(self, col: dict, combo):
         """Reduce ``col`` (mutated) and, unless None, its ``combo`` alongside."""
         pivots, p = self.pivots, self.p
@@ -446,13 +466,18 @@ class FieldSpan:
             return {i: a * x for i, x in vec.items()}
         return {i: a * x % p for i, x in vec.items()}
 
-    def _absorb(self, col):
+    def _absorb(self, col, combo=None):
         """Add a column.  Returns (enlarged, combo), where combo is the
         reduced column's combination over the added columns (None when
-        not tracked): a kernel vector when the span did not grow."""
+        not tracked): a kernel vector when the span did not grow.
+        ``combo`` (a dict, not changed) replaces the column's own
+        combination, the unit at its index, as in :class:`Gf2Span`."""
         idx = self.n_added
         self.n_added += 1
-        combo = {idx: self.ring.one} if self.track else None
+        if combo is not None:
+            combo = dict(combo)
+        elif self.track:
+            combo = {idx: self.ring.one}
         col, combo = self._reduce(dict(self.vector(col)), combo)
         if not col:
             return False, combo
@@ -471,6 +496,13 @@ class FieldSpan:
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
+
+    def copy(self) -> "FieldSpan":
+        """A span with the same pivots that grows on its own."""
+        twin = FieldSpan(self.ring, self.track)
+        twin.pivots = dict(self.pivots)
+        twin.n_added = self.n_added
+        return twin
 
     def express(self, col):
         """Coefficients over the added columns (dict index -> scalar), or None."""

@@ -9,6 +9,7 @@ headers; map files hold ``u -> v`` lines.
 """
 
 import functools
+from itertools import accumulate
 
 from .complexes import (
     Cover,
@@ -32,31 +33,57 @@ def _label_token(label, top=True) -> str:
 
 
 def _split_top_level(text, sep=","):
+    """The parts of ``text`` between the ``sep`` characters that are outside
+    quotes and parentheses, each stripped.
+
+    The text is cut at its quotes first, so a quoted label is taken whole
+    however many commas it holds; only the stretches outside quotes are
+    split at ``sep``, and those with parentheses are rejoined where a
+    separator falls inside them.  Unbalanced quotes or parentheses raise
+    ValueError.
+    """
+    stretches = text.split('"')
     parts = []
+    current = []  # the pieces of the part being read
     depth = 0
-    quoted = False
-    current = []
-    for ch in text:
-        if ch == '"':
-            quoted = not quoted
-            current.append(ch)
-        elif not quoted and ch == "(":
-            depth += 1
-            current.append(ch)
-        elif not quoted and ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parenthesis")
-            current.append(ch)
-        elif not quoted and depth == 0 and ch == sep:
-            parts.append("".join(current))
-            current = []
+    for k, stretch in enumerate(stretches):
+        if k % 2:  # inside quotes
+            current.append(f'"{stretch}"')
+            continue
+        if depth or "(" in stretch or ")" in stretch:
+            pieces, depth = _split_outside_parens(stretch, sep, depth)
         else:
-            current.append(ch)
-    if quoted or depth != 0:
+            pieces = stretch.split(sep)
+        current.append(pieces[0])
+        for piece in pieces[1:]:
+            parts.append("".join(current))
+            current = [piece]
+    if depth or len(stretches) % 2 == 0:  # an odd number of quotes
         raise ValueError("unbalanced quote or parenthesis")
     parts.append("".join(current))
     return [p.strip() for p in parts]
+
+
+_PAREN_STEP = {"(": 1, ")": -1}
+
+
+def _split_outside_parens(stretch, sep, depth):
+    """``stretch.split(sep)``, except at separators inside parentheses,
+    ``depth`` of them open before ``stretch``; returns the pieces and the
+    depth after ``stretch``."""
+    pieces = []
+    for i, piece in enumerate(stretch.split(sep)):
+        if i and depth:
+            pieces[-1] += sep + piece
+        else:
+            pieces.append(piece)
+        closes = piece.count(")")
+        if closes > depth:  # the depth may dip below zero inside the piece
+            steps = [_PAREN_STEP[ch] for ch in piece if ch in _PAREN_STEP]
+            if depth + min(accumulate(steps)) < 0:
+                raise ValueError("unbalanced parenthesis")
+        depth += piece.count("(") - closes
+    return pieces, depth
 
 
 def parse_label(token: str):

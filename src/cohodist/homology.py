@@ -26,21 +26,25 @@ the source given as a mask over the source's chain bases (the whole source
 is its full mask), without building the subcomplex.  For every generator
 of the relevant group it tests whether the difference of the two
 (co)chain images is zero in (co)homology.  Cohomology pulls back the
-generators of H^d(target) and tests the difference for membership in the
-piece's coboundary span, built for that test and not kept.  Homology
-pushes the generators of H_d(piece) forward and reads the difference's
-class off the target's cached presentation.  Over Z both tests are
-relation-aware: membership is exact lattice membership, and presentation
-coordinates are reduced mod torsion.  :func:`maps_equal` reports the
-verdict per degree, :func:`equality_obstruction` counts the failing
-generators.
+generators of H^d(target).  Over a field a difference is a coboundary on
+the piece exactly when it vanishes on every d-cycle of the piece, so a
+:class:`PairingState` reduces the piece's boundary columns and pairs each
+new cycle with the differences; it can grow by a face, reducing only the
+new columns, which is how cover search evaluates the pieces it grows.
+Over Z that duality fails through Ext terms, and the difference is tested
+for exact membership in the lattice of the piece's coboundaries, built for
+that test and not kept.  Homology pushes the generators of H_d(piece)
+forward and reads the difference's class off the target's cached
+presentation, its coordinates reduced mod torsion over Z.
+:func:`maps_equal` reports the verdict per degree,
+:func:`equality_obstruction` counts the failing generators.
 
 Results are pure functions of the inputs and are cached per (complex,
 ring).
 """
 
 from math import gcd
-from operator import invert, itemgetter
+from operator import invert, itemgetter, or_
 
 from . import exactalg
 from .exactalg import (
@@ -57,7 +61,7 @@ from .exactalg import (
     trivial_presentation,
 )
 from .complexes import SimplicialComplex, SimplicialMap
-from .errors import BoundaryNotInCyclesError
+from .errors import BoundaryNotInCyclesError, NotAFieldError
 
 COHOMOLOGY = "cohomology"
 HOMOLOGY = "homology"
@@ -181,8 +185,19 @@ def _transpose(sparse_cols, nrows: int):
 
 
 def _bit_indices(bits: int) -> list:
-    """Positions of the set bits of ``bits``, ascending."""
-    return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
+    """Positions of the set bits of ``bits``, ascending.
+
+    A sparse mask, such as the simplices one face adds to a piece, is read
+    one set bit at a time; a dense one through its binary string.
+    """
+    if bits.bit_count() * 8 >= bits.bit_length():
+        return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class _PieceChains:
@@ -494,7 +509,7 @@ def induced_map(phi: SimplicialMap, ring: Ring, variance: str) -> GradedHom:
 
 
 # ---------------------------------------------------------------------------
-# membership: is a cochain a coboundary?
+# membership over Z: is a cochain a coboundary?
 
 
 class _ZSpan:
@@ -507,16 +522,6 @@ class _ZSpan:
 
     def contains(self, vec) -> bool:
         return exactalg._z_solve_with_snf(self.snf, [exactalg._int_vector(vec)]) is not None
-
-
-def _membership(ring: Ring, sparse_cols, nrows: int):
-    """Membership tester for the span of signed-row columns with ``nrows`` rows."""
-    if not ring.is_field:
-        return _ZSpan(signed_columns(ring, sparse_cols), nrows)
-    span = field_span(ring, track=False)
-    for col in exactalg._signed(ring, sparse_cols):
-        span.add(col)
-    return span
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +572,164 @@ def _cochain_differences(phi, psi, ring, d):
 
 
 def _cochain_verdicts(phi, psi, ring, d, chains):
+    """Over Z: membership of each difference in the piece's coboundary lattice."""
     idx = chains.basis_indices(d)
     diffs = [[diff[i] for i in idx] for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
         return [not any(diff) for diff in diffs]
-    span = _membership(ring, chains.sparse_coboundary(d - 1), chains.rank_of(d))
+    span = _ZSpan(signed_columns(ring, chains.sparse_coboundary(d - 1)), chains.rank_of(d))
     return (span.contains(diff) for diff in diffs)
+
+
+# ---------------------------------------------------------------------------
+# field cohomology: difference cochains paired with the cycles of a piece
+
+
+_pairing_cache: dict = {}
+
+
+def _pairings(phi, psi, ring) -> tuple:
+    """What a :class:`PairingState` of phi and psi reduces and pairs.
+
+    One entry ``(d, ngens, columns, pairs)`` per degree d of the source in
+    which H^d(target) is nontrivial.  ``columns`` are the source's degree-d
+    boundary columns in :func:`exactalg.field_span`'s form (None for
+    d = 0).  ``pairs[j]`` holds the values on simplex j of the difference
+    cochains (:func:`_cochain_differences`), one per generator, as a
+    vector of the same form: over Z_2 a bitset over the generators.
+    """
+    key = (phi, psi, ring)
+    out = _pairing_cache.get(key)
+    if out is None:
+        data = chain_complex(phi.source)
+        gm = cohomology(phi.target, ring)
+        vector = field_span(ring).vector
+        out = []
+        for d in range(min(data.dim, phi.target.dim) + 1):
+            if gm.presentation(d).is_trivial:
+                continue
+            diffs = _cochain_differences(phi, psi, ring, d)
+            columns = signed_columns(ring, data.sparse_boundary(d)) if d else None
+            out.append((d, len(diffs), columns, [vector(v) for v in zip(*diffs)]))
+        out = _pairing_cache[key] = tuple(out)
+    return out
+
+
+class PairingState:
+    """A piece of the source of two parallel maps, with the generators of
+    H^*(target) that fail on it over a field, kept so that the piece can
+    grow.
+
+    Over a field im delta^{d-1}|_P = (ker boundary_d|_P)^perp, so a
+    generator y of H^d(target) passes on a piece P exactly when its
+    difference cochain (phi^# - psi^#)y vanishes on every d-cycle of P
+    (the duality of de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+    persistent (co)homology", 2011).  In every degree of :func:`_pairings`
+    the state keeps the piece's boundary columns reduced in one span, its
+    rows the source's indices, so nothing is renumbered.  Each column
+    carries, in place of its combination, that combination's pairings with
+    the difference cochains: a column that reduces to zero is a new cycle
+    z, and what it carries names the generators y with
+    <(phi^# - psi^#)y, z> != 0.  In degree 0 every vertex is a cycle.
+    ``failing`` holds per degree the bitset of the generators that failed.
+    A generator that fails fails on every larger piece, and a degree whose
+    generators have all failed reduces nothing more.
+
+    :meth:`extended` grows the piece as the persistence column reduction
+    (Edelsbrunner, Letscher and Zomorodian 2002) grows a filtration: only
+    the new simplices' columns are reduced.  The grown state is reduced
+    when it is first read, on copies of the spans it changes, so the state
+    it grew from can grow again.
+    """
+
+    __slots__ = ("pairings", "mask", "_spans", "_failing", "_base")
+
+    def __init__(self, pairings, mask, spans, failing, base=None):
+        self.pairings = pairings
+        self.mask = mask
+        self._spans = spans
+        self._failing = failing
+        self._base = base  # the state this one grew from, until it is reduced
+
+    def extended(self, mask) -> "PairingState":
+        """The state of the union of this piece and the subcomplex ``mask``
+        (a mask over the source's bases, as from
+        :meth:`ChainComplexData.closure_mask`)."""
+        return PairingState(self.pairings, tuple(map(or_, self.mask, mask)),
+                            None, None, self)
+
+    @property
+    def failing(self) -> list:
+        """Per degree of the pairings, the bitset of the failing generators."""
+        return self.settle()._failing
+
+    @property
+    def dim(self) -> int:
+        return max((d for d, bits in enumerate(self.mask) if bits), default=-1)
+
+    def settle(self) -> "PairingState":
+        """Reduce the columns this state grew by, unless done; then the
+        state no longer holds the one it grew from."""
+        unreduced = []
+        state = self
+        while state._base is not None:
+            unreduced.append(state)
+            state = state._base
+        for state in reversed(unreduced):
+            state._reduce_new()
+        return self
+
+    def _reduce_new(self):
+        base = self._base
+        spans, failing = list(base._spans), list(base._failing)
+        for k, (d, ngens, columns, pairs) in enumerate(self.pairings):
+            new = self.mask[d] & ~base.mask[d]
+            every = (1 << ngens) - 1
+            if not new or failing[k] == every:
+                continue
+            if d == 0:
+                support = spans[k].support
+                for v in _bit_indices(new):
+                    failing[k] |= support(pairs[v])
+                continue
+            span = spans[k] = spans[k].copy()
+            for j in _bit_indices(new):
+                grew, pairing = span._absorb(columns[j], pairs[j])
+                if not grew:
+                    failing[k] |= span.support(pairing)
+                    if failing[k] == every:
+                        break  # the span is not read again
+        self._spans, self._failing, self._base = spans, failing, None
+
+
+def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> PairingState:
+    """The empty piece of the maps' source over the field ``ring``, to grow
+    with :meth:`PairingState.extended` and pass to
+    :func:`equality_obstruction` as its ``piece``."""
+    _require_parallel(phi, psi)
+    if not ring.is_field:
+        raise NotAFieldError(f"pairing with cycles needs a field, not {ring}")
+    pairings = _pairings(phi, psi, ring)
+    empty = (0,) * (chain_complex(phi.source).dim + 1)
+    spans = [field_span(ring) for _ in pairings]  # degree 0 reduces nothing
+    return PairingState(pairings, empty, spans, [0] * len(pairings))
+
+
+def _paired_verdicts(phi, psi, ring, piece):
+    """:func:`_generator_verdicts` in field cohomology, read off the
+    :class:`PairingState` ``piece``, or one built from scratch for a mask."""
+    if isinstance(piece, PairingState):
+        if piece.pairings is not _pairings(phi, psi, ring):
+            raise ValueError("the pairing state belongs to other maps or coefficients")
+        state = piece
+    else:
+        state = pairing_state(phi, psi, ring).extended(piece)
+    failing = {d: (ngens, bits)
+               for (d, ngens, _, _), bits in zip(state.pairings, state.failing)}
+    top = state.dim
+    for d in range(max(top, phi.target.dim) + 1):
+        ngens, bits = failing.get(d, (0, 0))
+        yield d, [not bits >> y & 1 for y in range(ngens)] if d <= top else ()
 
 
 def _chain_verdicts(phi, psi, ring, d, pres, chains):
@@ -595,17 +752,24 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
     Yields ``(d, verdicts)``, where ``verdicts`` iterates lazily over
     booleans: True when the two images of one generator are equal in
     (co)homology.  Cohomology compares the pullbacks of the generators of
-    H^d(target) modulo the piece's coboundaries; homology compares the
-    pushforwards of the generators of H_d(piece) in H_d(target).  Over Z
-    both tests are relation-aware.
+    H^d(target) modulo the piece's coboundaries: over a field by pairing
+    with the piece's cycles (:class:`PairingState`), over Z by lattice
+    membership.  Homology compares the pushforwards of the generators of
+    H_d(piece) in H_d(target), relation-aware over Z.
 
     ``piece`` is a subcomplex of the source as a mask from
     :meth:`ChainComplexData.closure_mask`, or the whole source as
-    :meth:`ChainComplexData.full_mask`.  The maps are restricted to it
-    without building it: the source's (co)boundary columns and the maps'
-    chain-map entries are restricted to the piece's indices (see
-    :class:`_PieceChains`).
+    :meth:`ChainComplexData.full_mask`, or in field cohomology a
+    :class:`PairingState`.  The maps are restricted to it without building
+    it: the source's (co)boundary columns and the maps' chain-map entries
+    are restricted to the piece's indices (see :class:`_PieceChains`).
     """
+    paired = variance == COHOMOLOGY and ring.is_field
+    if isinstance(piece, PairingState) and not paired:
+        raise ValueError("a pairing state compares maps in field cohomology only")
+    if paired:
+        yield from _paired_verdicts(phi, psi, ring, piece)
+        return
     chains = _PieceChains(chain_complex(phi.source), piece)
     degrees = range(max(chains.dim, phi.target.dim) + 1)
     if variance == COHOMOLOGY:
@@ -646,7 +810,8 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
     A finer-grained version of :func:`maps_equal`, used as a search score.
     ``piece`` restricts both maps to a subcomplex of their source given as
     a mask (see :meth:`ChainComplexData.closure_mask`); None means the
-    whole source.
+    whole source.  In field cohomology ``piece`` may also be a
+    :class:`PairingState` of the maps, grown from :func:`pairing_state`.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)

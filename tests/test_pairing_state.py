@@ -1,0 +1,254 @@
+"""Field cohomology pieces decided by pairing difference cochains with cycles.
+
+Over a field a generator y of H^d(target) passes on a piece exactly when
+(phi^# - psi^#)y vanishes on every d-cycle of the piece, and
+``homology.PairingState`` grows those cycles face by face.  These tests
+compare its failing-generator counts with the membership path it replaced
+(``reference_membership``) on seeded random pieces, for states made from
+scratch, by chains of one-face extensions and by the walk that fills the
+verdict table; check the duality it rests on against homology verdicts;
+and count the states cover search holds.
+"""
+
+import random
+
+import pytest
+
+from cohodist import distance
+from cohodist.complexes import SimplicialMap, from_maximal_faces
+from cohodist.distance import _PieceChecker, hscat, hstc, scat_query, stc_query
+from cohodist.errors import NotAFieldError
+from cohodist.exactalg import GF, GF2, QQ, ZZ
+from cohodist.fixtures import fixture_complex
+from cohodist.homology import chain_complex, equality_obstruction, pairing_state
+
+from .reference_membership import obstruction_by_membership
+
+FIELDS = (GF2, GF(3), QQ)
+
+
+def shuffled(rng, name):
+    base = fixture_complex(name)
+    order = list(base.vertices)
+    rng.shuffle(order)
+    return from_maximal_faces(base.maximal_faces, order=order)
+
+
+def fold(K):
+    """K -> K sending its last vertex onto the one before."""
+    v = K.vertices
+    return SimplicialMap(K, K, {**{x: x for x in v}, v[-1]: v[-2]})
+
+
+def map_pairs(rng):
+    """(label, phi, psi) on fixtures and on s2 x s2, in shuffled vertex orders."""
+    pairs = []
+    for name in ("c3", "s2", "rp2", "torus", "figure1", "k5", "rp3", "c3xs2", "cp2"):
+        q = scat_query(shuffled(rng, name), GF2)
+        pairs.append((f"{name} const/id", q.phi, q.psi))
+    s2 = shuffled(rng, "s2")
+    pairs.append(("s2 fold/id", fold(s2), SimplicialMap.identity(s2)))
+    q = stc_query(shuffled(rng, "s2"), GF2)
+    pairs.append(("s2 x s2 projections", q.phi, q.psi))
+    return pairs
+
+
+def random_face_set(rng, n):
+    return sum(1 << i for i in rng.sample(range(n), rng.randint(1, n)))
+
+
+class TestAgainstMembership:
+    def test_from_scratch(self):
+        rng = random.Random(31)
+        checked = nonzero = 0
+        for label, phi, psi in map_pairs(rng):
+            data = chain_complex(phi.source)
+            faces = phi.source.maximal_faces
+            for ring in FIELDS:
+                for _ in range(4):
+                    picked = [faces[i] for i in rng.sample(range(len(faces)),
+                                                           rng.randint(1, len(faces)))]
+                    mask = data.closure_mask(picked)
+                    want = obstruction_by_membership(phi, psi, ring, mask)
+                    got = equality_obstruction(phi, psi, ring, "cohomology", piece=mask)
+                    assert got == want, (label, ring)
+                    checked += 1
+                    nonzero += want > 0
+                whole = data.full_mask()
+                assert (equality_obstruction(phi, psi, ring, "cohomology")
+                        == obstruction_by_membership(phi, psi, ring, whole)), (label, ring)
+        assert checked == 11 * 3 * 4 and nonzero > 40
+
+    def test_chains_of_one_face_extensions(self):
+        rng = random.Random(32)
+        nonzero = 0
+        for label, phi, psi in map_pairs(rng):
+            data = chain_complex(phi.source)
+            faces = list(phi.source.maximal_faces)
+            for ring in FIELDS:
+                rng.shuffle(faces)
+                state = pairing_state(phi, psi, ring)
+                mask = state.mask
+                # stop early on the big sources; the membership reference is slow there
+                for k, face in enumerate(faces[:24]):
+                    closure = data.closure_mask([face])
+                    # a sibling grown and read first must leave its parent as it was
+                    if k % 3 == 1:
+                        sibling = state.extended(data.closure_mask([faces[-1]]))
+                        assert (equality_obstruction(phi, psi, ring, "cohomology", piece=sibling)
+                                == obstruction_by_membership(phi, psi, ring, sibling.mask))
+                    state = state.extended(closure)
+                    mask = tuple(a | b for a, b in zip(mask, closure))
+                    assert state.mask == mask
+                    want = obstruction_by_membership(phi, psi, ring, mask)
+                    got = equality_obstruction(phi, psi, ring, "cohomology", piece=state)
+                    assert got == want, (label, ring, k)
+                    nonzero += want > 0
+        assert nonzero > 200
+
+    def test_verdict_table_walk(self, monkeypatch):
+        rng = random.Random(33)
+        seen = []
+
+        def record(self, face_set, piece):
+            seen.append((self.query, face_set, piece))
+            return evaluate(self, face_set, piece)
+
+        evaluate = _PieceChecker._evaluate
+        monkeypatch.setattr(_PieceChecker, "_evaluate", record)
+        cases = [shuffled(rng, "k5"), shuffled(rng, "rp2")]
+        for _ in range(4):
+            nv = rng.randint(4, 6)
+            faces = [rng.sample(range(nv), rng.choice((2, 3))) for _ in range(7)]
+            K = from_maximal_faces(faces, require_connected=False)
+            if K.is_connected():
+                cases.append(K)
+        nonzero = 0
+        for K in cases:
+            for ring in FIELDS:
+                checker = _PieceChecker(scat_query(K, ring))
+                # a few verdicts memoized first, as the first pass of search leaves them
+                for _ in range(3):
+                    checker.obstruction(random_face_set(rng, len(checker.faces)))
+                memoized = len(checker._cache) - 1
+                seen.clear()
+                table = checker.verdict_table()
+                n = len(checker.faces)
+                assert len(seen) == (1 << n) - 1 - memoized
+                for _, face_set, piece in seen:
+                    assert piece.mask == checker.mask(face_set)
+                # every face set of the small complexes, a sample of the rest
+                q = checker.query
+                face_sets = range(1, 1 << n) if n <= 7 else rng.sample(range(1, 1 << n), 120)
+                for face_set in face_sets:
+                    want = obstruction_by_membership(q.phi, q.psi, ring,
+                                                     checker.mask(face_set))
+                    assert checker.obstruction(face_set) == want
+                    assert table[face_set] == (want == 0)
+                    nonzero += want > 0
+        assert nonzero > 300
+
+
+class TestDuality:
+    def pieces(self, rng, K, count):
+        data = chain_complex(K)
+        faces = K.maximal_faces
+        for _ in range(count):
+            yield data.closure_mask(rng.sample(faces, rng.randint(1, len(faces))))
+
+    def test_fields_agree_with_homology(self):
+        rng = random.Random(34)
+        passed = failed = 0
+        for name in ("s2", "rp2", "torus", "rp3", "figure1", "c3xs2"):
+            q = scat_query(shuffled(rng, name), GF2)
+            for ring in FIELDS:
+                for mask in self.pieces(rng, q.source, 8):
+                    co = equality_obstruction(q.phi, q.psi, ring, "cohomology", piece=mask)
+                    ho = equality_obstruction(q.phi, q.psi, ring, "homology", piece=mask)
+                    assert (co == 0) == (ho == 0), (name, ring)
+                    passed += co == 0
+                    failed += co > 0
+        assert passed > 20 and failed > 20
+
+    def test_integers_disagree_on_rp3(self):
+        # over Z, H^d sees the torsion of H_{d-1} (Ext), so a piece of rp3
+        # can pass in one variance and fail in the other; the Z path is
+        # relation-aware membership, not pairing with cycles
+        rng = random.Random(35)
+        q = scat_query(fixture_complex("rp3"), ZZ)
+        disagree = 0
+        for mask in self.pieces(rng, q.source, 40):
+            co = equality_obstruction(q.phi, q.psi, ZZ, "cohomology", piece=mask)
+            ho = equality_obstruction(q.phi, q.psi, ZZ, "homology", piece=mask)
+            disagree += (co == 0) != (ho == 0)
+        assert disagree >= 1
+
+    def test_states_answer_field_cohomology_only(self):
+        K = fixture_complex("s2")
+        phi, psi = SimplicialMap.identity(K), SimplicialMap.constant(K, K)
+        with pytest.raises(NotAFieldError):
+            pairing_state(phi, psi, ZZ)
+        state = pairing_state(phi, psi, GF2).extended(chain_complex(K).full_mask())
+        assert equality_obstruction(phi, psi, GF2, "cohomology", piece=state) == 1
+        with pytest.raises(ValueError):
+            equality_obstruction(phi, psi, GF2, "homology", piece=state)
+        with pytest.raises(ValueError):
+            equality_obstruction(phi, psi, GF(3), "cohomology", piece=state)
+
+
+def live_states(checker):
+    """States reachable from the checker, the empty one aside: the held
+    ones and any state a held one has not yet been reduced from."""
+    live = set()
+    for state in checker._held.values():
+        while state is not None and state is not checker._empty:
+            live.add(id(state))
+            state = state._base
+    return len(live)
+
+
+class TestBoundedStates:
+    def test_table_and_greedy_bounds(self, monkeypatch):
+        phase = []  # (kind, bound) of the search running
+        peaks = {}
+
+        evaluate = _PieceChecker._evaluate
+        table = _PieceChecker.verdict_table
+        greedy = distance.search_greedy
+
+        def counted(self, face_set, piece):
+            kind, bound = phase[-1] if phase else ("other", None)
+            count = live_states(self)
+            if bound is not None:
+                assert count <= bound, (kind, count, bound)
+            peaks[kind] = max(peaks.get(kind, 0), count)
+            return evaluate(self, face_set, piece)
+
+        def in_table(self):
+            phase.append(("table", len(self.faces)))
+            try:
+                return table(self)
+            finally:
+                phase.pop()
+
+        def in_greedy(query, size, **kwargs):
+            phase.append(("greedy", size))
+            try:
+                return greedy(query, size, **kwargs)
+            finally:
+                phase.pop()
+
+        monkeypatch.setattr(_PieceChecker, "_evaluate", counted)
+        monkeypatch.setattr(_PieceChecker, "verdict_table", in_table)
+        monkeypatch.setattr(distance, "search_greedy", in_greedy)
+
+        report = hscat(fixture_complex("k5"), GF2, exhaustive_upto=2)
+        assert report.exact == 2
+        # a 9-face set grows from the chain of its 8 parents (the 10-face
+        # set was memoized by the first pass)
+        assert peaks["table"] == 8
+        assert peaks["greedy"] == 3
+        peaks.clear()
+        report = hstc(fixture_complex("s2"), GF(3))
+        assert report.exact == 2
+        assert peaks == {"greedy": 3}
