@@ -2,14 +2,16 @@
 two constructions everything else leans on: barycentric subdivision and the
 staircase triangulation of a product.
 
-A complex carries a fixed total order on its vertices; simplices are stored
-as tuples sorted by that order.  Each simplex is also kept as its key, the
-sorted tuple of its vertices' positions in that order
-(:meth:`SimplicialComplex.keys_of_dim`).  Subdivision, product and
-:func:`from_maximal_faces` hand the constructor keys, and the chain data
-downstream indexes keys, so no label tuple is hashed per simplex on those
-paths.  All objects are immutable after construction and hash by content,
-so value-equal complexes share cached chain data downstream.
+A complex carries a fixed total order on its vertices, and keeps each
+simplex as its key: the sorted tuple of its vertices' positions in that
+order (:meth:`SimplicialComplex.keys_of_dim`).  The keys are all that
+construction builds.  Simplices as tuples of labels, sorted by the vertex
+order, are built from the keys only when they are read.  Subdivision,
+product and :func:`from_maximal_faces` hand the constructor keys, a
+simplicial map is checked on positions, and the chain data downstream
+indexes keys, so no label tuple is built per simplex on those paths.  All
+objects are immutable after construction and hash by content, so
+value-equal complexes share cached chain data downstream.
 """
 
 from itertools import chain, combinations, repeat
@@ -41,10 +43,18 @@ def label_key(label):
 
 
 class SimplicialComplex:
-    """Finite abstract simplicial complex with a fixed vertex order."""
+    """Finite abstract simplicial complex with a fixed vertex order.
 
-    __slots__ = ("vertices", "_pos", "simplices", "maximal_faces", "_by_dim",
-                 "_keys", "_hash")
+    Construction builds the vertex order and the keys of the simplices,
+    degree by degree (:meth:`keys_of_dim`), and nothing else: dimension,
+    f-vector, Euler characteristic, connectivity, equality and hash are
+    read off the keys.  The label views are built from the keys on first
+    read and kept: :attr:`simplices`, :meth:`simplices_of_dim` (one degree
+    at a time), :meth:`simplices_of_dim_all` and :attr:`maximal_faces`.
+    """
+
+    __slots__ = ("vertices", "_pos", "_keys", "_hash", "_by_dim", "_simplices",
+                 "_maximal", "_maximal_faces", "_key_set")
 
     def __init__(self, vertices, simplices, by_position=False):
         """Internal constructor; use :func:`from_maximal_faces`.
@@ -59,56 +69,97 @@ class SimplicialComplex:
         self._pos = pos = {v: i for i, v in enumerate(verts)}
         if not by_position:
             simplices = (map(pos.__getitem__, s) for s in simplices)
-        # work on position tuples: each simplex sorted once, each degree
-        # sorted as plain int tuples, labels built once from the result
+        # each simplex sorted once, each degree sorted as plain int tuples
         keys_by_len = {}
         for key in {tuple(sorted(s)) for s in simplices}:
             keys_by_len.setdefault(len(key), []).append(key)
-        label = verts.__getitem__
-        by_dim = {}
-        self._keys = keys_by_dim = {}
-        maximal = []
+        self._keys = {}
         for n in sorted(keys_by_len):
             keys = keys_by_len[n]
             keys.sort()
-            keys_by_dim[n - 1] = tuple(keys)
-            by_dim[n - 1] = simps = tuple(tuple(map(label, k)) for k in keys)
-            # a simplex is maximal iff it is no facet of a simplex one up
-            # (closure makes this enough)
-            left = set(keys)
-            left.difference_update(chain.from_iterable(
-                map(combinations, keys_by_len.get(n + 1, ()), repeat(n))))
-            maximal.extend(s for k, s in zip(keys, simps) if k in left)
-        self._by_dim = by_dim
-        self.simplices = frozenset(s for simps in by_dim.values() for s in simps)
-        self.maximal_faces = tuple(maximal)
+            self._keys[n - 1] = tuple(keys)
         self._hash = None
+        self._by_dim = {}
+        self._simplices = self._maximal = self._maximal_faces = self._key_set = None
+
+    def _labels(self, keys):
+        """The simplices with the given keys as tuples of vertex labels."""
+        label = self.vertices.__getitem__
+        return tuple(tuple(map(label, k)) for k in keys)
+
+    # -- label views, built on first read
+
+    @property
+    def simplices(self):
+        """Every simplex as a label tuple, in one frozenset."""
+        if self._simplices is None:
+            self._simplices = frozenset(chain.from_iterable(
+                map(self.simplices_of_dim, self._keys)))
+        return self._simplices
+
+    def simplices_of_dim(self, d: int):
+        simps = self._by_dim.get(d)
+        if simps is None:
+            if d not in self._keys:
+                return ()
+            simps = self._by_dim[d] = self._labels(self._keys[d])
+        return simps
 
     def simplices_of_dim_all(self):
         out = []
-        for d in sorted(self._by_dim):
-            out.extend(self._by_dim[d])
+        for d in range(self.dim + 1):
+            out.extend(self.simplices_of_dim(d))
         return out
+
+    @property
+    def maximal_faces(self):
+        """The maximal simplices as label tuples, by ascending dimension and
+        in the order of :meth:`simplices_of_dim`."""
+        if self._maximal_faces is None:
+            self._maximal_faces = self._labels(self.maximal_keys())
+        return self._maximal_faces
 
     # -- basic queries
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
-
-    def simplices_of_dim(self, d: int):
-        return self._by_dim.get(d, ())
+        return max(self._keys) if self._keys else -1
 
     def keys_of_dim(self, d: int):
         """The degree-d simplices as sorted tuples of vertex positions, in
         the order of :meth:`simplices_of_dim`."""
         return self._keys.get(d, ())
 
+    def maximal_keys(self):
+        """The keys of :attr:`maximal_faces`, in the same order."""
+        if self._maximal is None:
+            keys_by_dim = self._keys
+            maximal = []
+            for d in sorted(keys_by_dim):
+                keys = keys_by_dim[d]
+                up = keys_by_dim.get(d + 1)
+                if up is None:
+                    maximal.extend(keys)
+                    continue
+                # a simplex is maximal iff it is no facet of a simplex one
+                # up (closure makes this enough)
+                left = set(keys)
+                left.difference_update(chain.from_iterable(
+                    map(combinations, up, repeat(d + 1))))
+                maximal.extend(k for k in keys if k in left)
+            self._maximal = tuple(maximal)
+        return self._maximal
+
+    def _has_key(self, key) -> bool:
+        if self._key_set is None:
+            self._key_set = frozenset(chain.from_iterable(self._keys.values()))
+        return key in self._key_set
+
     def f_vector(self):
-        return tuple(len(self._by_dim.get(d, ())) for d in range(self.dim + 1))
+        return tuple(len(self._keys.get(d, ())) for d in range(self.dim + 1))
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(v) for d, v in self._by_dim.items())
+        return sum((-1) ** d * len(v) for d, v in self._keys.items())
 
     def position(self, vertex):
         return self._pos[vertex]
@@ -118,38 +169,42 @@ class SimplicialComplex:
 
     def __contains__(self, simplex) -> bool:
         try:
-            return self.sort_simplex(simplex) in self.simplices
+            return self._has_key(tuple(sorted(map(self._pos.__getitem__, simplex))))
         except KeyError:
             return False
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        n = len(self.vertices)
+        if not n:
             return False
-        adj = {v: set() for v in self.vertices}
-        for e in self._by_dim.get(1, ()):
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        adj = [[] for _ in range(n)]
+        for a, b in self._keys.get(1, ()):
+            adj[a].append(b)
+            adj[b].append(a)
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        reached = 1
         while stack:
             for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
                     stack.append(w)
-        return len(seen) == len(self.vertices)
+        return reached == n
 
     # -- equality / hashing by content
 
     def __eq__(self, other):
-        # each degree is listed in one order fixed by the vertex order, so
-        # this is equality of the simplex sets
+        # each degree's keys are sorted, and with the same vertex order equal
+        # keys name equal simplices, so this is equality of the simplex sets
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices
-                and self._by_dim == other._by_dim)
+                and self._keys == other._keys)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.vertices, self.simplices))
+            self._hash = hash((self.vertices, tuple(sorted(self._keys.items()))))
         return self._hash
 
     def __repr__(self):
@@ -296,9 +351,12 @@ class SimplicialMap:
             if w is None:
                 raise NotSimplicialError(f"image {self.assignment[v]!r} is not a vertex")
             at.append(w)
-        for s in source.maximal_faces:
-            if self.image_simplex(s) not in target.simplices:
-                raise NotSimplicialError(f"image of {s!r} is not a simplex")
+        # on positions: a face's image is the sorted set of its vertices'
+        # image positions
+        for k in source.maximal_keys():
+            if not target._has_key(tuple(sorted({at[i] for i in k}))):
+                face, = source._labels((k,))
+                raise NotSimplicialError(f"image of {face!r} is not a simplex")
         self._hash = None
 
     def __call__(self, vertex):

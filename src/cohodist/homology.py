@@ -79,20 +79,20 @@ def _check_variance(variance):
 class ChainComplexData:
     """Bases and boundary operators of a complex, in one place.
 
-    ``basis[d]`` lists the degree-d simplices as label tuples and
-    ``keys[d]`` the same simplices, in the same order, as sorted tuples of
-    vertex positions (:meth:`SimplicialComplex.keys_of_dim`).  ``index``
-    maps a key to its place in its degree.  A boundary column is a tuple
-    of signed row indices, ``r`` for +1 and ``~r`` for -1, one per face in
-    the order the left-out vertex has in the simplex (:func:`_boundary`).
+    ``keys[d]`` lists the degree-d simplices as sorted tuples of vertex
+    positions (:meth:`SimplicialComplex.keys_of_dim`); simplex i of degree
+    d is ``complex.simplices_of_dim(d)[i]``, but no label tuple is read
+    here.  ``index`` maps a key to its place in its degree.  A boundary
+    column is a tuple of signed row indices, ``r`` for +1 and ``~r`` for
+    -1, one per face in the order the left-out vertex has in the simplex
+    (:func:`_boundary`).
     """
 
-    __slots__ = ("complex", "basis", "keys", "index", "_sparse", "_contents")
+    __slots__ = ("complex", "keys", "index", "_sparse", "_contents")
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
         degrees = range(K.dim + 1)
-        self.basis = {d: K.simplices_of_dim(d) for d in degrees}
         self.keys = keys = {d: K.keys_of_dim(d) for d in degrees}
         self.index = index = {}
         for simps in keys.values():
@@ -105,7 +105,7 @@ class ChainComplexData:
         return self.complex.dim
 
     def rank_of(self, d: int) -> int:
-        return len(self.basis.get(d, ()))
+        return len(self.keys.get(d, ()))
 
     def sparse_boundary(self, d: int):
         """Columns of the boundary C_d -> C_{d-1} as tuples of signed rows."""
@@ -122,7 +122,7 @@ class ChainComplexData:
         """The subcomplex spanned by ``faces`` as a mask over these bases.
 
         Entry d of the tuple is an int whose bit i is set when simplex i of
-        ``basis[d]`` lies in the downward closure of the faces.
+        ``keys[d]`` lies in the downward closure of the faces.
         """
         bits = [0] * (self.complex.dim + 1)
         index = self.index

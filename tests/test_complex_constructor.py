@@ -63,6 +63,9 @@ def assert_same(K, R):
         assert K.simplices_of_dim(d) == R.simplices_of_dim(d)
     assert K.simplices_of_dim_all() == R.simplices_of_dim_all()
     assert K.maximal_faces == R.maximal_faces
+    for d in range(-1, max(K.dim, R.dim) + 2):
+        assert K.keys_of_dim(d) == R.keys_of_dim(d)
+    assert K.maximal_keys() == R.maximal_keys()
     assert K.f_vector() == R.f_vector()
     assert K == R and hash(K) == hash(R)
     assert complex_to_text(K) == complex_to_text(R)

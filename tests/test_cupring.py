@@ -84,7 +84,7 @@ class TestCupBasics:
         # the oracle's sorted tuples are literally the package's simplices)
         by_dim = oracles.simplices_by_dim(oracles.closure_of(torus.maximal_faces))
         def to_oracle(vec, d):
-            lookup = dict(zip(chain_complex(torus).basis[d], vec))
+            lookup = dict(zip(chain_complex(torus).complex.simplices_of_dim(d), vec))
             return [lookup[s] for s in by_dim[d]]
         for a in gens1:
             for b in gens1:

@@ -164,7 +164,8 @@ class TestTorsionVerdicts:
         from sympy.matrices.normalforms import smith_normal_decomp
 
         data = chain_complex(loop.target)
-        B = sympy.Matrix(boundary_rows({1: data.basis[1], 2: data.basis[2]}, 2))
+        basis = {d: data.complex.simplices_of_dim(d) for d in (1, 2)}
+        B = sympy.Matrix(boundary_rows(basis, 2))
         S, U, V = smith_normal_decomp(B)  # S == U * B * V
         rhs = U * sympy.Matrix(chain)
         r = sum(1 for i in range(min(S.shape)) if S[i, i])
