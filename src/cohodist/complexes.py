@@ -5,16 +5,19 @@ staircase triangulation of a product.
 A complex carries a fixed total order on its vertices, and keeps each
 simplex as its key: the sorted tuple of its vertices' positions in that
 order (:meth:`SimplicialComplex.keys_of_dim`).  The keys are all that
-construction builds.  Simplices as tuples of labels, sorted by the vertex
-order, are built from the keys only when they are read.  Subdivision,
-product and :func:`from_maximal_faces` hand the constructor keys, a
-simplicial map is checked on positions, and the chain data downstream
-indexes keys, so no label tuple is built per simplex on those paths.  All
-objects are immutable after construction and hash by content, so
-value-equal complexes share cached chain data downstream.
+construction builds, and the constructor takes nothing else.  Simplices as
+tuples of labels, sorted by the vertex order, are built from the keys only
+when they are read.  A simplicial map is checked on positions, and the
+chain data downstream indexes keys (:attr:`SimplicialComplex.index`), so
+no label tuple is built per simplex on those paths.  A cover piece
+(:class:`Subcomplex`) is a bit mask over its parent's keys, degree by
+degree, and is built as a complex of its own only when read.  All objects
+are immutable after construction and hash by content, so value-equal
+complexes share cached chain data downstream.
 """
 
 from itertools import chain, combinations, repeat
+from operator import or_
 
 from .errors import (
     DisconnectedComplexError,
@@ -54,21 +57,17 @@ class SimplicialComplex:
     """
 
     __slots__ = ("vertices", "_pos", "_keys", "_hash", "_by_dim", "_simplices",
-                 "_maximal", "_maximal_faces", "_key_set")
+                 "_maximal", "_maximal_faces", "_index")
 
-    def __init__(self, vertices, simplices, by_position=False):
+    def __init__(self, vertices, simplices):
         """Internal constructor; use :func:`from_maximal_faces`.
 
         ``vertices``: ordered tuple of labels.  ``simplices``: iterable of
-        tuples of those labels, downward closed; a simplex may list its
-        vertices in any order and may occur more than once.  With
-        ``by_position`` each simplex is given instead as a tuple of
-        positions in ``vertices``, under the same rules.
+        tuples of positions in ``vertices``, downward closed; a simplex may
+        list its positions in any order and may occur more than once.
         """
         self.vertices = verts = tuple(vertices)
-        self._pos = pos = {v: i for i, v in enumerate(verts)}
-        if not by_position:
-            simplices = (map(pos.__getitem__, s) for s in simplices)
+        self._pos = {v: i for i, v in enumerate(verts)}
         # each simplex sorted once, each degree sorted as plain int tuples
         keys_by_len = {}
         for key in {tuple(sorted(s)) for s in simplices}:
@@ -80,7 +79,7 @@ class SimplicialComplex:
             self._keys[n - 1] = tuple(keys)
         self._hash = None
         self._by_dim = {}
-        self._simplices = self._maximal = self._maximal_faces = self._key_set = None
+        self._simplices = self._maximal = self._maximal_faces = self._index = None
 
     def _labels(self, keys):
         """The simplices with the given keys as tuples of vertex labels."""
@@ -150,10 +149,14 @@ class SimplicialComplex:
             self._maximal = tuple(maximal)
         return self._maximal
 
-    def _has_key(self, key) -> bool:
-        if self._key_set is None:
-            self._key_set = frozenset(chain.from_iterable(self._keys.values()))
-        return key in self._key_set
+    @property
+    def index(self):
+        """Each key's place in its degree, built on first read: the row of
+        its simplex in the chain bases downstream."""
+        if self._index is None:
+            self._index = {k: i for keys in self._keys.values()
+                           for i, k in enumerate(keys)}
+        return self._index
 
     def f_vector(self):
         return tuple(len(self._keys.get(d, ())) for d in range(self.dim + 1))
@@ -169,7 +172,7 @@ class SimplicialComplex:
 
     def __contains__(self, simplex) -> bool:
         try:
-            return self._has_key(tuple(sorted(map(self._pos.__getitem__, simplex))))
+            return tuple(sorted(map(self._pos.__getitem__, simplex))) in self.index
         except KeyError:
             return False
 
@@ -220,6 +223,22 @@ def _downward_closure(faces):
     return closure
 
 
+def _bit_indices(bits: int) -> list:
+    """Positions of the set bits of ``bits``, ascending.
+
+    A sparse mask, such as the simplices one face adds to a piece, is read
+    one set bit at a time; a dense one through its binary string.
+    """
+    if bits.bit_count() * 8 >= bits.bit_length():
+        return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def from_maximal_faces(faces, order=None, require_connected=True) -> SimplicialComplex:
     """Build the downward closure of the given faces.
 
@@ -245,7 +264,7 @@ def from_maximal_faces(faces, order=None, require_connected=True) -> SimplicialC
             raise EmptyInputError("explicit order must list each vertex exactly once")
     pos = {v: i for i, v in enumerate(vertices)}
     keys = [tuple(sorted(map(pos.__getitem__, f))) for f in faces]
-    K = SimplicialComplex(vertices, _downward_closure(keys), by_position=True)
+    K = SimplicialComplex(vertices, _downward_closure(keys))
     if require_connected and not K.is_connected():
         raise DisconnectedComplexError("1-skeleton is not path-connected")
     return K
@@ -254,38 +273,61 @@ def from_maximal_faces(faces, order=None, require_connected=True) -> SimplicialC
 class Subcomplex:
     """A downward-closed, nonempty subset of a parent complex's simplices.
 
-    The subset is materialized as its own :class:`SimplicialComplex` (with
-    the parent's vertex order restricted) so that it plugs into the
-    homology machinery directly.
+    The subset is kept as ``mask``: entry d is an int whose bit i is set
+    when simplex i of ``parent.keys_of_dim(d)`` lies in it, which is also
+    the order of the parent's chain bases downstream.  ``complex``, the
+    subset as its own :class:`SimplicialComplex` on the parent's vertex
+    order restricted, is built only when it is read.
     """
 
-    __slots__ = ("parent", "complex", "name")
+    __slots__ = ("parent", "mask", "name", "_complex")
 
     def __init__(self, parent: SimplicialComplex, simplices, name: str = ""):
-        simplices = frozenset(parent.sort_simplex(s) for s in simplices)
-        if not simplices:
-            raise EmptyInputError("a subcomplex needs at least one simplex")
+        index, pos = parent.index, parent._pos
+        keys, bits = set(), [0] * (parent.dim + 1)
         for s in simplices:
-            if s not in parent.simplices:
+            key = tuple(sorted(map(pos.get, s, repeat(-1))))  # -1: not a vertex
+            i = index.get(key)
+            if i is None:
                 raise NotASubcomplexError(f"{s!r} is not a simplex of the parent")
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if face and face not in simplices:
-                    raise NotASubcomplexError(f"missing face {face!r} of {s!r}")
-        verts = sorted({v for s in simplices for v in s}, key=parent.position)
+            keys.add(key)
+            bits[len(key) - 1] |= 1 << i
+        if not keys:
+            raise EmptyInputError("a subcomplex needs at least one simplex")
+        missing = {k[:i] + k[i + 1:] for k in keys if len(k) > 1
+                   for i in range(len(k))} - keys
+        if missing:
+            face, = parent._labels((min(missing),))
+            raise NotASubcomplexError(f"missing face {face!r}")
         self.parent = parent
-        self.complex = SimplicialComplex(verts, simplices)
+        self.mask = tuple(bits)
         self.name = name
+        self._complex = None
 
     @classmethod
     def spanned_by(cls, parent: SimplicialComplex, faces, name: str = "") -> "Subcomplex":
         """Subcomplex generated by the given faces (downward closure)."""
-        sorted_faces = [parent.sort_simplex(f) for f in faces]
-        return cls(parent, _downward_closure(sorted_faces), name=name)
+        return cls(parent, _downward_closure(faces), name=name)
+
+    def _parent_keys(self):
+        """The piece's keys in the parent, by degree and in the parent's order."""
+        return [k for d, bits in enumerate(self.mask)
+                for k in map(self.parent.keys_of_dim(d).__getitem__, _bit_indices(bits))]
 
     @property
     def simplices(self):
-        return self.complex.simplices
+        return frozenset(self.parent._labels(self._parent_keys()))
+
+    @property
+    def complex(self) -> SimplicialComplex:
+        if self._complex is None:
+            keys = self._parent_keys()
+            verts = [k for k, in keys[:self.mask[0].bit_count()]]
+            at = {v: i for i, v in enumerate(verts)}
+            self._complex = SimplicialComplex(
+                map(self.parent.vertices.__getitem__, verts),
+                [tuple(map(at.__getitem__, k)) for k in keys])
+        return self._complex
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -321,16 +363,17 @@ class Cover:
 
 
 def is_cover(parent: SimplicialComplex, pieces):
-    """(True, None) when the pieces cover every simplex, else (False, witness)."""
-    covered = set()
+    """(True, None) when the pieces cover every simplex, else (False, witness):
+    the first simplex left out, by degree and in the parent's order."""
+    covered = [0] * (parent.dim + 1)
     for p in pieces:
         if p.parent != parent:
             raise NotASubcomplexError("piece belongs to a different parent")
-        covered |= p.simplices
-    for d in range(parent.dim + 1):
-        for s in parent.simplices_of_dim(d):
-            if s not in covered:
-                return False, s
+        covered = list(map(or_, covered, p.mask))
+    for d, bits in enumerate(covered):
+        left = ~bits & (1 << len(parent.keys_of_dim(d))) - 1
+        if left:
+            return False, parent.simplices_of_dim(d)[(left & -left).bit_length() - 1]
     return True, None
 
 
@@ -354,7 +397,7 @@ class SimplicialMap:
         # on positions: a face's image is the sorted set of its vertices'
         # image positions
         for k in source.maximal_keys():
-            if not target._has_key(tuple(sorted({at[i] for i in k}))):
+            if tuple(sorted({at[i] for i in k})) not in target.index:
                 face, = source._labels((k,))
                 raise NotSimplicialError(f"image of {face!r} is not a simplex")
         self._hash = None
@@ -453,7 +496,7 @@ def barycentric_subdivision(K: SimplicialComplex):
             ending.extend([c + tail for c in chains_ending[face]])
         chains_ending[key] = ending
         all_chains.extend(ending)
-    sd = SimplicialComplex(vertices, all_chains, by_position=True)
+    sd = SimplicialComplex(vertices, all_chains)
     carrier = SimplicialMap(sd, K, {s: s[-1] for s in simplices})
     return sd, carrier
 
@@ -527,7 +570,7 @@ def product(K: SimplicialComplex, L: SimplicialComplex):
                     for path in paths:
                         simplices.append(tuple(sigma[i] * width + tau[j] for i, j in path))
     vertices = [(u, v) for u in K.vertices for v in L.vertices]
-    P = SimplicialComplex(vertices, simplices, by_position=True)
+    P = SimplicialComplex(vertices, simplices)
     pi1 = SimplicialMap(P, K, {p: p[0] for p in vertices})
     pi2 = SimplicialMap(P, L, {p: p[1] for p in vertices})
     return P, pi1, pi2

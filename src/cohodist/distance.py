@@ -12,13 +12,13 @@ Search explores pieces spanned by subsets of the source's maximal faces.
 For a connected target this loses nothing: an isolated vertex changes
 neither positive-degree cohomology nor the always-equal degree-0
 comparison, and in dimension one every subcomplex is of this form up to
-isolated vertices.  A candidate piece is evaluated as a mask over the
-source's chain complex and never built; ``verify`` builds every piece of
-a cover before search returns it and checks it again.  In field
-cohomology a piece is evaluated as a :class:`homology.PairingState`,
-grown by one face from a piece the search holds, so only the new
-simplices' boundary columns are reduced and paired; over Z and in
-homology each piece is decided from its mask alone.  Exhaustive
+isolated vertices.  A piece is evaluated as a mask over the source's
+chain bases (:attr:`complexes.Subcomplex.mask`) and never built, by
+search and by ``verify`` alike, which checks a cover again before search
+returns it.  In field cohomology a piece is evaluated as a
+:class:`homology.PairingState`, grown by one face from a piece the search
+holds, so only the new simplices' boundary columns are reduced and
+paired; over Z and in homology each piece is decided from its mask alone.  Exhaustive
 search proves nonexistence within that family.  One depth-first walk
 assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
 then every nonempty set of maximal faces is evaluated once into a table of
@@ -46,9 +46,9 @@ from .complexes import (
     SimplicialMap,
     Subcomplex,
     barycentric_subdivision,
+    _bit_indices,
     is_cover,
     product,
-    restrict,
     sd_map,
     subdivide_cover,
 )
@@ -58,8 +58,6 @@ from .exactalg import Ring
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
-    _bit_indices,
-    chain_complex,
     equality_obstruction,
     maps_equal,
     pairing_state,
@@ -155,8 +153,8 @@ def verify(query: DistanceQuery, cover: Cover) -> CoverCertificate:
     reports = []
     all_equal = True
     for i, piece in enumerate(cover.pieces):
-        rep = maps_equal(restrict(query.phi, piece), restrict(query.psi, piece),
-                         query.ring, query.variance)
+        rep = maps_equal(query.phi, query.psi, query.ring, query.variance,
+                         piece=piece.mask)
         all_equal = all_equal and rep.equal
         reports.append(PieceReport(piece.name or f"K{i}", rep.equal,
                                    rep.first_failing_degree, rep.by_degree))
@@ -199,8 +197,8 @@ class _PieceChecker:
     def __init__(self, query: DistanceQuery):
         self.query = query
         self.faces = query.source.maximal_faces
-        data = chain_complex(query.source)
-        self._closures = [data.closure_mask([f]) for f in self.faces]
+        self._closures = [Subcomplex.spanned_by(query.source, [f]).mask
+                          for f in self.faces]
         self._cache = {0: 0}  # the empty piece is vacuous
         paired = query.ring.is_field and query.variance == COHOMOLOGY
         self._empty = pairing_state(query.phi, query.psi, query.ring) if paired else None

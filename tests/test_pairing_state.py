@@ -15,7 +15,7 @@ import random
 import pytest
 
 from cohodist import distance
-from cohodist.complexes import SimplicialMap, from_maximal_faces
+from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces
 from cohodist.distance import _PieceChecker, hscat, hstc, scat_query, stc_query
 from cohodist.errors import NotAFieldError
 from cohodist.exactalg import GF, GF2, QQ, ZZ
@@ -68,7 +68,7 @@ class TestAgainstMembership:
                 for _ in range(4):
                     picked = [faces[i] for i in rng.sample(range(len(faces)),
                                                            rng.randint(1, len(faces)))]
-                    mask = data.closure_mask(picked)
+                    mask = Subcomplex.spanned_by(phi.source, picked).mask
                     want = obstruction_by_membership(phi, psi, ring, mask)
                     got = equality_obstruction(phi, psi, ring, "cohomology", piece=mask)
                     assert got == want, (label, ring)
@@ -83,7 +83,6 @@ class TestAgainstMembership:
         rng = random.Random(32)
         nonzero = 0
         for label, phi, psi in map_pairs(rng):
-            data = chain_complex(phi.source)
             faces = list(phi.source.maximal_faces)
             for ring in FIELDS:
                 rng.shuffle(faces)
@@ -91,10 +90,11 @@ class TestAgainstMembership:
                 mask = state.mask
                 # stop early on the big sources; the membership reference is slow there
                 for k, face in enumerate(faces[:24]):
-                    closure = data.closure_mask([face])
+                    closure = Subcomplex.spanned_by(phi.source, [face]).mask
                     # a sibling grown and read first must leave its parent as it was
                     if k % 3 == 1:
-                        sibling = state.extended(data.closure_mask([faces[-1]]))
+                        sibling = state.extended(
+                            Subcomplex.spanned_by(phi.source, [faces[-1]]).mask)
                         assert (equality_obstruction(phi, psi, ring, "cohomology", piece=sibling)
                                 == obstruction_by_membership(phi, psi, ring, sibling.mask))
                     state = state.extended(closure)
@@ -151,10 +151,9 @@ class TestAgainstMembership:
 
 class TestDuality:
     def pieces(self, rng, K, count):
-        data = chain_complex(K)
         faces = K.maximal_faces
         for _ in range(count):
-            yield data.closure_mask(rng.sample(faces, rng.randint(1, len(faces))))
+            yield Subcomplex.spanned_by(K, rng.sample(faces, rng.randint(1, len(faces)))).mask
 
     def test_fields_agree_with_homology(self):
         rng = random.Random(34)
