@@ -18,7 +18,8 @@ search and by ``verify`` alike, which checks a cover again before search
 returns it.  In field cohomology a piece is evaluated as a
 :class:`homology.PairingState`, grown by one face from a piece the search
 holds, so only the new simplices' boundary columns are reduced and
-paired; over Z and in homology each piece is decided from its mask alone.  Exhaustive
+paired, as the state grows; over Z and in homology each piece is
+decided from its mask alone.  Exhaustive
 search proves nonexistence within that family.  One depth-first walk
 assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
 then every nonempty set of maximal faces is evaluated once into a table of
@@ -185,13 +186,14 @@ class _PieceChecker:
     :func:`homology.equality_obstruction`, once per face set.
 
     In field cohomology a piece is passed as a :class:`homology.PairingState`
-    instead, grown from the largest held piece inside it.  Verdicts are
-    memoized, states are not: the checker holds states only for the pieces
-    a search holds (:meth:`hold`), which are greedy's current pieces, and
-    in :meth:`verdict_table` the chain of face sets that leads to the set
-    being evaluated.  Any other piece, such as the first-pass assignments
-    of exhaustive search and greedy's repair removals, grows from the empty
-    state.  Over Z and in homology a piece is its mask.
+    instead, grown from the largest held piece inside it and reduced as it
+    grows.  Verdicts are memoized, states are not: the checker holds states
+    only for the pieces a search holds (:meth:`hold`), which are greedy's
+    current pieces, and in :meth:`verdict_table` the chain of face sets
+    that leads to the set being evaluated.  Any other piece, such as the
+    first-pass assignments of exhaustive search and greedy's repair
+    removals, grows from the empty state.  Over Z and in homology a piece
+    is its mask.
     """
 
     def __init__(self, query: DistanceQuery):
@@ -248,14 +250,13 @@ class _PieceChecker:
 
     def hold(self, face_sets):
         """Hold the states of these face sets, and drop every other; a state
-        not held yet is grown from the largest held piece inside it, and
-        reduced at once, so that it keeps no other state alive."""
+        not held yet is grown from the largest held piece inside it."""
         if self._empty is None:
             return
         held = {}
         for fs in face_sets:
             if fs and fs not in held:
-                held[fs] = self._piece(fs).settle()
+                held[fs] = self._piece(fs)
         self._held = held
 
     def verdict_table(self) -> bytearray:
@@ -265,7 +266,8 @@ class _PieceChecker:
 
         The sets are visited depth first, each after the set without its
         highest face, and each piece grows from that set's by one face.  The
-        sets held are the chain of those parents, at most ``n - 1``.
+        sets held are the chain of those parents, at most ``n - 1``.  A
+        set's state is built only when the set is evaluated or held.
         """
         n = len(self.faces)
         table = bytearray(1 << n)
@@ -277,15 +279,16 @@ class _PieceChecker:
             parent = m ^ 1 << top
             while chain and chain[-1] != parent:
                 self._held.pop(chain.pop())
+            hit = self._cache.get(m)
+            held = self._empty is not None and top < n - 1
             piece = None
-            if self._empty is not None:
+            if self._empty is not None and (hit is None or held):
                 base = self._held[parent] if parent else self._empty
                 piece = base.extended(self._closures[top])
-            hit = self._cache.get(m)
             if hit is None:
                 hit = self._evaluate(m, self.mask(m) if piece is None else piece)
             table[m] = hit == 0
-            if piece is not None and top < n - 1:
+            if held:
                 self._held[m] = piece
                 chain.append(m)
         self._held = {}

@@ -31,8 +31,9 @@ of the relevant group it tests whether the difference of the two
 generators of H^d(target).  Over a field a difference is a coboundary on
 the piece exactly when it vanishes on every d-cycle of the piece, so a
 :class:`PairingState` reduces the piece's boundary columns and pairs each
-new cycle with the differences; it can grow by a face, reducing only the
-new columns, which is how cover search evaluates the pieces it grows.
+new cycle with the differences; it grows by a face, reducing only the new
+columns as it grows and leaving the state it grew from as it was, which is
+how cover search evaluates the pieces it grows.
 Over Z that duality fails through Ext terms, and the difference is tested
 for exact membership in the lattice of the piece's coboundaries, built for
 that test and not kept.  Homology pushes the generators of H_d(piece)
@@ -591,52 +592,26 @@ class PairingState:
 
     :meth:`extended` grows the piece as the persistence column reduction
     (Edelsbrunner, Letscher and Zomorodian 2002) grows a filtration: only
-    the new simplices' columns are reduced.  The grown state is reduced
-    when it is first read, on copies of the spans it changes, so the state
-    it grew from can grow again.
+    the new simplices' columns are reduced, when the state grows, on
+    copies of the spans they change, so the state it grew from can grow
+    again.
     """
 
-    __slots__ = ("pairings", "mask", "_spans", "_failing", "_base")
+    __slots__ = ("pairings", "mask", "_spans", "failing")
 
-    def __init__(self, pairings, mask, spans, failing, base=None):
+    def __init__(self, pairings, mask, spans, failing):
         self.pairings = pairings
         self.mask = mask
         self._spans = spans
-        self._failing = failing
-        self._base = base  # the state this one grew from, until it is reduced
+        self.failing = failing
 
     def extended(self, mask) -> "PairingState":
         """The state of the union of this piece and the subcomplex ``mask``
         (a mask over the source's bases, as :attr:`complexes.Subcomplex.mask`)."""
-        return PairingState(self.pairings, tuple(map(or_, self.mask, mask)),
-                            None, None, self)
-
-    @property
-    def failing(self) -> list:
-        """Per degree of the pairings, the bitset of the failing generators."""
-        return self.settle()._failing
-
-    @property
-    def dim(self) -> int:
-        return max((d for d, bits in enumerate(self.mask) if bits), default=-1)
-
-    def settle(self) -> "PairingState":
-        """Reduce the columns this state grew by, unless done; then the
-        state no longer holds the one it grew from."""
-        unreduced = []
-        state = self
-        while state._base is not None:
-            unreduced.append(state)
-            state = state._base
-        for state in reversed(unreduced):
-            state._reduce_new()
-        return self
-
-    def _reduce_new(self):
-        base = self._base
-        spans, failing = list(base._spans), list(base._failing)
+        grown = tuple(map(or_, self.mask, mask))
+        spans, failing = list(self._spans), list(self.failing)
         for k, (d, ngens, columns, pairs) in enumerate(self.pairings):
-            new = self.mask[d] & ~base.mask[d]
+            new = grown[d] & ~self.mask[d]
             every = (1 << ngens) - 1
             if not new or failing[k] == every:
                 continue
@@ -652,7 +627,11 @@ class PairingState:
                     failing[k] |= span.support(pairing)
                     if failing[k] == every:
                         break  # the span is not read again
-        self._spans, self._failing, self._base = spans, failing, None
+        return PairingState(self.pairings, grown, spans, failing)
+
+    @property
+    def dim(self) -> int:
+        return max((d for d, bits in enumerate(self.mask) if bits), default=-1)
 
 
 def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> PairingState:

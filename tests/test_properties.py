@@ -1,0 +1,143 @@
+"""Seeded property tests on random small complexes and map pairs.
+
+Hypothesis draws connected complexes of at most 8 facets, of dimension at
+most 3, in random vertex orders, and on each either the category pair
+(constant versus identity) or a fold (one vertex sent onto a neighbour,
+where that is simplicial) against the identity.  The properties:
+
+- a ``homology.PairingState`` grown over random groups of faces in random
+  order ends with the failing generators of one built from the whole
+  source at once and of the membership reference, and growing a sibling
+  leaves its parent as it was;
+- Betti numbers over Z_2, Z_3 and Q in both variances match the
+  raw-face oracles, and so do the free ranks over Z;
+- every cover that exhaustive or greedy search returns verifies and still
+  verifies after subdivision, and greedy finds no cover at a size where
+  exhaustive search proves that none exists.
+
+The examples are derandomized, so every run tests the same ones.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces
+from cohodist.distance import (
+    DistanceQuery,
+    scat_query,
+    search_exhaustive,
+    search_greedy,
+    subdivision_monotonicity_check,
+    verify,
+)
+from cohodist.errors import NotSimplicialError
+from cohodist.exactalg import GF, GF2, QQ, ZZ
+from cohodist.homology import (
+    COHOMOLOGY,
+    HOMOLOGY,
+    chain_complex,
+    cohomology,
+    equality_obstruction,
+    homology,
+    pairing_state,
+)
+
+from .oracles import betti_mod
+from .reference_membership import obstruction_by_membership
+from .test_field_presentations import betti_q
+
+FIELDS = (GF2, GF(3), QQ)
+VARIANCES = (COHOMOLOGY, HOMOLOGY)
+
+
+@st.composite
+def complexes(draw):
+    """A connected complex on at most 7 vertices with at most 8 facets of
+    2 to 4 vertices, each facet after the first meeting an earlier one."""
+    vertex = st.integers(0, 6)
+    faces = [draw(st.sets(vertex, min_size=2, max_size=4))]
+    for pick, rest in draw(st.lists(st.tuples(st.integers(0, 6),
+                                              st.sets(vertex, min_size=1, max_size=3)),
+                                    max_size=7)):
+        seen = sorted(set().union(*faces))
+        faces.append({seen[pick % len(seen)]} | rest)
+    order = draw(st.permutations(sorted(set().union(*faces))))
+    return from_maximal_faces([sorted(f) for f in faces], order=order)
+
+
+def folds(K):
+    """The maps K -> K sending one vertex onto a neighbour, where simplicial."""
+    out = []
+    for u, v in K.simplices_of_dim(1):
+        for a, b in ((u, v), (v, u)):
+            try:
+                out.append(SimplicialMap(K, K, {**{x: x for x in K.vertices}, a: b}))
+            except NotSimplicialError:
+                pass
+    return out
+
+
+@st.composite
+def map_pairs(draw):
+    """(phi, psi): constant versus identity, or a fold versus identity."""
+    K = draw(complexes())
+    identity = SimplicialMap.identity(K)
+    candidates = folds(K)
+    if candidates and draw(st.booleans()):
+        return draw(st.sampled_from(candidates)), identity
+    q = scat_query(K, GF2)
+    return q.phi, q.psi
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pair=map_pairs(), ring=st.sampled_from(FIELDS), data=st.data())
+def test_grown_state_matches_whole_state(pair, ring, data):
+    phi, psi = pair
+    K = phi.source
+    faces = K.maximal_faces
+    order = data.draw(st.permutations(range(len(faces))))
+    cuts = data.draw(st.sets(st.integers(1, len(faces) - 1))) if len(faces) > 1 else set()
+    bounds = [0, *sorted(cuts), len(faces)]
+    state = pairing_state(phi, psi, ring)
+    for lo, hi in zip(bounds, bounds[1:]):
+        before = list(state.failing)
+        other = data.draw(st.sampled_from(faces))
+        sibling = state.extended(Subcomplex.spanned_by(K, [other]).mask)
+        assert (equality_obstruction(phi, psi, ring, COHOMOLOGY, piece=sibling)
+                == obstruction_by_membership(phi, psi, ring, sibling.mask))
+        assert state.failing == before
+        group = [faces[i] for i in order[lo:hi]]
+        state = state.extended(Subcomplex.spanned_by(K, group).mask)
+    whole = pairing_state(phi, psi, ring).extended(chain_complex(K).full_mask())
+    assert state.mask == whole.mask
+    assert state.failing == whole.failing
+    assert (equality_obstruction(phi, psi, ring, COHOMOLOGY, piece=state)
+            == obstruction_by_membership(phi, psi, ring, state.mask))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(K=complexes())
+def test_betti_numbers(K):
+    for p in (2, 3):
+        want = betti_mod(K.maximal_faces, p)
+        assert cohomology(K, GF(p)).betti() == want
+        assert homology(K, GF(p)).betti() == want
+    want = betti_q(K.maximal_faces)
+    assert cohomology(K, ZZ).betti() == cohomology(K, QQ).betti() == want
+    assert homology(K, ZZ).betti() == homology(K, QQ).betti() == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(pair=map_pairs(), ring=st.sampled_from((ZZ, *FIELDS)),
+       variance=st.sampled_from(VARIANCES), size=st.integers(1, 3))
+def test_search_returns_verified_covers(pair, ring, variance, size):
+    query = DistanceQuery(*pair, ring, variance)
+    exhaustive = search_exhaustive(query, size)
+    greedy = search_greedy(query, size, restarts=4)
+    if exhaustive is None:
+        assert greedy is None
+    for cover in (exhaustive, greedy):
+        if cover is not None:
+            assert len(cover.pieces) <= size
+            assert verify(query, cover).verified
+            assert subdivision_monotonicity_check(query, cover)
