@@ -310,7 +310,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-size", type=_positive_int, default=None)
     p.add_argument("--exhaustive", type=_positive_int, default=None, metavar="N",
-                   help="force exhaustive search for covers of up to N pieces")
+                   help="covers of up to N pieces: with --strategy greedy, search "
+                        "them exhaustively (exit 2 past the budget); auto does so "
+                        "wherever the budget allows, and only notes the sizes past it")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("subdivide", help="write an iterated barycentric subdivision")

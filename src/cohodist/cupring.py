@@ -42,18 +42,15 @@ class CohomologyClass:
 
     def _is_cocycle(self) -> bool:
         data = chain_complex(self.complex)
-        R = self.ring
-        z = R.zero
-        out = [z] * data.rank_of(self.degree + 1)
-        for i, col in enumerate(data.sparse_coboundary(self.degree)):
-            v = self.vector[i]
-            if v != z:
+        out = [0] * data.rank_of(self.degree + 1)
+        for v, col in zip(self.vector, data.sparse_coboundary(self.degree)):
+            if v:
                 for j in col:
                     if j >= 0:
-                        out[j] = R.add(out[j], v)
+                        out[j] += v
                     else:
-                        out[~j] = R.add(out[~j], R.neg(v))
-        return all(x == z for x in out)
+                        out[~j] -= v
+        return not any(map(self.ring.normalize, out))
 
     def coordinates(self):
         """Canonical coordinates in H^degree (cached)."""
@@ -63,7 +60,7 @@ class CohomologyClass:
         return self._coords
 
     def is_zero(self) -> bool:
-        return all(c == self.ring.zero for c in self.coordinates())
+        return not any(self.coordinates())
 
     def key(self):
         return (self.degree, self.coordinates())
@@ -112,18 +109,13 @@ def cup(alpha: CohomologyClass, beta: CohomologyClass) -> CohomologyClass:
     n = data.rank_of(p + q)
     if n == 0:
         return zero_class(K, R, p + q)
-    z = R.zero
     index = data.index  # faces of a key are keys: its slices stay sorted
-    out = [z] * n
+    out = [0] * n
     for i, s in enumerate(data.keys[p + q]):
         a = alpha.vector[index[s[:p + 1]]]
-        if a == z:
-            continue
-        b = beta.vector[index[s[p:]]]
-        if b == z:
-            continue
-        out[i] = R.mul(a, b)
-    return CohomologyClass(K, R, p + q, out, check=False)
+        if a:
+            out[i] = a * beta.vector[index[s[p:]]]
+    return CohomologyClass(K, R, p + q, out, check=False)  # normalizes each entry
 
 
 def positive_generators(K: SimplicialComplex, ring: Ring):

@@ -27,6 +27,15 @@ clearing.  Boundary-style columns come in as tuples of signed rows (``r``
 for +1 at row r, ``~r`` for -1); :func:`signed_columns` converts them to
 a span's form.  :func:`field_span` and :func:`signed_columns` are the only
 code that tells Z_2 apart from the other fields.
+
+Scalars are plain Python numbers combined with Python's own operators; a
+:class:`Ring` does not do arithmetic.  Whatever must be a scalar of the
+ring (a matrix entry, a coordinate, a cochain value) is reduced once with
+:meth:`Ring.normalize`, and everything stored is normalized: an int in
+[0, p) over Z_p, a Fraction over Q.  Code then reads the ring from the
+data rather than asking which ring it is: normalized entries are equal
+exactly when their difference is zero, and only a presentation over Z has
+nonzero torsion orders.
 """
 
 from fractions import Fraction
@@ -101,18 +110,6 @@ class Ring:
     @property
     def one(self):
         return Fraction(1) if self.kind == "Q" else 1
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "GF" else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
 
     def inv(self, a):
         if self.kind == "GF":
@@ -242,20 +239,6 @@ class Matrix:
 
     # -- arithmetic
 
-    def __add__(self, other):
-        R = self.ring
-        return Matrix(R, [[R.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
-
-    def __sub__(self, other):
-        R = self.ring
-        return Matrix(R, [[R.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
-
-    def __neg__(self):
-        R = self.ring
-        return Matrix(R, [[R.neg(a) for a in r] for r in self.rows], ncols=self.ncols)
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -283,8 +266,7 @@ class Matrix:
         return f"Matrix({self.ring!r}, {self.nrows}x{self.ncols})"
 
     def is_zero(self):
-        z = self.ring.zero
-        return all(x == z for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +493,8 @@ class FieldSpan:
         col, combo = self._reduce(dict(self.vector(col)), {})
         if col:
             return None
-        neg = self.ring.neg
-        return {k: neg(v) for k, v in combo.items()}
+        normalize = self.ring.normalize
+        return {k: normalize(-v) for k, v in combo.items()}
 
     def contains(self, col) -> bool:
         return not self._reduce(dict(self.vector(col)), None)[0]
@@ -976,16 +958,10 @@ class Presentation:
         coords = self._express(vector)
         if coords is None:
             raise ValueError("vector does not represent a class of this group")
-        out = []
-        for c, d in zip(coords, self.orders):
-            if d and self.ring.kind == "Z":
-                c %= d
-            out.append(c)
-        return tuple(out)
+        return tuple(c % d if d else c for c, d in zip(coords, self.orders))
 
     def class_is_zero(self, vector) -> bool:
-        z = self.ring.zero
-        return all(c == z for c in self.coordinates(vector))
+        return not any(self.coordinates(vector))
 
     def group_str(self) -> str:
         """Human form, e.g. ``Z^2 x Z_2`` or ``0``."""
@@ -1197,10 +1173,8 @@ class Hom:
             self._check_well_defined()
 
     def _check_well_defined(self):
-        # column j scaled by the source relation must die in the target
-        ring = self.matrix.ring
-        if ring.kind != "Z":
-            return
+        # column j scaled by the source relation must die in the target;
+        # only a Z presentation has nonzero orders
         for j, dj in enumerate(self.source.orders):
             if dj == 0:
                 continue
@@ -1253,27 +1227,19 @@ class Hom:
 
 
 def _canonicalize_hom_matrix(target: Presentation, matrix: Matrix) -> Matrix:
-    if matrix.ring.kind != "Z":
+    if not any(target.orders):
         return matrix
     rows = matrix.copy_rows()
     for i, d in enumerate(target.orders):
         if d:
             rows[i] = [x % d for x in rows[i]]
-    return Matrix(ZZ, rows, ncols=matrix.ncols)
+    return Matrix(matrix.ring, rows, ncols=matrix.ncols)
 
 
 def homs_equal(f: Hom, g: Hom) -> bool:
     """True iff f - g is the zero homomorphism (relation-aware over Z)."""
     if not (f.source.same_shape(g.source) and f.target.same_shape(g.target)):
         raise PresentationMismatchError("homs compare only on equal presentations")
-    ring = f.matrix.ring
-    for i in range(f.matrix.nrows):
-        d = f.target.orders[i]
-        for a, b in zip(f.matrix.rows[i], g.matrix.rows[i]):
-            e = a - b if ring.kind != "GF" else (a - b) % ring.p
-            if ring.kind == "Z" and d:
-                if e % d != 0:
-                    return False
-            elif e != ring.zero:
-                return False
-    return True
+    # a Hom's matrix is canonical: normalized entries, each torsion row
+    # reduced mod its order (_canonicalize_hom_matrix)
+    return f.matrix == g.matrix

@@ -154,10 +154,7 @@ def complex_from_text(text: str, require_connected: bool = True) -> SimplicialCo
             raise ParseError(str(e), lineno)
     if not faces:
         raise ParseError("no faces found", None)
-    try:
-        return from_maximal_faces(faces, order=order, require_connected=require_connected)
-    except (ValueError, KeyError) as e:
-        raise ParseError(str(e), None)
+    return from_maximal_faces(faces, order=order, require_connected=require_connected)
 
 
 def write_complex(K: SimplicialComplex, path, comment: str = ""):

@@ -409,15 +409,14 @@ def pushforward_chain(phi: SimplicialMap, ring: Ring, d: int, chain):
 
 def _push(ring: Ring, entries, n_t: int, chain):
     """A chain pushed through chain-map ``entries`` into a basis of size n_t."""
-    z = ring.zero
-    out = [z] * n_t
-    for i, e in enumerate(entries):
-        if e is not None and chain[i] != z:
+    out = [0] * n_t
+    for e, x in zip(entries, chain):
+        if e is not None and x:
             if e >= 0:
-                out[e] = ring.add(out[e], chain[i])
+                out[e] += x
             else:
-                out[~e] = ring.add(out[~e], ring.neg(chain[i]))
-    return out
+                out[~e] -= x
+    return list(map(ring.normalize, out))
 
 
 class GradedHom:
@@ -514,12 +513,12 @@ def _cochain_differences(phi, psi, ring, d):
     key = (phi, psi, ring, d)
     diffs = _difference_cache.get(key)
     if diffs is None:
-        sub = ring.sub
+        normalize = ring.normalize
         diffs = []
         for gen in cohomology(phi.target, ring).presentation(d).gens:
             a = pullback_cochain(phi, ring, d, gen)
             b = pullback_cochain(psi, ring, d, gen)
-            diffs.append([sub(x, y) for x, y in zip(a, b)])
+            diffs.append([normalize(x - y) for x, y in zip(a, b)])
         _difference_cache[key] = diffs
     return diffs
 
@@ -547,24 +546,27 @@ def _pairings(phi, psi, ring) -> tuple:
     """What a :class:`PairingState` of phi and psi reduces and pairs.
 
     One entry ``(d, ngens, columns, pairs)`` per degree d of the source in
-    which H^d(target) is nontrivial.  ``columns`` are the source's degree-d
-    boundary columns in :func:`exactalg.field_span`'s form (None for
-    d = 0).  ``pairs[j]`` holds the values on simplex j of the difference
-    cochains (:func:`_cochain_differences`), one per generator, as a
-    vector of the same form: over Z_2 a bitset over the generators.
+    which some difference cochain (:func:`_cochain_differences`) is
+    nonzero.  The other degrees cannot fail on any piece, and are skipped:
+    every degree with trivial H^d(target), and degree 0 when the target is
+    connected, since both maps pull the constant cochain back to itself.
+    ``columns`` are the source's degree-d boundary columns in
+    :func:`exactalg.field_span`'s form (empty ones for d = 0).
+    ``pairs[j]`` holds the values on simplex j of the difference cochains,
+    one per generator, as a vector of the same form: over Z_2 a bitset
+    over the generators.
     """
     key = (phi, psi, ring)
     out = _pairing_cache.get(key)
     if out is None:
         data = chain_complex(phi.source)
-        gm = cohomology(phi.target, ring)
         vector = field_span(ring).vector
         out = []
         for d in range(min(data.dim, phi.target.dim) + 1):
-            if gm.presentation(d).is_trivial:
-                continue
             diffs = _cochain_differences(phi, psi, ring, d)
-            columns = signed_columns(ring, data.sparse_boundary(d)) if d else None
+            if not any(map(any, diffs)):
+                continue
+            columns = signed_columns(ring, data.sparse_boundary(d))
             out.append((d, len(diffs), columns, [vector(v) for v in zip(*diffs)]))
         out = _pairing_cache[key] = tuple(out)
     return out
@@ -585,10 +587,12 @@ class PairingState:
     carries, in place of its combination, that combination's pairings with
     the difference cochains: a column that reduces to zero is a new cycle
     z, and what it carries names the generators y with
-    <(phi^# - psi^#)y, z> != 0.  In degree 0 every vertex is a cycle.
-    ``failing`` holds per degree the bitset of the generators that failed.
-    A generator that fails fails on every larger piece, and a degree whose
-    generators have all failed reduces nothing more.
+    <(phi^# - psi^#)y, z> != 0.  A degree-0 column is empty, so every
+    vertex is such a cycle; degree 0 is paired only when the target is
+    disconnected (:func:`_pairings`).  ``failing`` holds per degree the
+    bitset of the generators that failed.  A generator that fails fails on
+    every larger piece, and a degree whose generators have all failed
+    reduces nothing more.
 
     :meth:`extended` grows the piece as the persistence column reduction
     (Edelsbrunner, Letscher and Zomorodian 2002) grows a filtration: only
@@ -615,11 +619,6 @@ class PairingState:
             every = (1 << ngens) - 1
             if not new or failing[k] == every:
                 continue
-            if d == 0:
-                support = spans[k].support
-                for v in _bit_indices(new):
-                    failing[k] |= support(pairs[v])
-                continue
             span = spans[k] = spans[k].copy()
             for j in _bit_indices(new):
                 grew, pairing = span._absorb(columns[j], pairs[j])
@@ -643,7 +642,7 @@ def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> Pairing
         raise NotAFieldError(f"pairing with cycles needs a field, not {ring}")
     pairings = _pairings(phi, psi, ring)
     empty = (0,) * (chain_complex(phi.source).dim + 1)
-    spans = [field_span(ring) for _ in pairings]  # degree 0 reduces nothing
+    spans = [field_span(ring) for _ in pairings]
     return PairingState(pairings, empty, spans, [0] * len(pairings))
 
 
@@ -671,11 +670,10 @@ def _chain_verdicts(phi, psi, ring, d, pres, chains):
     phi_entries, psi_entries = chain_map(phi, d), chain_map(psi, d)
     phi_entries = [phi_entries[i] for i in idx]
     psi_entries = [psi_entries[i] for i in idx]
-    sub = ring.sub
     for gen in pres.gens:
         a = _push(ring, phi_entries, n_t, gen)
         b = _push(ring, psi_entries, n_t, gen)
-        yield target.class_is_zero([sub(x, y) for x, y in zip(a, b)])
+        yield target.class_is_zero([x - y for x, y in zip(a, b)])
 
 
 def _generator_verdicts(phi, psi, ring, variance, piece):

@@ -341,7 +341,7 @@ def test_property_cup_ring_axioms():
         ab, ba = cup(a, b), cup(b, a)
         sign = R.normalize(-1 if (p % 2 and q % 2) else 1)
         pres = cohomology(K, R).presentation(p + q)
-        assert ab.coordinates() == pres.coordinates([R.mul(sign, x) for x in ba.vector])
+        assert ab.coordinates() == pres.coordinates([R.normalize(sign * x) for x in ba.vector])
         r = rng.choice(degs)
         if p + q + r <= K.dim:
             c = rand_class(rng, K, R, r)

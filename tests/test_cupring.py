@@ -33,16 +33,16 @@ def rand_class(rng, K, ring, degree):
     vec = [ring.zero] * n
     for gen in pres.gens:
         c = ring.normalize(rng.randint(-2, 2))
-        vec = [ring.add(v, ring.mul(c, g)) for v, g in zip(vec, gen)]
+        vec = [ring.normalize(v + c * g) for v, g in zip(vec, gen)]
     below = data.rank_of(degree - 1)
     if degree >= 1 and below:
         noise = [ring.normalize(rng.randint(-2, 2)) for _ in range(below)]
         for i, col in enumerate(data.sparse_coboundary(degree - 1)):
             for j in col:
                 if j >= 0:
-                    vec[j] = ring.add(vec[j], noise[i])
+                    vec[j] = ring.normalize(vec[j] + noise[i])
                 else:
-                    vec[~j] = ring.add(vec[~j], ring.neg(noise[i]))
+                    vec[~j] = ring.normalize(vec[~j] - noise[i])
     return CohomologyClass(K, ring, degree, vec)
 
 
@@ -210,10 +210,10 @@ class TestRingAxioms:
             ba = cup(b, a)
             sign = -1 if (p % 2 and q % 2) else 1
             want = ba.coordinates() if sign == 1 else tuple(
-                R.neg(c) for c in ba.coordinates())
+                R.normalize(-c) for c in ba.coordinates())
             pres = cohomology(K, R).presentation(p + q)
             assert ab.coordinates() == pres.coordinates(
-                [R.mul(R.normalize(sign), x) for x in ba.vector])
+                [R.normalize(sign * x) for x in ba.vector])
             cases += 1
 
     def test_associativity_randomized(self):

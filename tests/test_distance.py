@@ -164,6 +164,26 @@ class TestBounds:
         rep = hscat(fixture_complex("s2"), GF2)
         assert (rep.lower, rep.upper, rep.exact) == (1, 1, 1)
 
+    def test_max_size_falls_back_to_one_piece_per_face(self):
+        # the cup-length bound is 2 and no search may run at 3 pieces
+        rep = hscat(fixture_complex("rp2"), GF2, max_size=1)
+        assert (rep.lower, rep.upper, rep.exact) == (2, 9, None)
+        assert rep.notes == ["fell back to the one-piece-per-face cover"]
+        cert = rep.certificate
+        assert cert.verified and len(cert.piece_reports) == 10
+
+    def test_greedy_gap_without_cover(self):
+        rep = hstc(fixture_complex("s2"), GF2)
+        assert (rep.lower, rep.upper, rep.exact) == (1, 2, None)
+        assert "greedy found no cover with 2 pieces" in rep.notes
+        assert rep.certificate.verified
+
+    def test_failing_supplied_cover_falls_back_to_search(self):
+        K = fixture_complex("k5")
+        rep = hscat(K, GF2, cover=whole_cover(K))
+        assert rep.notes[0] == "supplied cover failed verification"
+        assert rep.exact == 2 and rep.certificate.verified
+
     def test_max_size_below_one_raises(self):
         pt = fixture_complex("point")
         for max_size in (0, -1):

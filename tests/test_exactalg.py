@@ -393,3 +393,22 @@ class TestHoms:
         # Z -> Z times 2 is injective but not surjective
         g = Hom(src, src, Matrix(ZZ, [[2]]))
         assert not g.is_iso()
+
+    def test_is_iso_torsion_differs(self):
+        # Z_4 -> Z_2 onto and Z_2 -> Z_4 into: the orders differ, so neither
+        # is an isomorphism
+        z2 = quotient_presentation(Matrix.identity(ZZ, 1), Matrix(ZZ, [[2]]))
+        z4 = quotient_presentation(Matrix.identity(ZZ, 1), Matrix(ZZ, [[4]]))
+        assert not Hom(z4, z2, Matrix(ZZ, [[1]])).is_iso()
+        assert not Hom(z2, z4, Matrix(ZZ, [[2]])).is_iso()
+
+    def test_field_homs_differ(self):
+        for ring in (GF(3), QQ):
+            P = quotient_presentation(Matrix.identity(ring, 2), Matrix.zeros(ring, 2, 0))
+            f = Hom(P, P, Matrix(ring, [[1, 2], [0, 1]]))
+            g = Hom(P, P, Matrix(ring, [[1, -1], [0, 1]]))
+            # 2 and -1 are one scalar of GF(3), two of Q
+            assert homs_equal(f, g) == (ring == GF(3))
+            assert not homs_equal(f, Hom.identity(P))
+            assert not homs_equal(Hom.zero(P, P), g)
+            assert not f.is_zero() and Hom.zero(P, P).is_zero()

@@ -54,9 +54,9 @@ def apply(ring, cols, nrows, vec):
         if x:
             for r in col:
                 if r >= 0:
-                    out[r] = ring.add(out[r], x)
+                    out[r] = ring.normalize(out[r] + x)
                 else:
-                    out[~r] = ring.add(out[~r], ring.neg(x))
+                    out[~r] = ring.normalize(out[~r] - x)
     return out
 
 
@@ -95,9 +95,9 @@ def check_against_reference(data, ring, variance, betti, rng):
             mix = [ring.zero] * n
             for col in rng.sample(incoming, min(4, len(incoming))):
                 c = ring.normalize(rng.randint(1, 5))
-                mix = [ring.add(a, b) for a, b in zip(mix, apply(ring, [col], n, [c]))]
+                mix = [ring.normalize(a + b) for a, b in zip(mix, apply(ring, [col], n, [c]))]
             j = rng.randrange(k)
-            mix = [ring.add(a, b) for a, b in zip(mix, pres.gens[j])]
+            mix = [ring.normalize(a + b) for a, b in zip(mix, pres.gens[j])]
             assert list(pres.coordinates(mix)) == unit[j]
     assert tuple(modules[d].free_rank for d in range(data.dim + 1)) == betti
 

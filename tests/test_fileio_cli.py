@@ -159,6 +159,57 @@ class TestCli:
                             "--exhaustive", "3", "--budget", str(7 ** 10))
         assert code == 0 and "searched greedily" not in out and "exact 2" in out
 
+    def test_exhaustive_changes_only_greedy(self, capsys):
+        # auto already searches 2 pieces of k5 exhaustively: the flag adds nothing
+        def report(*extra):
+            code, out = run_cli(capsys, "--json", "bounds", "--scat", "k5",
+                                "--ring", "z2", *extra)
+            payload = json.loads(out)
+            del payload["elapsed_seconds"]
+            return code, payload
+
+        plain = report()
+        assert report("--exhaustive", "2") == plain
+        assert plain[1]["data"]["notes"][0] == "no cover with 2 pieces (exhaustive)"
+        # greedy searches exhaustively only up to N, and past the budget exits 2
+        assert report("--strategy", "greedy", "--exhaustive", "2")[1]["data"] == \
+            plain[1]["data"]
+        code, payload = report("--strategy", "greedy")
+        assert code == 1 and payload["data"]["notes"][0] == \
+            "greedy found no cover with 2 pieces"
+        assert cli.main(["bounds", "--scat", "k5", "--ring", "z2",
+                         "--strategy", "greedy", "--exhaustive", "3"]) == 2
+        assert "exceeds the budget" in capsys.readouterr().err
+
+    def test_homology_rp3(self, capsys):
+        code, out = run_cli(capsys, "homology", "rp3", "--ring", "z")
+        assert code == 0
+        assert "H_1(rp3; Z) = Z_2" in out and "H_3(rp3; Z) = Z" in out
+        code, out = run_cli(capsys, "--json", "homology", "rp3", "--ring", "z")
+        payload = json.loads(out)
+        assert payload["variance"] == "homology"
+        assert payload["data"]["groups"] == ["Z", "Z_2", "0", "Z"]
+
+    def test_bounds_map_pair(self, capsys, tmp_path):
+        # constant versus identity on s2, read from map files: the category
+        phi, psi = tmp_path / "const.map", tmp_path / "id.map"
+        phi.write_text("0 -> 0\n1 -> 0\n2 -> 0\n3 -> 0\n")
+        psi.write_text("0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n")
+        code, out = run_cli(capsys, "--json", "bounds", "--complex", "s2",
+                            "--target", "s2", "--phi", str(phi), "--psi", str(psi))
+        data = json.loads(out)["data"]
+        assert code == 0 and data["query"] == "distance(s2)" and data["exact"] == 1
+
+    def test_unknown_cover_name(self, capsys):
+        assert cli.main(["verify", "--scat", "s2", "--cover", "table9"]) == 2
+        assert "is neither a file nor one of the covers" in capsys.readouterr().err
+
+    def test_write_error_exit_code(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "sd")
+        assert cli.main(["subdivide", "s2", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
     def test_bounds_point(self, capsys):
         code, out = run_cli(capsys, "bounds", "--scat", "point", "--ring", "z2")
         assert code == 0 and "exact 0" in out
@@ -312,6 +363,34 @@ class TestBadInputFiles:
                               "--strategy", "exhaustive", "--budget", str(10 ** 50)],
                      "a table of 2^96 verdicts is too large to index")
         assert calls == []
+
+    def test_complex_errors(self, capsys, tmp_path):
+        path = tmp_path / "bad.cx"
+        for text, message in (
+                ("0,1\norder: 0 1\n", "line 2: order header must precede faces"),
+                ('order: 0 a"b\n0,1\n', "line 1: bad label"),
+                ("# no faces\n", "no faces found")):
+            path.write_text(text)
+            self.run_bad(capsys, ["info", str(path)], message)
+
+    def test_cover_errors(self, capsys, tmp_path):
+        path = tmp_path / "bad.cover"
+        for text, message in (
+                ("piece A\npiece B\n0,1,2\n", "line 2: piece 'A' has no faces"),
+                ("# no pieces\n", "no pieces found")):
+            path.write_text(text)
+            self.run_bad(capsys, ["verify", "--scat", "s2", "--cover", str(path)],
+                         message)
+
+    def test_map_errors(self, capsys, tmp_path):
+        for text, message in (
+                ("0 -> 0\n1 1\n", "line 2: expected 'u -> v'"),
+                ("0 -> 0\n1 -> (1\n", "line 2: bad label"),
+                ("0 -> 0\n1 -> 1\n2 -> 2\n3 -> 0\n",
+                 "image of (0, 1, 2) is not a simplex")):
+            argv = self.map_pair_argv(tmp_path, text)
+            argv[argv.index("--target") + 1] = "c3"  # s2 onto a circle
+            self.run_bad(capsys, argv, message)
 
     def test_second_order_header(self, capsys, tmp_path):
         # the second header used to replace the first

@@ -20,7 +20,12 @@ from cohodist.distance import _PieceChecker, hscat, hstc, scat_query, stc_query
 from cohodist.errors import NotAFieldError
 from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.fixtures import fixture_complex
-from cohodist.homology import chain_complex, equality_obstruction, pairing_state
+from cohodist.homology import (
+    _pairings,
+    chain_complex,
+    equality_obstruction,
+    pairing_state,
+)
 
 from .reference_membership import obstruction_by_membership
 
@@ -193,6 +198,51 @@ class TestDuality:
             equality_obstruction(phi, psi, GF2, "homology", piece=state)
         with pytest.raises(ValueError):
             equality_obstruction(phi, psi, GF(3), "cohomology", piece=state)
+
+
+class TestDisconnectedTarget:
+    """Degree 0 is paired only when the target is disconnected: there a
+    vertex fails the generators of H^0(target) on which its two images
+    differ, through the same column reduction as every other degree."""
+
+    def maps(self):
+        # source: a hollow square with a pendant edge, and a separate edge;
+        # target: a point and a hollow triangle
+        K = from_maximal_faces([["w", "x"], ["x", "y"], ["y", "z"], ["z", "w"],
+                                ["w", "u"], ["e", "f"]], require_connected=False)
+        L = from_maximal_faces([["p"], ["a", "b"], ["b", "c"], ["c", "a"]],
+                               require_connected=False)
+        # phi winds the square once around the triangle and sends the
+        # separate edge to the point; psi sends everything to a
+        phi = SimplicialMap(K, L, {"w": "a", "x": "b", "y": "c", "z": "a", "u": "a",
+                                   "e": "p", "f": "p"})
+        psi = SimplicialMap(K, L, {v: "a" for v in K.vertices})
+        return phi, psi
+
+    def test_grown_states_match_masks_and_membership(self):
+        phi, psi = self.maps()
+        K = phi.source
+        faces = K.maximal_faces
+        counts = set()
+        for ring in FIELDS:
+            assert [d for d, *_ in _pairings(phi, psi, ring)] == [0, 1]
+            for face_set in range(1, 1 << len(faces)):
+                picked = [f for i, f in enumerate(faces) if face_set >> i & 1]
+                state = pairing_state(phi, psi, ring)
+                for face in picked:
+                    state = state.extended(Subcomplex.spanned_by(K, [face]).mask)
+                mask = Subcomplex.spanned_by(K, picked).mask
+                assert state.mask == mask
+                want = obstruction_by_membership(phi, psi, ring, mask)
+                assert equality_obstruction(phi, psi, ring, "cohomology", piece=mask) == want
+                assert equality_obstruction(phi, psi, ring, "cohomology", piece=state) == want
+                counts.add(want)
+        # from passing pieces to pieces failing all three generators
+        assert counts == {0, 1, 2, 3}
+
+    def test_connected_target_skips_degree_zero(self):
+        q = scat_query(fixture_complex("s2"), GF2)
+        assert [d for d, *_ in _pairings(q.phi, q.psi, GF2)] == [2]
 
 
 def live_states(checker):
