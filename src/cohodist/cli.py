@@ -17,6 +17,7 @@ from .complexes import barycentric_subdivision, product
 from .cupring import cup_length, zero_divisor_cup_length
 from .distance import (
     DEFAULT_BUDGET,
+    STRATEGIES,
     DistanceQuery,
     bounds_for,
     scat_query,
@@ -63,9 +64,9 @@ class Report:
         return 0 if self.status in ("ok", "verified", "exact") else 1
 
 
-def _resolve_complex(arg, require_connected=True):
+def _resolve_complex(arg):
     if os.path.exists(arg):
-        return fileio.read_complex(arg, require_connected=require_connected)
+        return fileio.read_complex(arg)
     try:
         return fixtures.fixture_complex(arg)
     except KeyError:
@@ -258,7 +259,7 @@ def _add_ring(p):
     p.add_argument("--ring", default="z2", help="z, q, z2, or zp:<p> (default z2)")
 
 
-def _add_query_args(p):
+def _add_query_args(p, variance_help):
     p.add_argument("--scat", metavar="CX", help="category query on CX")
     p.add_argument("--tc", metavar="CX", help="complexity query on CX")
     p.add_argument("--complex", metavar="CX", help="source complex for a map pair")
@@ -266,7 +267,8 @@ def _add_query_args(p):
     p.add_argument("--phi", metavar="MAPFILE")
     p.add_argument("--psi", metavar="MAPFILE")
     _add_ring(p)
-    p.add_argument("--variance", choices=[COHOMOLOGY, HOMOLOGY], default=COHOMOLOGY)
+    p.add_argument("--variance", choices=[COHOMOLOGY, HOMOLOGY], default=COHOMOLOGY,
+                   help=variance_help)
 
 
 def build_parser():
@@ -298,14 +300,15 @@ def build_parser():
     p.set_defaults(func=cmd_zdcl)
 
     p = sub.add_parser("verify", help="verify a cover certificate")
-    _add_query_args(p)
+    _add_query_args(p, "compare in cohomology (default) or homology")
     p.add_argument("--cover", required=True, metavar="COVER")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="lower/upper bounds on a distance query")
-    _add_query_args(p)
+    _add_query_args(p, "cohomology only: the cup-length lower bound applies to "
+                       "the cohomology variance, so homology exits 2")
     p.add_argument("--cover", metavar="COVER", help="verify this cover for the upper bound")
-    p.add_argument("--strategy", choices=["auto", "exhaustive", "greedy"], default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-size", type=_positive_int, default=None)

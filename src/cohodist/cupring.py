@@ -17,16 +17,13 @@ from .errors import ComplexMismatchError, NotAFieldError, RingMismatchError
 from .exactalg import Ring
 from .homology import _cochain_differences, chain_complex, cohomology
 
-COCYCLE_CHECK_DEFAULT = True
-
-
 class CohomologyClass:
     """A cohomology class of one degree, carried by a cochain representative."""
 
     __slots__ = ("complex", "ring", "degree", "vector", "_coords")
 
     def __init__(self, K: SimplicialComplex, ring: Ring, degree: int, vector,
-                 check: bool = COCYCLE_CHECK_DEFAULT):
+                 check: bool = True):
         data = chain_complex(K)
         vector = tuple(ring.normalize(x) for x in vector)
         if len(vector) != data.rank_of(degree):

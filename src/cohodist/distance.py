@@ -15,11 +15,11 @@ comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A piece is evaluated as a mask over the source's
 chain bases (:attr:`complexes.Subcomplex.mask`) and never built, by
 search and by ``verify`` alike, which checks a cover again before search
-returns it.  In field cohomology a piece is evaluated as a
-:class:`homology.PairingState`, grown by one face from a piece the search
-holds, so only the new simplices' boundary columns are reduced and
-paired, as the state grows; over Z and in homology each piece is
-decided from its mask alone.  Exhaustive
+returns it.  Search holds every piece as a :class:`homology.PairingState`,
+whatever the ring and variance, grown by one face from a piece it holds;
+:mod:`homology` alone decides whether a state pairs with cycles (in field
+cohomology, reducing and pairing only the new simplices' boundary columns
+as the state grows) or is read as its mask.  Exhaustive
 search proves nonexistence within that family.  One depth-first walk
 assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
 then every nonempty set of maximal faces is evaluated once into a table of
@@ -65,6 +65,7 @@ from .homology import (
 )
 
 DEFAULT_BUDGET = 2 ** 24
+STRATEGIES = ("auto", "exhaustive", "greedy")
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,9 @@ class DistanceQuery:
         return self.phi.target
 
 
-def scat_query(K: SimplicialComplex, ring: Ring, variance=COHOMOLOGY,
-               basepoint=None) -> DistanceQuery:
+def scat_query(K: SimplicialComplex, ring: Ring, variance=COHOMOLOGY) -> DistanceQuery:
     """Category query: constant map versus the identity."""
-    return DistanceQuery(SimplicialMap.constant(K, K, basepoint),
+    return DistanceQuery(SimplicialMap.constant(K, K),
                          SimplicialMap.identity(K), ring, variance)
 
 
@@ -181,19 +181,20 @@ class _PieceChecker:
 
     A face set is an int bit mask over the source's maximal faces.  A piece
     is not built as a complex: each maximal face's closure is kept as a mask
-    over the source's chain bases, the piece of a face set is the union of
-    its faces' masks, and the query's maps are compared on it by
-    :func:`homology.equality_obstruction`, once per face set.
+    over the source's chain bases, and the piece of a face set is a
+    :class:`homology.PairingState` grown from the query's empty piece
+    (:func:`homology.pairing_state`) by its faces' masks.  The query's
+    maps are compared on it by :func:`homology.equality_obstruction`, once
+    per face set; whether a state pairs with cycles is decided there, from
+    the query's ring and variance.
 
-    In field cohomology a piece is passed as a :class:`homology.PairingState`
-    instead, grown from the largest held piece inside it and reduced as it
-    grows.  Verdicts are memoized, states are not: the checker holds states
-    only for the pieces a search holds (:meth:`hold`), which are greedy's
-    current pieces, and in :meth:`verdict_table` the chain of face sets
-    that leads to the set being evaluated.  Any other piece, such as the
-    first-pass assignments of exhaustive search and greedy's repair
-    removals, grows from the empty state.  Over Z and in homology a piece
-    is its mask.
+    A piece grows from the largest held piece inside it.  Verdicts are
+    memoized, states are not: the checker holds states only for the pieces
+    a search holds (:meth:`hold`), which are greedy's current pieces, and
+    in :meth:`verdict_table` the chain of face sets that leads to the set
+    being evaluated.  Any other piece, such as the first-pass assignments
+    of exhaustive search and greedy's repair removals, grows from the empty
+    state.
     """
 
     def __init__(self, query: DistanceQuery):
@@ -202,8 +203,7 @@ class _PieceChecker:
         self._closures = [Subcomplex.spanned_by(query.source, [f]).mask
                           for f in self.faces]
         self._cache = {0: 0}  # the empty piece is vacuous
-        paired = query.ring.is_field and query.variance == COHOMOLOGY
-        self._empty = pairing_state(query.phi, query.psi, query.ring) if paired else None
+        self._empty = pairing_state(query.phi, query.psi, query.ring, query.variance)
         self._held = {}  # face set -> PairingState, for the pieces held
 
     def subcomplex(self, face_set: int, name="") -> Subcomplex:
@@ -220,10 +220,7 @@ class _PieceChecker:
         return tuple(bits)
 
     def _piece(self, face_set: int):
-        """The piece as :func:`equality_obstruction` takes it: its mask, or
-        a pairing state grown from the largest held piece inside it."""
-        if self._empty is None:
-            return self.mask(face_set)
+        """The piece's state, grown from the largest held piece inside it."""
         inside, state = 0, self._empty
         for held, held_state in self._held.items():
             if held & ~face_set == 0 and held.bit_count() > inside.bit_count():
@@ -251,69 +248,45 @@ class _PieceChecker:
     def hold(self, face_sets):
         """Hold the states of these face sets, and drop every other; a state
         not held yet is grown from the largest held piece inside it."""
-        if self._empty is None:
-            return
-        held = {}
-        for fs in face_sets:
-            if fs and fs not in held:
-                held[fs] = self._piece(fs)
-        self._held = held
+        self._held = {fs: self._piece(fs) for fs in face_sets if fs}
 
     def verdict_table(self) -> bytearray:
         """``table[m]`` is 1 when the piece of the face set ``m`` passes (the
         empty piece does), 0 otherwise; each of the ``2^n - 1`` nonempty
         face sets is evaluated once, verdicts already memoized included.
 
-        The sets are visited depth first, each after the set without its
-        highest face, and each piece grows from that set's by one face.  The
-        sets held are the chain of those parents, at most ``n - 1``.  A
+        The sets are walked as a tree, depth first: a set's children add
+        one face above its highest one, and each piece grows from its
+        parent's by that face.  A set with children is held while its
+        subtree is walked, so at most ``n - 1`` sets are held at once.  A
         set's state is built only when the set is evaluated or held.
         """
         n = len(self.faces)
         table = bytearray(1 << n)
         table[0] = 1
         self._held = {}
-        chain = []  # the held face sets, each the parent of the next
-        for m in _depth_first_sets(n):
-            top = m.bit_length() - 1
-            parent = m ^ 1 << top
-            while chain and chain[-1] != parent:
-                self._held.pop(chain.pop())
-            hit = self._cache.get(m)
-            held = self._empty is not None and top < n - 1
-            piece = None
-            if self._empty is not None and (hit is None or held):
-                base = self._held[parent] if parent else self._empty
-                piece = base.extended(self._closures[top])
-            if hit is None:
-                hit = self._evaluate(m, self.mask(m) if piece is None else piece)
-            table[m] = hit == 0
-            if held:
-                self._held[m] = piece
-                chain.append(m)
-        self._held = {}
+
+        def walk(parent, state):
+            for top in range(parent.bit_length(), n):
+                m = parent | 1 << top
+                hit = self._cache.get(m)
+                held = top < n - 1
+                piece = state.extended(self._closures[top]) if hit is None or held else None
+                if hit is None:
+                    hit = self._evaluate(m, piece)
+                table[m] = hit == 0
+                if held:
+                    self._held[m] = piece
+                    walk(m, piece)
+                    del self._held[m]
+
+        walk(0, self._empty)
         return table
 
     def cover_from(self, face_sets) -> Cover:
         pieces = [self.subcomplex(fs, name=f"S{i}")
                   for i, fs in enumerate(face_sets) if fs]
         return Cover(self.query.source, pieces)
-
-
-def _depth_first_sets(n: int):
-    """The nonempty subsets of range(n) as bit masks, depth first: each set
-    is followed by the sets that add faces above its highest one."""
-    m = 1 if n else 0
-    while m:
-        yield m
-        top = m.bit_length() - 1
-        if top < n - 1:
-            m |= 1 << top + 1
-        else:
-            m ^= 1 << top
-            if m:
-                top = m.bit_length() - 1
-                m ^= 3 << top  # move its highest face up by one
 
 
 def exhaustive_count(n_faces: int, size: int) -> int:
@@ -473,8 +446,7 @@ def _first_improving_move(checker, face_sets, obs, total):
 
 
 def search(query: DistanceQuery, size: int, strategy: str = "auto",
-           budget: int = DEFAULT_BUDGET, seed: int = 0,
-           restarts: int = 24) -> Cover | None:
+           budget: int = DEFAULT_BUDGET, seed: int = 0) -> Cover | None:
     """Find a verified cover by `size` pieces, or None.
 
     ``exhaustive`` also proves nonexistence; ``auto`` uses it whenever the
@@ -482,13 +454,17 @@ def search(query: DistanceQuery, size: int, strategy: str = "auto",
     """
     if size < 1:
         raise ValueError("size must be at least 1")
-    if strategy not in ("auto", "exhaustive", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _check_strategy(strategy)
     n = len(query.source.maximal_faces)
     if strategy == "exhaustive" or (strategy == "auto"
                                     and exhaustive_count(n, size) <= budget):
         return search_exhaustive(query, size, budget)
-    return search_greedy(query, size, seed=seed, restarts=restarts)
+    return search_greedy(query, size, seed=seed)
+
+
+def _check_strategy(strategy: str):
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +504,7 @@ def bounds_for(query: DistanceQuery, cover: Cover | None = None,
                max_size: int | None = None,
                exhaustive_upto: int | None = None) -> BoundReport:
     """Bounds for an arbitrary query; hscat/hstc are the common wrappers."""
+    _check_strategy(strategy)
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     if exhaustive_upto is not None and exhaustive_upto < 1:

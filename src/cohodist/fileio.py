@@ -18,7 +18,7 @@ from .complexes import (
     Subcomplex,
     from_maximal_faces,
 )
-from .errors import ParseError
+from .errors import CohodistError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,8 @@ def cover_from_text(text: str, parent: SimplicialComplex) -> Cover:
         for v in face:
             if (v,) not in parent:
                 raise ParseError(f"{v!r} is not a vertex of the complex", lineno)
+        if face not in parent:
+            raise ParseError(f"{tuple(face)!r} is not a simplex of the complex", lineno)
         faces.append(face)
     flush(last)
     if not pieces:
@@ -258,7 +260,7 @@ def map_from_text(text: str, source: SimplicialComplex,
         assignment[u] = v
     try:
         return SimplicialMap(source, target, assignment)
-    except Exception as e:
+    except CohodistError as e:
         raise ParseError(str(e), None)
 
 

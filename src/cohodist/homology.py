@@ -64,7 +64,7 @@ from .exactalg import (
     trivial_presentation,
 )
 from .complexes import SimplicialComplex, SimplicialMap, _bit_indices
-from .errors import BoundaryNotInCyclesError, NotAFieldError
+from .errors import BoundaryNotInCyclesError
 
 COHOMOLOGY = "cohomology"
 HOMOLOGY = "homology"
@@ -574,8 +574,8 @@ def _pairings(phi, psi, ring) -> tuple:
 
 class PairingState:
     """A piece of the source of two parallel maps, with the generators of
-    H^*(target) that fail on it over a field, kept so that the piece can
-    grow.
+    H^*(target) that fail on it when its query pairs with cycles (field
+    cohomology; see :func:`pairing_state`), kept so that it can grow.
 
     Over a field im delta^{d-1}|_P = (ker boundary_d|_P)^perp, so a
     generator y of H^d(target) passes on a piece P exactly when its
@@ -592,7 +592,8 @@ class PairingState:
     disconnected (:func:`_pairings`).  ``failing`` holds per degree the
     bitset of the generators that failed.  A generator that fails fails on
     every larger piece, and a degree whose generators have all failed
-    reduces nothing more.
+    reduces nothing more.  Any other query's state has no pairings: it
+    only joins masks, and is read as its ``mask``.
 
     :meth:`extended` grows the piece as the persistence column reduction
     (Edelsbrunner, Letscher and Zomorodian 2002) grows a filtration: only
@@ -628,19 +629,20 @@ class PairingState:
                         break  # the span is not read again
         return PairingState(self.pairings, grown, spans, failing)
 
-    @property
-    def dim(self) -> int:
-        return max((d for d, bits in enumerate(self.mask) if bits), default=-1)
+
+def _pairs(ring: Ring, variance: str) -> bool:
+    """Whether a query's pieces pair difference cochains with cycles."""
+    return variance == COHOMOLOGY and ring.is_field
 
 
-def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> PairingState:
-    """The empty piece of the maps' source over the field ``ring``, to grow
-    with :meth:`PairingState.extended` and pass to
-    :func:`equality_obstruction` as its ``piece``."""
+def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
+                  variance: str) -> PairingState:
+    """The empty piece of the maps' source for a query over ``ring`` in
+    ``variance``, to grow with :meth:`PairingState.extended` and pass to
+    :func:`equality_obstruction` as its ``piece``.  It pairs with cycles
+    in field cohomology and pairs nothing otherwise."""
     _require_parallel(phi, psi)
-    if not ring.is_field:
-        raise NotAFieldError(f"pairing with cycles needs a field, not {ring}")
-    pairings = _pairings(phi, psi, ring)
+    pairings = _pairings(phi, psi, ring) if _pairs(ring, variance) else ()
     empty = (0,) * (chain_complex(phi.source).dim + 1)
     spans = [field_span(ring) for _ in pairings]
     return PairingState(pairings, empty, spans, [0] * len(pairings))
@@ -654,10 +656,10 @@ def _paired_verdicts(phi, psi, ring, piece):
             raise ValueError("the pairing state belongs to other maps or coefficients")
         state = piece
     else:
-        state = pairing_state(phi, psi, ring).extended(piece)
+        state = pairing_state(phi, psi, ring, COHOMOLOGY).extended(piece)
     failing = {d: (ngens, bits)
                for (d, ngens, _, _), bits in zip(state.pairings, state.failing)}
-    top = state.dim
+    top = max((d for d, bits in enumerate(state.mask) if bits), default=-1)
     for d in range(max(top, phi.target.dim) + 1):
         ngens, bits = failing.get(d, (0, 0))
         yield d, [not bits >> y & 1 for y in range(ngens)] if d <= top else ()
@@ -689,19 +691,21 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
 
     ``piece`` is a subcomplex of the source as a mask
     (:attr:`complexes.Subcomplex.mask`), or None for the whole source, or
-    in field cohomology a :class:`PairingState`.  The maps are restricted
-    to it without building it: the source's (co)boundary columns and the
-    maps' chain-map entries are restricted to the piece's indices (see
-    :class:`_PieceChains`).
+    a :class:`PairingState` of the maps.  A state that pairs nothing is
+    read as its mask; one that pairs answers field cohomology over its own
+    ring only.  The maps are restricted to the piece without building it:
+    the source's (co)boundary columns and the maps' chain-map entries are
+    restricted to the piece's indices (see :class:`_PieceChains`).
     """
     if piece is None:
         piece = chain_complex(phi.source).full_mask()
-    paired = variance == COHOMOLOGY and ring.is_field
-    if isinstance(piece, PairingState) and not paired:
-        raise ValueError("a pairing state compares maps in field cohomology only")
-    if paired:
+    elif isinstance(piece, PairingState) and not piece.pairings:
+        piece = piece.mask
+    if _pairs(ring, variance):
         yield from _paired_verdicts(phi, psi, ring, piece)
         return
+    if isinstance(piece, PairingState):
+        raise ValueError("a pairing state compares maps in field cohomology only")
     chains = _PieceChains(chain_complex(phi.source), piece)
     degrees = range(max(chains.dim, phi.target.dim) + 1)
     if variance == COHOMOLOGY:
@@ -743,8 +747,8 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
     A finer-grained version of :func:`maps_equal`, used as a search score.
     ``piece`` restricts both maps to a subcomplex of their source given as
     a mask (:attr:`complexes.Subcomplex.mask`); None means the whole
-    source.  In field cohomology ``piece`` may also be a
-    :class:`PairingState` of the maps, grown from :func:`pairing_state`.
+    source.  ``piece`` may also be a :class:`PairingState` of the maps,
+    grown from :func:`pairing_state` for the same ring and variance.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)

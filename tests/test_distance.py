@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cohodist import distance
 from cohodist.complexes import (
     Cover,
     SimplicialMap,
@@ -203,6 +204,18 @@ class TestBounds:
             with pytest.raises(ValueError, match="exhaustive_upto"):
                 bounds_for(scat_query(pt, GF2), strategy="greedy", exhaustive_upto=upto)
         assert hscat(pt, GF2, exhaustive_upto=1).exact == 0
+
+    def test_unknown_strategy_raises(self, monkeypatch):
+        # a misspelt strategy used to search greedily and report a gap
+        calls = []
+        monkeypatch.setattr(distance, "search_greedy", lambda *a, **k: calls.append(a))
+        k5 = fixture_complex("k5")
+        for fn in (hscat, hstc):
+            with pytest.raises(ValueError, match="unknown strategy 'exhaustiv'"):
+                fn(k5, GF2, strategy="exhaustiv")
+        with pytest.raises(ValueError, match="unknown strategy 'exhaustiv'"):
+            bounds_for(scat_query(k5, GF2), strategy="exhaustiv")
+        assert calls == []
 
 
 class TestHomologicalDistance:

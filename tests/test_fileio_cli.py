@@ -331,6 +331,13 @@ class TestBadInputFiles:
         self.run_bad(capsys, ["verify", "--scat", "s2", "--cover", str(path)],
                      "line 4: 9 is not a vertex of the complex")
 
+    def test_cover_face_not_a_simplex(self, capsys, tmp_path):
+        # every vertex exists, but s2 has no 3-simplex
+        path = tmp_path / "bad.cover"
+        path.write_text("piece A\n0,1,2\npiece B\n0,1,2,3\n1,2,3\n")
+        self.run_bad(capsys, ["verify", "--scat", "s2", "--cover", str(path)],
+                     "line 4: (0, 1, 2, 3) is not a simplex of the complex")
+
     def map_pair_argv(self, tmp_path, phi_text):
         identity = tmp_path / "id.map"
         identity.write_text("0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n")
@@ -347,6 +354,16 @@ class TestBadInputFiles:
     def test_map_label_not_a_source_vertex(self, capsys, tmp_path):
         argv = self.map_pair_argv(tmp_path, "0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n7 -> 0\n")
         self.run_bad(capsys, argv, "line 5: 7 is not a vertex of the source complex")
+
+    def test_map_fault_is_not_bad_input(self, tmp_path, monkeypatch):
+        # only package errors are input errors; a fault in the program is not
+        def broken(*args):
+            raise TypeError("a fault in the program")
+
+        monkeypatch.setattr(fileio, "SimplicialMap", broken)
+        argv = self.map_pair_argv(tmp_path, "0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n")
+        with pytest.raises(TypeError, match="a fault in the program"):
+            cli.main(argv)
 
     def test_budget_beyond_table_index(self, capsys, monkeypatch):
         # 3^96 assignments fit the budget, but the table of 2^96 verdicts

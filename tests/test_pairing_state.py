@@ -17,10 +17,10 @@ import pytest
 from cohodist import distance
 from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces
 from cohodist.distance import _PieceChecker, hscat, hstc, scat_query, stc_query
-from cohodist.errors import NotAFieldError
 from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.fixtures import fixture_complex
 from cohodist.homology import (
+    PairingState,
     _pairings,
     chain_complex,
     equality_obstruction,
@@ -91,7 +91,7 @@ class TestAgainstMembership:
             faces = list(phi.source.maximal_faces)
             for ring in FIELDS:
                 rng.shuffle(faces)
-                state = pairing_state(phi, psi, ring)
+                state = pairing_state(phi, psi, ring, "cohomology")
                 mask = state.mask
                 # stop early on the big sources; the membership reference is slow there
                 for k, face in enumerate(faces[:24]):
@@ -154,6 +154,74 @@ class TestAgainstMembership:
         assert nonzero > 300
 
 
+class TestStatesThatPairNothing:
+    """Over Z and in homology a state pairs nothing: search holds and grows
+    it as it does a paired one, and homology reads it as its mask."""
+
+    QUERIES = ((ZZ, "cohomology"), (GF2, "homology"), (ZZ, "homology"))
+
+    def test_read_as_their_masks(self):
+        rng = random.Random(36)
+        nonzero = 0
+        for label, phi, psi in map_pairs(rng)[:7]:
+            faces = phi.source.maximal_faces
+            for ring, variance in self.QUERIES:
+                empty = pairing_state(phi, psi, ring, variance)
+                assert empty.pairings == () and empty.failing == []
+                for _ in range(3):
+                    picked = rng.sample(faces, rng.randint(1, len(faces)))
+                    mask = Subcomplex.spanned_by(phi.source, picked).mask
+                    state = empty
+                    for face in picked:
+                        state = state.extended(Subcomplex.spanned_by(phi.source, [face]).mask)
+                    assert state.mask == mask
+                    want = equality_obstruction(phi, psi, ring, variance, piece=mask)
+                    got = equality_obstruction(phi, psi, ring, variance, piece=state)
+                    assert got == want, (label, ring, variance)
+                    nonzero += want > 0
+        assert nonzero > 10
+
+    def test_verdict_table_walk(self, monkeypatch):
+        rng = random.Random(37)
+        seen = []
+
+        def record(self, face_set, piece):
+            seen.append((face_set, piece, len(self._held)))
+            return evaluate(self, face_set, piece)
+
+        evaluate = _PieceChecker._evaluate
+        monkeypatch.setattr(_PieceChecker, "_evaluate", record)
+        cases = [shuffled(rng, "k5"), shuffled(rng, "rp2")]
+        for _ in range(4):
+            nv = rng.randint(4, 6)
+            faces = [rng.sample(range(nv), rng.choice((2, 3))) for _ in range(7)]
+            K = from_maximal_faces(faces, require_connected=False)
+            if K.is_connected():
+                cases.append(K)
+        nonzero = 0
+        for K in cases:
+            for ring, variance in self.QUERIES:
+                checker = _PieceChecker(scat_query(K, ring, variance))
+                n = len(checker.faces)
+                seen.clear()
+                table = checker.verdict_table()
+                assert len(seen) == (1 << n) - 1
+                q = checker.query
+                for face_set, piece, held in seen:
+                    assert isinstance(piece, PairingState)
+                    assert piece.pairings == ()
+                    assert piece.mask == checker.mask(face_set)
+                    assert held <= n - 1
+                assert max(held for *_, held in seen) == n - 1
+                for face_set in range(1, 1 << n):
+                    want = equality_obstruction(q.phi, q.psi, ring, variance,
+                                                piece=checker.mask(face_set))
+                    assert table[face_set] == (want == 0), (ring, variance)
+                    nonzero += want > 0
+                assert checker._held == {}
+        assert nonzero > 300
+
+
 class TestDuality:
     def pieces(self, rng, K, count):
         faces = K.maximal_faces
@@ -190,9 +258,13 @@ class TestDuality:
     def test_states_answer_field_cohomology_only(self):
         K = fixture_complex("s2")
         phi, psi = SimplicialMap.identity(K), SimplicialMap.constant(K, K)
-        with pytest.raises(NotAFieldError):
-            pairing_state(phi, psi, ZZ)
-        state = pairing_state(phi, psi, GF2).extended(chain_complex(K).full_mask())
+        whole = chain_complex(K).full_mask()
+        # a Z state pairs nothing, so it is sound, and it is read as its mask
+        state = pairing_state(phi, psi, ZZ, "cohomology").extended(whole)
+        assert state.pairings == () and state.mask == whole
+        assert (equality_obstruction(phi, psi, ZZ, "cohomology", piece=state)
+                == equality_obstruction(phi, psi, ZZ, "cohomology", piece=whole) == 1)
+        state = pairing_state(phi, psi, GF2, "cohomology").extended(whole)
         assert equality_obstruction(phi, psi, GF2, "cohomology", piece=state) == 1
         with pytest.raises(ValueError):
             equality_obstruction(phi, psi, GF2, "homology", piece=state)
@@ -228,7 +300,7 @@ class TestDisconnectedTarget:
             assert [d for d, *_ in _pairings(phi, psi, ring)] == [0, 1]
             for face_set in range(1, 1 << len(faces)):
                 picked = [f for i, f in enumerate(faces) if face_set >> i & 1]
-                state = pairing_state(phi, psi, ring)
+                state = pairing_state(phi, psi, ring, "cohomology")
                 for face in picked:
                     state = state.extended(Subcomplex.spanned_by(K, [face]).mask)
                 mask = Subcomplex.spanned_by(K, picked).mask

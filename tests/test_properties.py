@@ -98,7 +98,7 @@ def test_grown_state_matches_whole_state(pair, ring, data):
     order = data.draw(st.permutations(range(len(faces))))
     cuts = data.draw(st.sets(st.integers(1, len(faces) - 1))) if len(faces) > 1 else set()
     bounds = [0, *sorted(cuts), len(faces)]
-    state = pairing_state(phi, psi, ring)
+    state = pairing_state(phi, psi, ring, COHOMOLOGY)
     for lo, hi in zip(bounds, bounds[1:]):
         before = list(state.failing)
         other = data.draw(st.sampled_from(faces))
@@ -108,7 +108,7 @@ def test_grown_state_matches_whole_state(pair, ring, data):
         assert state.failing == before
         group = [faces[i] for i in order[lo:hi]]
         state = state.extended(Subcomplex.spanned_by(K, group).mask)
-    whole = pairing_state(phi, psi, ring).extended(chain_complex(K).full_mask())
+    whole = pairing_state(phi, psi, ring, COHOMOLOGY).extended(chain_complex(K).full_mask())
     assert state.mask == whole.mask
     assert state.failing == whole.failing
     assert (equality_obstruction(phi, psi, ring, COHOMOLOGY, piece=state)

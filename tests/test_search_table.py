@@ -22,6 +22,7 @@ from cohodist.distance import (
     hstc,
     scat_query,
     search_exhaustive,
+    search_greedy,
     stc_query,
 )
 from cohodist.errors import BudgetExceededError
@@ -221,3 +222,21 @@ def test_bounds_make_pinned_evaluations(evaluations):
     assert len(evaluations) == 1055
     assert report.notes == ["no cover with 2 pieces (exhaustive)"]
     assert report.exact == 2
+
+
+def test_integer_and_homology_searches_make_pinned_evaluations(evaluations):
+    # Z and homology searches hold and grow pieces as field cohomology does
+    report = hscat(fixture_complex("k5"), ZZ, exhaustive_upto=2)
+    assert len(evaluations) == 1055
+    assert (report.lower, report.exact) == (2, 2)
+    evaluations.clear()
+    report = hscat(fixture_complex("torus"), ZZ)
+    assert len(evaluations) == 150
+    assert (report.lower, report.exact) == (2, 2)
+    evaluations.clear()
+    rp2 = fixture_complex("rp2")
+    assert search_greedy(scat_query(rp2, GF2, "homology"), 3) is not None
+    assert len(evaluations) == 23
+    evaluations.clear()
+    assert search_exhaustive(scat_query(rp2, ZZ, "homology"), 2) is None
+    assert len(evaluations) == 1023
