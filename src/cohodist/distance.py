@@ -27,9 +27,12 @@ verdicts, depth first over the sets, and the walk runs again, cut at the
 first partial piece the table rejects (a piece that passes passes on
 every sub-piece).  Face sets are int bit masks throughout.  Its budget
 bounds the ``(2^s - 1)^n`` assignments of the full enumeration, which the
-table's ``2^n`` entries never exceed for two or more pieces.  The greedy strategy grows pieces
-face by face and repairs by local moves, re-verifying any cover before
-returning it.
+table's ``2^n`` entries never exceed for two or more pieces.  The
+greedy strategy grows pieces face by face and repairs by local moves,
+re-verifying any cover before returning it.  It holds each piece it keeps
+as the state it just evaluated, and the repair grows the pieces without
+one face from one another by divide and conquer, never from the empty
+state.
 
 Everything is pure and deterministic given the seed; independent pieces
 and candidate covers could be evaluated concurrently without changing any
@@ -192,19 +195,21 @@ class _PieceChecker:
     memoized, states are not: the checker holds states only for the pieces
     a search holds (:meth:`hold`), which are greedy's current pieces, and
     in :meth:`verdict_table` the chain of face sets that leads to the set
-    being evaluated.  Any other piece, such as the first-pass assignments
-    of exhaustive search and greedy's repair removals, grows from the empty
+    being evaluated.  Greedy's repair removals grow from one another by
+    divide and conquer (:meth:`removals`).  Any other piece, such as the
+    first-pass assignments of exhaustive search, grows from the empty
     state.
     """
 
     def __init__(self, query: DistanceQuery):
         self.query = query
-        self.faces = query.source.maximal_faces
-        self._closures = [Subcomplex.spanned_by(query.source, [f]).mask
-                          for f in self.faces]
+        source = query.source
+        self.faces = source.maximal_faces
+        self._closures = [_closure_mask(source, key) for key in source.maximal_keys()]
         self._cache = {0: 0}  # the empty piece is vacuous
         self._empty = pairing_state(query.phi, query.psi, query.ring, query.variance)
         self._held = {}  # face set -> PairingState, for the pieces held
+        self._removing = []  # the path of the removal walk, see removals
 
     def subcomplex(self, face_set: int, name="") -> Subcomplex:
         return Subcomplex.spanned_by(self.query.source,
@@ -213,8 +218,12 @@ class _PieceChecker:
 
     def mask(self, face_set: int):
         """The piece spanned by the faces, as a mask over the source's bases."""
+        return self._union(_bit_indices(face_set))
+
+    def _union(self, faces):
+        """The piece spanned by the faces with these indices, as a mask."""
         bits = [0] * len(self._closures[0])
-        for i in _bit_indices(face_set):
+        for i in faces:
             for d, b in enumerate(self._closures[i]):
                 bits[d] |= b
         return tuple(bits)
@@ -235,20 +244,73 @@ class _PieceChecker:
             q.phi, q.psi, q.ring, q.variance, piece=piece)
         return hit
 
+    def evaluated(self, face_set: int, grow=None):
+        """``(obstruction, state)``: the state is the one built to evaluate
+        the piece, or None when its verdict was memoized.  ``grow()``, when
+        given, builds the state; otherwise it grows from the largest held
+        piece inside."""
+        hit = self._cache.get(face_set)
+        if hit is not None:
+            return hit, None
+        piece = grow() if grow else self._piece(face_set)
+        return self._evaluate(face_set, piece), piece
+
     def obstruction(self, face_set: int) -> int:
         """0 when the restrictions agree on the piece."""
-        hit = self._cache.get(face_set)
-        if hit is None:
-            hit = self._evaluate(face_set, self._piece(face_set))
-        return hit
+        return self.evaluated(face_set)[0]
 
     def passes(self, face_set: int) -> bool:
         return self.obstruction(face_set) == 0
 
-    def hold(self, face_sets):
-        """Hold the states of these face sets, and drop every other; a state
-        not held yet is grown from the largest held piece inside it."""
-        self._held = {fs: self._piece(fs) for fs in face_sets if fs}
+    def hold(self, face_sets, built=None):
+        """Hold the states of these face sets, and drop every other, the
+        removal walk's included.  ``built`` maps face sets to states just
+        built for them (None: not built); any other state not held yet is
+        grown from the largest held piece inside it."""
+        built = built or {}
+        self._held = {fs: built.get(fs) or self._piece(fs) for fs in face_sets if fs}
+        self._removing = []
+
+    def removals(self, face_set: int):
+        """Yield ``(f, grow)`` for each face f of the nonempty set, in
+        ascending bit order, where ``grow()`` returns the state of the
+        piece without f; it is valid until the walk resumes.
+
+        Divide and conquer: the faces are split into halves, the states
+        without a face of one half grow from the state without that whole
+        half, and so on down to single faces.  A state is built on the
+        first ``grow()`` that needs it, from the nearest state built above
+        it, so a removal whose verdict is memoized costs nothing.  The walk
+        keeps its path in ``_removing``, one entry per level (the state, or
+        None before it is built, and the faces it adds to the level
+        above), so at most ``ceil(log2 k) + 1`` states are alive for k
+        faces, the empty one included, and the states of all k removals
+        cost O(k log k) face extensions in all, against O(k^2) from the
+        empty state.
+        """
+        faces = _bit_indices(face_set)
+        path = self._removing = [[self._empty, ()]]
+
+        def grow():
+            top = len(path) - 1
+            while path[top][0] is None:
+                top -= 1
+            for level in range(top + 1, len(path)):
+                path[level][0] = path[level - 1][0].extended(
+                    self._union(path[level][1]))
+            return path[-1][0]
+
+        def walk(lo, hi):
+            if hi - lo == 1:
+                yield faces[lo], grow
+                return
+            mid = (lo + hi) // 2
+            for a, b, kept in ((lo, mid, faces[mid:hi]), (mid, hi, faces[lo:mid])):
+                path.append([None, kept])
+                yield from walk(a, b)
+                path.pop()
+
+        yield from walk(0, len(faces))
 
     def verdict_table(self) -> bytearray:
         """``table[m]`` is 1 when the piece of the face set ``m`` passes (the
@@ -287,6 +349,16 @@ class _PieceChecker:
         pieces = [self.subcomplex(fs, name=f"S{i}")
                   for i, fs in enumerate(face_sets) if fs]
         return Cover(self.query.source, pieces)
+
+
+def _closure_mask(K: SimplicialComplex, key) -> tuple:
+    """The closure of the simplex with position key ``key`` as a mask over
+    K's chain bases; the closure of a face is a subcomplex by construction."""
+    index, bits = K.index, [0] * (K.dim + 1)
+    for n in range(1, len(key) + 1):
+        for sub in itertools.combinations(key, n):
+            bits[n - 1] |= 1 << index[sub]
+    return tuple(bits)
 
 
 def exhaustive_count(n_faces: int, size: int) -> int:
@@ -381,6 +453,12 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
     first move or copy of a face that strictly lowers the total
     obstruction.  Face orders are reshuffled per restart from the seed.
     The result is re-verified before being returned.
+
+    Each piece kept is held as the state built to evaluate it, the winning
+    candidate of a growth step or the two pieces a repair move changes, and
+    is not built again.  The pieces a repair scan removes a face from grow
+    from one another (:meth:`_PieceChecker.removals`): O(k log k) face
+    extensions for the k removals of a piece of k faces, not O(k^2).
     """
     checker = _PieceChecker(query)
     n = len(checker.faces)
@@ -393,10 +471,10 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
         checker.hold(face_sets)
         for face_idx in order:
             bit = 1 << face_idx
-            _, j = min((checker.obstruction(fs | bit), j)
-                        for j, fs in enumerate(face_sets))
+            scores = [checker.evaluated(fs | bit) for fs in face_sets]
+            j = min(range(size), key=lambda j: scores[j][0])
             face_sets[j] |= bit
-            checker.hold(face_sets)
+            checker.hold(face_sets, {face_sets[j]: scores[j][1]})
         face_sets = _repair(checker, face_sets, max_steps=4 * n)
         if face_sets is not None:
             cover = checker.cover_from(face_sets)
@@ -414,34 +492,42 @@ def _repair(checker, face_sets, max_steps):
         move = _first_improving_move(checker, face_sets, obs, total)
         if move is None:
             return None
-        kind, bit, src, dst = move
-        if kind == "move":
-            face_sets[src] ^= bit
-        face_sets[dst] |= bit
-        checker.hold(face_sets)
+        built = {}
+        for j, fs, state in move:
+            face_sets[j] = fs
+            built[fs] = state
+        checker.hold(face_sets, built)
         obs = [checker.obstruction(fs) for fs in face_sets]
     return None
 
 
 def _first_improving_move(checker, face_sets, obs, total):
+    """The first move or copy of a face out of a failing piece that
+    strictly lowers the total obstruction, as the pieces it changes:
+    ``(index, face set, state)`` each.  The piece that loses the face comes
+    with its state from :meth:`_PieceChecker.removals`; the piece that
+    gains it with the state built to evaluate it, or None when its verdict
+    was memoized."""
     size = len(face_sets)
     for src in range(size):
         if obs[src] == 0:
             continue
-        for f in _bit_indices(face_sets[src]):
+        for f, grow in checker.removals(face_sets[src]):
             bit = 1 << f
+            left = face_sets[src] ^ bit
             for dst in range(size):
                 if dst == src:
                     continue
-                gain_dst = checker.obstruction(face_sets[dst] | bit)
-                if face_sets[src] != bit:
-                    new_src = checker.obstruction(face_sets[src] ^ bit)
+                joined = face_sets[dst] | bit
+                gain_dst, state = checker.evaluated(joined)
+                if left:
+                    new_src, _ = checker.evaluated(left, grow)
                     new_total = (total - obs[src] - obs[dst]) + new_src + gain_dst
                     if new_total < total:
-                        return ("move", bit, src, dst)
+                        return [(src, left, grow()), (dst, joined, state)]
                 new_total = (total - obs[dst]) + gain_dst
                 if new_total < total:
-                    return ("copy", bit, src, dst)
+                    return [(dst, joined, state)]
     return None
 
 

@@ -6,8 +6,9 @@ Over a field a generator y of H^d(target) passes on a piece exactly when
 compare its failing-generator counts with the membership path it replaced
 (``reference_membership``) on seeded random pieces, for states made from
 scratch, by chains of one-face extensions and by the walk that fills the
-verdict table; check the duality it rests on against homology verdicts;
-and count the states cover search holds.
+verdict table, and against states built from scratch for the pieces
+greedy's repair grows by divide and conquer; check the duality it rests on
+against homology verdicts; and count the states cover search holds.
 """
 
 import random
@@ -16,7 +17,14 @@ import pytest
 
 from cohodist import distance
 from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces
-from cohodist.distance import _PieceChecker, hscat, hstc, scat_query, stc_query
+from cohodist.distance import (
+    DistanceQuery,
+    _PieceChecker,
+    hscat,
+    hstc,
+    scat_query,
+    stc_query,
+)
 from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.fixtures import fixture_complex
 from cohodist.homology import (
@@ -317,16 +325,97 @@ class TestDisconnectedTarget:
         assert [d for d, *_ in _pairings(q.phi, q.psi, GF2)] == [2]
 
 
+class TestLeaveOneOut:
+    """Greedy's repair reads the pieces without one face off
+    ``_PieceChecker.removals``, which grows them from one another by divide
+    and conquer; each must be the state grown from the empty piece."""
+
+    QUERIES = tuple((ring, "cohomology") for ring in FIELDS) + (
+        (ZZ, "cohomology"), (GF2, "homology"))
+
+    def test_states_match_states_built_from_scratch(self, monkeypatch):
+        rng = random.Random(38)
+        extended = []  # faces each built state adds to the one above it
+        union = _PieceChecker._union
+
+        def counted(self, faces):
+            extended.append(len(faces))
+            return union(self, faces)
+
+        monkeypatch.setattr(_PieceChecker, "_union", counted)
+        pairs = map_pairs(rng)
+        nonzero = walks = paired = 0
+        for ring, variance in self.QUERIES:
+            pairing = variance == "cohomology" and ring is not ZZ
+            # the membership paths of Z and homology are slow on big sources
+            for label, phi, psi in pairs if pairing else pairs[:7]:
+                checker = _PieceChecker(DistanceQuery(phi, psi, ring, variance))
+                n = len(checker.faces)
+                face_set = random_face_set(rng, n)
+                k = face_set.bit_count()
+                depth = (k - 1).bit_length()  # ceil(log2 k)
+                empty = pairing_state(phi, psi, ring, variance)
+                # a field cohomology state skips degrees that cannot fail
+                assert pairing or not empty.pairings
+                paired += bool(empty.pairings)
+                faces, grown = [], 0
+                for f, grow in checker.removals(face_set):
+                    faces.append(f)
+                    extended.clear()
+                    state = grow()
+                    assert grow() is state
+                    grown += sum(extended)
+                    assert walk_states(checker) <= depth + 1, (label, k)
+                    mask = checker.mask(face_set ^ 1 << f)
+                    assert state.mask == mask
+                    scratch = empty.extended(mask)
+                    assert state.failing == scratch.failing, (label, ring, variance)
+                    want = equality_obstruction(phi, psi, ring, variance, piece=scratch)
+                    got = equality_obstruction(phi, psi, ring, variance, piece=state)
+                    assert got == want, (label, ring, variance)
+                    nonzero += want > 0
+                assert faces == [i for i in range(n) if face_set >> i & 1]
+                # each level of the halving adds each face at most once
+                assert grown <= k * depth, (label, k)
+                walks += k > 2
+        assert walks > 30 and nonzero > 50 and paired > 20
+
+    def test_memoized_removals_build_nothing(self, monkeypatch):
+        built = []
+        extended = PairingState.extended
+
+        def counted(self, mask):
+            built.append(mask)
+            return extended(self, mask)
+
+        checker = _PieceChecker(stc_query(fixture_complex("s2"), GF(3)))
+        face_set = (1 << 40) - 1
+        monkeypatch.setattr(PairingState, "extended", counted)
+        faces = [f for f, _ in checker.removals(face_set)]
+        assert faces == list(range(40)) and built == []
+        # one removal alone builds only the states on its path
+        for f, grow in checker.removals(face_set):
+            if f == 17:
+                assert grow().mask == checker.mask(face_set ^ 1 << 17)
+        assert 1 <= len(built) <= 6  # ceil(log2 40) levels below the empty piece
+
+
 def live_states(checker):
     """States the checker holds, the empty one aside; a state is reduced
     when it grows, so it keeps no other state alive."""
     return len(checker._held)
 
 
+def walk_states(checker):
+    """States the repair's removal walk keeps alive, the empty one included."""
+    return sum(state is not None for state, _ in checker._removing)
+
+
 class TestBoundedStates:
     def test_table_and_greedy_bounds(self, monkeypatch):
         phase = []  # (kind, bound) of the search running
         peaks = {}
+        walk_peaks = {}  # held states plus the removal walk's
 
         evaluate = _PieceChecker._evaluate
         table = _PieceChecker.verdict_table
@@ -338,6 +427,11 @@ class TestBoundedStates:
             if bound is not None:
                 assert count <= bound, (kind, count, bound)
             peaks[kind] = max(peaks.get(kind, 0), count)
+            count += walk_states(self)
+            if kind == "greedy":
+                n = len(self.faces)
+                assert count <= bound + (n - 1).bit_length() + 1, (count, bound, n)
+            walk_peaks[kind] = max(walk_peaks.get(kind, 0), count)
             return evaluate(self, face_set, piece)
 
         def in_table(self):
@@ -364,7 +458,11 @@ class TestBoundedStates:
         # set was memoized by the first pass)
         assert peaks["table"] == 8
         assert peaks["greedy"] == 3
+        assert walk_peaks["table"] == 8
         peaks.clear()
+        walk_peaks.clear()
         report = hstc(fixture_complex("s2"), GF(3))
         assert report.exact == 2
         assert peaks == {"greedy": 3}
+        # the repair walks pieces of up to 96 faces: 3 held, 8 on the path
+        assert 3 < walk_peaks["greedy"] <= 3 + 7 + 1

@@ -20,10 +20,17 @@ from cohodist.complexes import (
     from_maximal_faces,
     is_cover,
 )
-from cohodist.distance import DistanceQuery, scat_query, search, stc_query, verify
+from cohodist.distance import (
+    DistanceQuery,
+    _PieceChecker,
+    scat_query,
+    search,
+    stc_query,
+    verify,
+)
 from cohodist.errors import NotASubcomplexError
 from cohodist.exactalg import GF, GF2, QQ, ZZ
-from cohodist.fixtures import TABLE1, fixture_complex
+from cohodist.fixtures import TABLE1, fixture_complex, fixture_names
 
 from .reference_complex import label_complex
 from .reference_cover import is_cover_by_labels, verify_by_restriction
@@ -173,3 +180,14 @@ def test_missing_face_is_named():
     c3 = fixture_complex("c3")
     with pytest.raises(NotASubcomplexError, match=r"missing face \(1,\)"):
         Subcomplex(c3, [(0,), (0, 1)])
+
+
+def test_search_closures_match_spanned_subcomplexes():
+    # cover search reads each maximal face's closure off the parent's keys
+    # and index, without building a Subcomplex per face
+    rng = random.Random(12)
+    for name in fixture_names():
+        for K in (fixture_complex(name), shuffled(rng, name)):
+            checker = _PieceChecker(scat_query(K, GF2))
+            assert checker._closures == [Subcomplex.spanned_by(K, [f]).mask
+                                         for f in K.maximal_faces], name

@@ -6,14 +6,15 @@ first, pruning on failing partial pieces.  These tests compare it with the
 product enumeration it replaced (``reference_search.search_by_product``) on
 fixtures and random complexes in shuffled vertex orders, over GF(2), GF(3)
 and Q in both variances and over Z on the small fixtures, count the piece
-evaluations it makes, and check the property the pruning rests on.
+evaluations it makes, and check the property the pruning rests on.  The
+last tests pin greedy search's cover, evaluations and column reductions.
 """
 
 import random
 
 import pytest
 
-from cohodist import distance
+from cohodist import distance, exactalg
 from cohodist.complexes import from_maximal_faces
 from cohodist.distance import (
     DEFAULT_BUDGET,
@@ -240,3 +241,36 @@ def test_integer_and_homology_searches_make_pinned_evaluations(evaluations):
     evaluations.clear()
     assert search_exhaustive(scat_query(rp2, ZZ, "homology"), 2) is None
     assert len(evaluations) == 1023
+
+
+def test_greedy_gap_makes_pinned_evaluations(evaluations):
+    # greedy at two pieces repairs every restart and finds no cover over Z_2
+    report = hstc(fixture_complex("s2"), GF2)
+    assert len(evaluations) == 7652
+    assert [report.lower, report.upper] == [1, 2]
+    assert report.exact is None
+
+
+def test_greedy_returns_pinned_cover():
+    q = stc_query(fixture_complex("s2"), GF(3))
+    cover = search_greedy(q, 3, seed=0)
+    faces = q.source.maximal_faces
+    pieces = [(p.name, sum(1 << faces.index(f) for f in p.complex.maximal_faces))
+              for p in cover.pieces]
+    assert pieces == [("S0", 0x19e40d40019e3a9a8b7fdef),
+                      ("S1", 0x2e61ba0b9ee61c5641480210),
+                      ("S2", 0xd00005206100000016000000)]
+
+
+def test_greedy_repair_reduces_few_columns(monkeypatch):
+    # the repair's pieces without one face grow from one another, not from
+    # the empty piece: 13 418 column reductions before, about 4 600 now
+    reduced = []
+    for span in (exactalg.FieldSpan, exactalg.Gf2Span):
+        def counted(self, *args, _inner=span._absorb, **kwargs):
+            reduced.append(1)
+            return _inner(self, *args, **kwargs)
+        monkeypatch.setattr(span, "_absorb", counted)
+    report = hstc(fixture_complex("s2"), GF(3))
+    assert report.exact == 2
+    assert len(reduced) <= 6000
