@@ -15,11 +15,13 @@ comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A piece is evaluated as a mask over the source's
 chain bases (:attr:`complexes.Subcomplex.mask`) and never built, by
 search and by ``verify`` alike, which checks a cover again before search
-returns it.  Search holds every piece as a :class:`homology.PairingState`,
-whatever the ring and variance, grown by one face from a piece it holds;
-:mod:`homology` alone decides whether a state pairs with cycles (in field
-cohomology, reducing and pairing only the new simplices' boundary columns
-as the state grows) or is read as its mask.  Exhaustive
+returns it.  Every piece is a :class:`homology.PairingState`, whatever the
+ring and variance; :mod:`homology` alone decides whether a state pairs
+with cycles (in field cohomology, reducing and pairing only the new
+simplices' boundary columns as the state grows) or is read as its mask.
+Each search owns the states it grows and grows each piece from one it
+knows to lie inside; the checker it evaluates pieces with memoizes
+verdicts and holds no state but the empty one.  Exhaustive
 search proves nonexistence within that family.  One depth-first walk
 assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
 then every nonempty set of maximal faces is evaluated once into a table of
@@ -29,10 +31,11 @@ every sub-piece).  Face sets are int bit masks throughout.  Its budget
 bounds the ``(2^s - 1)^n`` assignments of the full enumeration, which the
 table's ``2^n`` entries never exceed for two or more pieces.  The
 greedy strategy grows pieces face by face and repairs by local moves,
-re-verifying any cover before returning it.  It holds each piece it keeps
-as the state it just evaluated, and the repair grows the pieces without
-one face from one another by divide and conquer, never from the empty
-state.
+re-verifying any cover before returning it.  It keeps a state beside each
+piece's face set, grows a piece that gains a face from that state, and
+its repair grows the pieces without one face from one another by divide
+and conquer, never from the empty state.  Every walk frees its states by
+reference counting as soon as it leaves them.
 
 Everything is pure and deterministic given the seed; independent pieces
 and candidate covers could be evaluated concurrently without changing any
@@ -43,6 +46,7 @@ import itertools
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .complexes import (
     Cover,
@@ -191,14 +195,13 @@ class _PieceChecker:
     per face set; whether a state pairs with cycles is decided there, from
     the query's ring and variance.
 
-    A piece grows from the largest held piece inside it.  Verdicts are
-    memoized, states are not: the checker holds states only for the pieces
-    a search holds (:meth:`hold`), which are greedy's current pieces, and
-    in :meth:`verdict_table` the chain of face sets that leads to the set
-    being evaluated.  Greedy's repair removals grow from one another by
-    divide and conquer (:meth:`removals`).  Any other piece, such as the
-    first-pass assignments of exhaustive search, grows from the empty
-    state.
+    Verdicts are memoized, states are not: the checker keeps each face's
+    closure, the empty state and the verdicts, and no other state.  A
+    search owns the states it grows and tells :meth:`evaluated` how to
+    build a piece's state from one of them; a piece it does not, such as
+    an assignment of exhaustive search's first pass, grows from the empty
+    state.  :meth:`removals` and :meth:`verdict_table` grow the states
+    they walk from one another and drop them as they go.
     """
 
     def __init__(self, query: DistanceQuery):
@@ -208,8 +211,6 @@ class _PieceChecker:
         self._closures = [_closure_mask(source, key) for key in source.maximal_keys()]
         self._cache = {0: 0}  # the empty piece is vacuous
         self._empty = pairing_state(query.phi, query.psi, query.ring, query.variance)
-        self._held = {}  # face set -> PairingState, for the pieces held
-        self._removing = []  # the path of the removal walk, see removals
 
     def subcomplex(self, face_set: int, name="") -> Subcomplex:
         return Subcomplex.spanned_by(self.query.source,
@@ -228,16 +229,6 @@ class _PieceChecker:
                 bits[d] |= b
         return tuple(bits)
 
-    def _piece(self, face_set: int):
-        """The piece's state, grown from the largest held piece inside it."""
-        inside, state = 0, self._empty
-        for held, held_state in self._held.items():
-            if held & ~face_set == 0 and held.bit_count() > inside.bit_count():
-                inside, state = held, held_state
-        if inside == face_set:
-            return state
-        return state.extended(self.mask(face_set & ~inside))
-
     def _evaluate(self, face_set: int, piece) -> int:
         q = self.query
         hit = self._cache[face_set] = equality_obstruction(
@@ -247,12 +238,11 @@ class _PieceChecker:
     def evaluated(self, face_set: int, grow=None):
         """``(obstruction, state)``: the state is the one built to evaluate
         the piece, or None when its verdict was memoized.  ``grow()``, when
-        given, builds the state; otherwise it grows from the largest held
-        piece inside."""
+        given, builds the state; otherwise it grows from the empty state."""
         hit = self._cache.get(face_set)
         if hit is not None:
             return hit, None
-        piece = grow() if grow else self._piece(face_set)
+        piece = grow() if grow else self._empty.extended(self.mask(face_set))
         return self._evaluate(face_set, piece), piece
 
     def obstruction(self, face_set: int) -> int:
@@ -261,15 +251,6 @@ class _PieceChecker:
 
     def passes(self, face_set: int) -> bool:
         return self.obstruction(face_set) == 0
-
-    def hold(self, face_sets, built=None):
-        """Hold the states of these face sets, and drop every other, the
-        removal walk's included.  ``built`` maps face sets to states just
-        built for them (None: not built); any other state not held yet is
-        grown from the largest held piece inside it."""
-        built = built or {}
-        self._held = {fs: built.get(fs) or self._piece(fs) for fs in face_sets if fs}
-        self._removing = []
 
     def removals(self, face_set: int):
         """Yield ``(f, grow)`` for each face f of the nonempty set, in
@@ -281,15 +262,14 @@ class _PieceChecker:
         half, and so on down to single faces.  A state is built on the
         first ``grow()`` that needs it, from the nearest state built above
         it, so a removal whose verdict is memoized costs nothing.  The walk
-        keeps its path in ``_removing``, one entry per level (the state, or
-        None before it is built, and the faces it adds to the level
-        above), so at most ``ceil(log2 k) + 1`` states are alive for k
-        faces, the empty one included, and the states of all k removals
-        cost O(k log k) face extensions in all, against O(k^2) from the
-        empty state.
+        keeps its path, one entry per level (the state, or None before it
+        is built, and the faces it adds to the level above), so at most
+        ``ceil(log2 k) + 1`` states are alive for k faces, the empty one
+        included, and the states of all k removals cost O(k log k) face
+        extensions in all, against O(k^2) from the empty state.
         """
         faces = _bit_indices(face_set)
-        path = self._removing = [[self._empty, ()]]
+        path = [[self._empty, ()]]
 
         def grow():
             top = len(path) - 1
@@ -300,17 +280,8 @@ class _PieceChecker:
                     self._union(path[level][1]))
             return path[-1][0]
 
-        def walk(lo, hi):
-            if hi - lo == 1:
-                yield faces[lo], grow
-                return
-            mid = (lo + hi) // 2
-            for a, b, kept in ((lo, mid, faces[mid:hi]), (mid, hi, faces[lo:mid])):
-                path.append([None, kept])
-                yield from walk(a, b)
-                path.pop()
-
-        yield from walk(0, len(faces))
+        for f in _halving(faces, path, 0, len(faces)):
+            yield f, grow
 
     def verdict_table(self) -> bytearray:
         """``table[m]`` is 1 when the piece of the face set ``m`` passes (the
@@ -319,31 +290,28 @@ class _PieceChecker:
 
         The sets are walked as a tree, depth first: a set's children add
         one face above its highest one, and each piece grows from its
-        parent's by that face.  A set with children is held while its
-        subtree is walked, so at most ``n - 1`` sets are held at once.  A
-        set's state is built only when the set is evaluated or held.
+        parent's by that face.  A set's state is built only when the set
+        is evaluated or has children, and lives while its subtree is
+        walked.
         """
-        n = len(self.faces)
-        table = bytearray(1 << n)
+        table = bytearray(1 << len(self.faces))
         table[0] = 1
-        self._held = {}
-
-        def walk(parent, state):
-            for top in range(parent.bit_length(), n):
-                m = parent | 1 << top
-                hit = self._cache.get(m)
-                held = top < n - 1
-                piece = state.extended(self._closures[top]) if hit is None or held else None
-                if hit is None:
-                    hit = self._evaluate(m, piece)
-                table[m] = hit == 0
-                if held:
-                    self._held[m] = piece
-                    walk(m, piece)
-                    del self._held[m]
-
-        walk(0, self._empty)
+        self._fill(table, 0, self._empty)
         return table
+
+    def _fill(self, table, parent: int, state):
+        """Enter the verdicts of the face sets below ``parent``, whose
+        piece has the state ``state``, into ``table``.  A method, as
+        :func:`_halving` is a module function: a nested function that
+        calls itself is a reference cycle, which would keep the walk's
+        objects alive until the cyclic collector ran."""
+        n = len(self.faces)
+        for top in range(parent.bit_length(), n):
+            m, closure = parent | 1 << top, self._closures[top]
+            hit, piece = self.evaluated(m, partial(state.extended, closure))
+            table[m] = hit == 0
+            if top < n - 1:
+                self._fill(table, m, piece or state.extended(closure))
 
     def cover_from(self, face_sets) -> Cover:
         pieces = [self.subcomplex(fs, name=f"S{i}")
@@ -359,6 +327,21 @@ def _closure_mask(K: SimplicialComplex, key) -> tuple:
         for sub in itertools.combinations(key, n):
             bits[n - 1] |= 1 << index[sub]
     return tuple(bits)
+
+
+def _halving(faces, path, lo: int, hi: int):
+    """Yield ``faces[lo:hi]`` in order.  While a face is yielded, ``path``
+    ends with one ``[None, kept]`` per halving of ``[lo, hi)`` down to it,
+    ``kept`` the faces of the other half.  A walk at module level holds no
+    reference cycle, so its states are freed as soon as it ends."""
+    if hi - lo == 1:
+        yield faces[lo]
+        return
+    mid = (lo + hi) // 2
+    for a, b, kept in ((lo, mid, faces[mid:hi]), (mid, hi, faces[lo:mid])):
+        path.append([None, kept])
+        yield from _halving(faces, path, a, b)
+        path.pop()
 
 
 def exhaustive_count(n_faces: int, size: int) -> int:
@@ -454,11 +437,11 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
     obstruction.  Face orders are reshuffled per restart from the seed.
     The result is re-verified before being returned.
 
-    Each piece kept is held as the state built to evaluate it, the winning
-    candidate of a growth step or the two pieces a repair move changes, and
-    is not built again.  The pieces a repair scan removes a face from grow
-    from one another (:meth:`_PieceChecker.removals`): O(k log k) face
-    extensions for the k removals of a piece of k faces, not O(k^2).
+    The search keeps each piece's state beside its face set.  A piece that
+    gains a face grows from its own state by that face; the pieces a repair
+    scan removes a face from grow from one another
+    (:meth:`_PieceChecker.removals`): O(k log k) face extensions for the k
+    removals of a piece of k faces, not O(k^2).
     """
     checker = _PieceChecker(query)
     n = len(checker.faces)
@@ -467,15 +450,7 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
         order = list(range(n))
         if attempt:
             rng.shuffle(order)
-        face_sets = [0] * size
-        checker.hold(face_sets)
-        for face_idx in order:
-            bit = 1 << face_idx
-            scores = [checker.evaluated(fs | bit) for fs in face_sets]
-            j = min(range(size), key=lambda j: scores[j][0])
-            face_sets[j] |= bit
-            checker.hold(face_sets, {face_sets[j]: scores[j][1]})
-        face_sets = _repair(checker, face_sets, max_steps=4 * n)
+        face_sets = _repair(checker, *_grown(checker, order, size), max_steps=4 * n)
         if face_sets is not None:
             cover = checker.cover_from(face_sets)
             if verify(query, cover).verified:
@@ -483,51 +458,61 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
     return None
 
 
-def _repair(checker, face_sets, max_steps):
+def _grown(checker, order, size):
+    """Greedy's first pass: ``(face_sets, states)`` of ``size`` pieces
+    after each face in ``order`` has joined the piece with the least
+    obstruction with it, whose state grows by the face."""
+    face_sets, states = [0] * size, [checker._empty] * size
+    for f in order:
+        bit, closure = 1 << f, checker._closures[f]
+        scores = [checker.evaluated(fs | bit, partial(state.extended, closure))
+                  for fs, state in zip(face_sets, states)]
+        j = min(range(size), key=lambda j: scores[j][0])
+        face_sets[j] |= bit
+        states[j] = scores[j][1] or states[j].extended(closure)
+    return face_sets, states
+
+
+def _repair(checker, face_sets, states, max_steps):
     obs = [checker.obstruction(fs) for fs in face_sets]
     for _ in range(max_steps):
-        total = sum(obs)
-        if total == 0:
+        if not any(obs):
             return face_sets
-        move = _first_improving_move(checker, face_sets, obs, total)
+        move = _first_improving_move(checker, face_sets, states, obs)
         if move is None:
             return None
-        built = {}
         for j, fs, state in move:
-            face_sets[j] = fs
-            built[fs] = state
-        checker.hold(face_sets, built)
+            face_sets[j], states[j] = fs, state
         obs = [checker.obstruction(fs) for fs in face_sets]
     return None
 
 
-def _first_improving_move(checker, face_sets, obs, total):
+def _first_improving_move(checker, face_sets, states, obs):
     """The first move or copy of a face out of a failing piece that
     strictly lowers the total obstruction, as the pieces it changes:
     ``(index, face set, state)`` each.  The piece that loses the face comes
     with its state from :meth:`_PieceChecker.removals`; the piece that
-    gains it with the state built to evaluate it, or None when its verdict
-    was memoized."""
+    gains it with the state built to evaluate it or, when its verdict was
+    memoized, its own state grown by the face."""
     size = len(face_sets)
     for src in range(size):
         if obs[src] == 0:
             continue
         for f, grow in checker.removals(face_sets[src]):
-            bit = 1 << f
+            bit, closure = 1 << f, checker._closures[f]
             left = face_sets[src] ^ bit
             for dst in range(size):
                 if dst == src:
                     continue
                 joined = face_sets[dst] | bit
-                gain_dst, state = checker.evaluated(joined)
+                grow_dst = partial(states[dst].extended, closure)
+                gain_dst, state = checker.evaluated(joined, grow_dst)
                 if left:
                     new_src, _ = checker.evaluated(left, grow)
-                    new_total = (total - obs[src] - obs[dst]) + new_src + gain_dst
-                    if new_total < total:
-                        return [(src, left, grow()), (dst, joined, state)]
-                new_total = (total - obs[dst]) + gain_dst
-                if new_total < total:
-                    return [(dst, joined, state)]
+                    if new_src + gain_dst < obs[src] + obs[dst]:
+                        return [(src, left, grow()), (dst, joined, state or grow_dst())]
+                if gain_dst < obs[dst]:
+                    return [(dst, joined, state or grow_dst())]
     return None
 
 

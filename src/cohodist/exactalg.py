@@ -52,18 +52,32 @@ from .errors import (
 # coefficient rings
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+PRIME_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for ``n < PRIME_LIMIT``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -80,6 +94,10 @@ class Ring:
         if kind not in ("Z", "Q", "GF"):
             raise UnsupportedRingError(f"unknown ring kind {kind!r}")
         if kind == "GF":
+            if p is not None and p >= PRIME_LIMIT:
+                raise UnsupportedRingError(
+                    f"prime moduli must be below {PRIME_LIMIT}, the bound of "
+                    "the exact primality test")
             if p is None or not _is_prime(p):
                 raise UnsupportedRingError(f"{p!r} is not prime")
         self.kind = kind
@@ -387,20 +405,18 @@ class FieldSpan:
     As in :class:`Gf2Span`, a pivot is keyed by its highest row and a
     column is reduced only until its highest row is no pivot's.  Pivots
     are stored monic together with their combination over the added
-    columns, unless ``track`` is False: such a span answers membership
-    only, and ``express`` is not available.
+    columns.
     """
 
-    __slots__ = ("ring", "p", "pivots", "n_added", "track")
+    __slots__ = ("ring", "p", "pivots", "n_added")
 
-    def __init__(self, ring: Ring, track: bool = True):
+    def __init__(self, ring: Ring):
         if not ring.is_field:
             raise UnsupportedRingError(f"{ring} is not a field")
         self.ring = ring
         self.p = ring.p
         self.pivots = {}  # pivot row -> (monic column, combo over added columns)
         self.n_added = 0
-        self.track = track
 
     def vector(self, col) -> dict:
         """``col`` as a sparse dict; a dict is taken to be one already."""
@@ -450,23 +466,19 @@ class FieldSpan:
 
     def _absorb(self, col, combo=None):
         """Add a column.  Returns (enlarged, combo), where combo is the
-        reduced column's combination over the added columns (None when
-        not tracked): a kernel vector when the span did not grow.
+        reduced column's combination over the added columns: a kernel
+        vector when the span did not grow.
         ``combo`` (a dict, not changed) replaces the column's own
         combination, the unit at its index, as in :class:`Gf2Span`."""
         idx = self.n_added
         self.n_added += 1
-        if combo is not None:
-            combo = dict(combo)
-        elif self.track:
-            combo = {idx: self.ring.one}
+        combo = {idx: self.ring.one} if combo is None else dict(combo)
         col, combo = self._reduce(dict(self.vector(col)), combo)
         if not col:
             return False, combo
         top = max(col)
         inv = self.ring.inv(col[top])
-        self.pivots[top] = (self._scaled(col, inv),
-                            None if combo is None else self._scaled(combo, inv))
+        self.pivots[top] = (self._scaled(col, inv), self._scaled(combo, inv))
         return True, None
 
     def _pin(self, vec: dict, slot=None):
@@ -481,15 +493,13 @@ class FieldSpan:
 
     def copy(self) -> "FieldSpan":
         """A span with the same pivots that grows on its own."""
-        twin = FieldSpan(self.ring, self.track)
+        twin = FieldSpan(self.ring)
         twin.pivots = dict(self.pivots)
         twin.n_added = self.n_added
         return twin
 
     def express(self, col):
         """Coefficients over the added columns (dict index -> scalar), or None."""
-        if not self.track:
-            raise ValueError("this span keeps no combinations")
         col, combo = self._reduce(dict(self.vector(col)), {})
         if col:
             return None
@@ -504,14 +514,11 @@ class FieldSpan:
         return len(self.pivots)
 
 
-def field_span(ring: Ring, track: bool = True):
-    """An empty span over the field ``ring``: bitsets over GF(2), dicts otherwise.
-
-    ``track=False`` asks for no combinations; a GF(2) span keeps them anyway.
-    """
+def field_span(ring: Ring):
+    """An empty span over the field ``ring``: bitsets over GF(2), dicts otherwise."""
     if ring == GF2:
         return Gf2Span()
-    return FieldSpan(ring, track)
+    return FieldSpan(ring)
 
 
 def signed_columns(ring: Ring, cols) -> list:
@@ -544,7 +551,7 @@ def _signed(ring: Ring, cols):
 
 
 def _field_rank(ring: Ring, cols) -> int:
-    span = field_span(ring, track=False)
+    span = field_span(ring)
     return sum(1 for col in cols if span.add(col))
 
 
@@ -577,7 +584,7 @@ def _field_solve(ring: Ring, cols, targets):
 
 
 def _field_image(ring: Ring, cols) -> list:
-    span = field_span(ring, track=False)
+    span = field_span(ring)
     return [col for col in cols if span.add(col)]
 
 
@@ -1007,7 +1014,7 @@ def quotient_presentation(cycles: Matrix, boundaries: Matrix) -> Presentation:
 def _field_quotient(ring, ambient, cycle_cols, boundary_cols) -> Presentation:
     """span(cycles)/span(boundaries) over a field, from columns in any form
     :func:`field_span` takes."""
-    cycle_span = field_span(ring, track=False)
+    cycle_span = field_span(ring)
     for col in cycle_cols:
         cycle_span.add(col)
     for col in boundary_cols:

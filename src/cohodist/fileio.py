@@ -201,6 +201,8 @@ def cover_from_text(text: str, parent: SimplicialComplex) -> Cover:
         if header is not None:
             flush(lineno)
             name = header or f"K{len(pieces)}"
+            if any(piece.name == name for piece in pieces):
+                raise ParseError(f"piece name {name!r} given twice", lineno)
             continue
         if name is None:
             raise ParseError("face line before any 'piece' header", lineno)

@@ -28,7 +28,7 @@ def cochain_verdicts(phi, psi, ring, d, chains):
     if d == 0:
         return [not any(diff) for diff in diffs]
     coboundary = _transpose(chains.sparse_boundary(d), chains.rank_of(d - 1))
-    span = exactalg.field_span(ring, track=False)
+    span = exactalg.field_span(ring)
     for col in exactalg.signed_columns(ring, coboundary):
         span.add(col)
     return [span.contains(diff) for diff in diffs]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from cohodist.exactalg import (
     Matrix,
     QQ,
     ZZ,
+    _is_prime,
     field_span,
     homs_equal,
     image_basis,
@@ -67,6 +69,16 @@ class TestRings:
         assert ring_from_code("q") == QQ
         assert ring_from_code("z2") == GF2
         assert ring_from_code("zp:7") == GF(7)
+
+    def test_primality_against_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert all(_is_prime(n) == trial(n) for n in range(5000))
+        # strong pseudoprimes to the bases up to 7, 23 and 37
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(n)
+        assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 61 - 1)
 
     def test_bad_ring(self):
         with pytest.raises(UnsupportedRingError):
@@ -246,7 +258,6 @@ class TestSpans:
         assert type(field_span(GF2)) is Gf2Span
         for R in (GF(3), GF(5), QQ):
             assert type(field_span(R)) is FieldSpan
-            assert type(field_span(R, track=False)) is FieldSpan
         with pytest.raises(UnsupportedRingError):
             field_span(ZZ)
 

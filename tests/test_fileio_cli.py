@@ -244,6 +244,15 @@ class TestCli:
             assert cli.main(["cohomology", "s2", "--ring", code]) == 2
             assert "unknown ring code" in capsys.readouterr().err
 
+    def test_large_prime_moduli(self, capsys):
+        # 2^61 - 1 is prime, and decided at once; 2^89 - 1 is prime too, but
+        # past the bound below which the primality test is exact
+        code, out = run_cli(capsys, "cohomology", "s2", "--ring", f"zp:{2 ** 61 - 1}")
+        assert code == 0 and f"H^2(s2; Z_{2 ** 61 - 1}) = Z_{2 ** 61 - 1}" in out
+        assert cli.main(["cohomology", "s2", "--ring", f"zp:{2 ** 89 - 1}"]) == 2
+        err = capsys.readouterr().err
+        assert "prime moduli must be below 3317044064679887385961981" in err
+
     def test_negative_counts_rejected(self, capsys, tmp_path):
         out = str(tmp_path / "sd")
         for argv in (["bounds", "--scat", "k5", "--budget", "-5"],
@@ -394,6 +403,9 @@ class TestBadInputFiles:
         path = tmp_path / "bad.cover"
         for text, message in (
                 ("piece A\npiece B\n0,1,2\n", "line 2: piece 'A' has no faces"),
+                ("piece A\n0,1,2\npiece A\n0,1,3\n", "line 3: piece name 'A' given twice"),
+                # an unnamed second piece is named K1 by default
+                ("piece K1\n0,1,2\npiece\n0,1,3\n", "line 3: piece name 'K1' given twice"),
                 ("# no pieces\n", "no pieces found")):
             path.write_text(text)
             self.run_bad(capsys, ["verify", "--scat", "s2", "--cover", str(path)],

@@ -8,9 +8,10 @@ compare its failing-generator counts with the membership path it replaced
 scratch, by chains of one-face extensions and by the walk that fills the
 verdict table, and against states built from scratch for the pieces
 greedy's repair grows by divide and conquer; check the duality it rests on
-against homology verdicts; and count the states cover search holds.
+against homology verdicts; and count the states alive while search runs.
 """
 
+import gc
 import random
 
 import pytest
@@ -68,6 +69,23 @@ def map_pairs(rng):
 
 def random_face_set(rng, n):
     return sum(1 << i for i in rng.sample(range(n), rng.randint(1, n)))
+
+
+@pytest.fixture
+def live_states(monkeypatch):
+    """The ids of the :class:`PairingState` objects created during the test
+    and not yet finalized; its length counts the states alive."""
+    live = set()
+    init = PairingState.__init__
+
+    def created(self, *args):
+        init(self, *args)
+        live.add(id(self))
+
+    monkeypatch.setattr(PairingState, "__init__", created)
+    monkeypatch.setattr(PairingState, "__del__", lambda self: live.discard(id(self)),
+                        raising=False)
+    return live
 
 
 class TestAgainstMembership:
@@ -189,12 +207,15 @@ class TestStatesThatPairNothing:
                     nonzero += want > 0
         assert nonzero > 10
 
-    def test_verdict_table_walk(self, monkeypatch):
+    def test_verdict_table_walk(self, monkeypatch, live_states):
         rng = random.Random(37)
-        seen = []
+        seen = []  # (face set, states alive) per evaluation
 
         def record(self, face_set, piece):
-            seen.append((face_set, piece, len(self._held)))
+            assert isinstance(piece, PairingState)
+            assert piece.pairings == ()
+            assert piece.mask == self.mask(face_set)
+            seen.append((face_set, len(live_states)))
             return evaluate(self, face_set, piece)
 
         evaluate = _PieceChecker._evaluate
@@ -211,22 +232,21 @@ class TestStatesThatPairNothing:
             for ring, variance in self.QUERIES:
                 checker = _PieceChecker(scat_query(K, ring, variance))
                 n = len(checker.faces)
+                gc.collect()
+                before = len(live_states)  # the checker's empty state
                 seen.clear()
                 table = checker.verdict_table()
                 assert len(seen) == (1 << n) - 1
+                # the states of a set's n - 1 parents and its own: a set's
+                # state lives while its subtree is walked
+                assert max(alive for _, alive in seen) == before + n
                 q = checker.query
-                for face_set, piece, held in seen:
-                    assert isinstance(piece, PairingState)
-                    assert piece.pairings == ()
-                    assert piece.mask == checker.mask(face_set)
-                    assert held <= n - 1
-                assert max(held for *_, held in seen) == n - 1
                 for face_set in range(1, 1 << n):
                     want = equality_obstruction(q.phi, q.psi, ring, variance,
                                                 piece=checker.mask(face_set))
                     assert table[face_set] == (want == 0), (ring, variance)
                     nonzero += want > 0
-                assert checker._held == {}
+                assert len(live_states) == before  # no state outlives the walk
         assert nonzero > 300
 
 
@@ -333,7 +353,7 @@ class TestLeaveOneOut:
     QUERIES = tuple((ring, "cohomology") for ring in FIELDS) + (
         (ZZ, "cohomology"), (GF2, "homology"))
 
-    def test_states_match_states_built_from_scratch(self, monkeypatch):
+    def test_states_match_states_built_from_scratch(self, monkeypatch, live_states):
         rng = random.Random(38)
         extended = []  # faces each built state adds to the one above it
         union = _PieceChecker._union
@@ -359,13 +379,16 @@ class TestLeaveOneOut:
                 assert pairing or not empty.pairings
                 paired += bool(empty.pairings)
                 faces, grown = [], 0
+                before = len(live_states)
                 for f, grow in checker.removals(face_set):
                     faces.append(f)
                     extended.clear()
                     state = grow()
                     assert grow() is state
                     grown += sum(extended)
-                    assert walk_states(checker) <= depth + 1, (label, k)
+                    # the walk's states below the empty one, and the last
+                    # removal's scratch state
+                    assert len(live_states) - before <= depth + 1, (label, k)
                     mask = checker.mask(face_set ^ 1 << f)
                     assert state.mask == mask
                     scratch = empty.extended(mask)
@@ -400,42 +423,28 @@ class TestLeaveOneOut:
         assert 1 <= len(built) <= 6  # ceil(log2 40) levels below the empty piece
 
 
-def live_states(checker):
-    """States the checker holds, the empty one aside; a state is reduced
-    when it grows, so it keeps no other state alive."""
-    return len(checker._held)
-
-
-def walk_states(checker):
-    """States the repair's removal walk keeps alive, the empty one included."""
-    return sum(state is not None for state, _ in checker._removing)
-
-
 class TestBoundedStates:
-    def test_table_and_greedy_bounds(self, monkeypatch):
-        phase = []  # (kind, bound) of the search running
+    def test_table_and_greedy_bounds(self, monkeypatch, live_states):
+        phase = []  # (kind, pieces) of the search running
         peaks = {}
-        walk_peaks = {}  # held states plus the removal walk's
 
         evaluate = _PieceChecker._evaluate
         table = _PieceChecker.verdict_table
         greedy = distance.search_greedy
 
         def counted(self, face_set, piece):
-            kind, bound = phase[-1] if phase else ("other", None)
-            count = live_states(self)
-            if bound is not None:
-                assert count <= bound, (kind, count, bound)
-            peaks[kind] = max(peaks.get(kind, 0), count)
-            count += walk_states(self)
+            kind, size = phase[-1] if phase else ("other", None)
+            count = len(live_states)
             if kind == "greedy":
+                # the empty state, the pieces, a removal walk's path of
+                # ceil(log2 n) levels and the candidate, with two to spare
                 n = len(self.faces)
-                assert count <= bound + (n - 1).bit_length() + 1, (count, bound, n)
-            walk_peaks[kind] = max(walk_peaks.get(kind, 0), count)
+                assert count <= size + (n - 1).bit_length() + 4, (count, size, n)
+            peaks[kind] = max(peaks.get(kind, 0), count)
             return evaluate(self, face_set, piece)
 
         def in_table(self):
-            phase.append(("table", len(self.faces)))
+            phase.append(("table", None))
             try:
                 return table(self)
             finally:
@@ -454,15 +463,26 @@ class TestBoundedStates:
 
         report = hscat(fixture_complex("k5"), GF2, exhaustive_upto=2)
         assert report.exact == 2
-        # a 9-face set grows from the chain of its 8 parents (the 10-face
-        # set was memoized by the first pass)
-        assert peaks["table"] == 8
-        assert peaks["greedy"] == 3
-        assert walk_peaks["table"] == 8
+        # k5 has 10 faces: a 9-face set's state, the states of its 8
+        # parents and the empty state (the 10-face set was memoized by the
+        # first pass)
+        assert peaks["table"] == 10
+        assert peaks["greedy"] <= 11
         peaks.clear()
-        walk_peaks.clear()
         report = hstc(fixture_complex("s2"), GF(3))
         assert report.exact == 2
-        assert peaks == {"greedy": 3}
-        # the repair walks pieces of up to 96 faces: 3 held, 8 on the path
-        assert 3 < walk_peaks["greedy"] <= 3 + 7 + 1
+        assert set(peaks) == {"greedy"}
+        # the repair walks pieces of up to 96 faces, 7 levels deep
+        assert 3 + 7 < peaks["greedy"] <= 3 + 7 + 4
+
+    def test_states_die_with_the_search(self, live_states):
+        # reference counting alone frees every state a search grows
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert hscat(fixture_complex("k5"), GF2, exhaustive_upto=2).exact == 2
+            assert hstc(fixture_complex("s2"), GF(3)).exact == 2
+            assert len(live_states) == 0
+        finally:
+            if enabled:
+                gc.enable()
