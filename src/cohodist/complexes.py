@@ -23,6 +23,7 @@ from .errors import (
     DisconnectedComplexError,
     DuplicateVertexInFaceError,
     EmptyInputError,
+    InvalidCoverError,
     NotASubcomplexError,
     NotSimplicialError,
 )
@@ -335,7 +336,11 @@ class Subcomplex:
 
 
 class Cover:
-    """A list of subcomplexes meant to cover a parent complex."""
+    """A list of subcomplexes meant to cover a parent complex.
+
+    Piece i is known by its name, or by ``K<i>`` when it has none, as cover
+    files name it (:func:`fileio.cover_to_text`); no two pieces share one.
+    """
 
     __slots__ = ("parent", "pieces")
 
@@ -343,15 +348,24 @@ class Cover:
         pieces = tuple(pieces)
         if not pieces:
             raise EmptyInputError("a cover needs at least one piece")
-        for p in pieces:
+        seen = set()
+        for i, p in enumerate(pieces):
             if p.parent != parent:
                 raise NotASubcomplexError("piece belongs to a different parent")
+            name = p.name or f"K{i}"
+            if name in seen:
+                raise InvalidCoverError(f"piece name {name!r} given twice")
+            seen.add(name)
         self.parent = parent
         self.pieces = pieces
 
     @classmethod
     def from_face_lists(cls, parent, face_lists, names=None) -> "Cover":
+        face_lists = list(face_lists)
         names = names or [f"K{i}" for i in range(len(face_lists))]
+        if len(names) != len(face_lists):
+            raise InvalidCoverError(
+                f"{len(face_lists)} face lists but {len(names)} piece names")
         return cls(parent, [Subcomplex.spanned_by(parent, fl, name=n)
                             for fl, n in zip(face_lists, names)])
 
@@ -516,10 +530,10 @@ def subdivide_cover(cover: Cover, sd_parent=None) -> Cover:
     if sd_parent is None:
         sd_parent, _ = barycentric_subdivision(cover.parent)
     pieces = []
-    for p in cover.pieces:
+    for i, p in enumerate(cover.pieces):
         piece_simplices = p.simplices
         chains = [c for c in sd_parent.simplices if all(s in piece_simplices for s in c)]
-        pieces.append(Subcomplex(sd_parent, chains, name=f"sd {p.name}".strip()))
+        pieces.append(Subcomplex(sd_parent, chains, name=f"sd {p.name or f'K{i}'}"))
     return Cover(sd_parent, pieces)
 
 

@@ -57,6 +57,10 @@ class BudgetExceededError(CohodistError):
     pass
 
 
+class InvalidCoverError(CohodistError):
+    """A cover's pieces, face lists and names do not fit together."""
+
+
 class ParseError(CohodistError):
     """Input file could not be parsed; carries a 1-based line number."""
 

@@ -17,9 +17,10 @@ directly.
 
 Elimination over a field is sparse and runs through one span interface.
 :func:`field_span` picks the span: :class:`Gf2Span` keeps vectors as
-bitsets (one Python int per vector) because the cohomology pipeline spends
-most of its time row-reducing over Z_2, and :class:`FieldSpan` keeps them
-as dicts over Z_p and Q.  Both key a pivot by its highest row, and every
+bitsets stored from their lowest row (:class:`Gf2Vector`, an offset and
+one Python int) because the cohomology pipeline spends most of its time
+row-reducing over Z_2, and :class:`FieldSpan` keeps them as dicts over Z_p
+and Q.  Both key a pivot by its highest row, and every
 field kernel (rank, kernel, image, solve, quotient) is written once on top
 of them, as is :func:`field_presentations`, which presents every degree of
 a cochain complex's cohomology from one reduction per matrix, with
@@ -288,80 +289,143 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# sparse field elimination.  A span keeps vectors in its own form: a bitset
-# int over GF(2) (bit i is entry i), a dict row -> nonzero scalar over Z_p
-# and Q (a plain int in [0, p) over Z_p, a Fraction over Q).  Columns go in
-# in that form, as dicts, or as dense sequences.
+# sparse field elimination.  A span keeps vectors in its own form: a
+# Gf2Vector over GF(2), a dict row -> nonzero scalar over Z_p and Q (a plain
+# int in [0, p) over Z_p, a Fraction over Q).  Columns go in in that form,
+# as dicts, or as dense sequences.
+
+
+class Gf2Vector:
+    """A vector over GF(2) stored from row ``lo``: bit i of the int ``bits``
+    is its entry at row lo + i.
+
+    ``lo`` is at most the lowest nonzero row, so the int is about as long
+    as the rows the vector spans, not as its highest row.  A vector is not
+    changed once made.
+    """
+
+    __slots__ = ("lo", "bits")
+
+    def __init__(self, lo: int, bits: int):
+        self.lo = lo
+        self.bits = bits
+
+
+def _gf2_rows(rows) -> Gf2Vector:
+    """The vector with a one at each of the distinct ``rows``, given as
+    rows or as signed rows (``r`` and ``~r`` both stand for row r)."""
+    lo, bits = None, 0
+    for r in rows:
+        if r < 0:
+            r = ~r
+        if lo is None:
+            lo = r
+        elif r < lo:
+            bits <<= lo - r
+            lo = r
+        bits |= 1 << r - lo
+    return Gf2Vector(0 if lo is None else lo, bits)
 
 
 class Gf2Span:
     """Incremental column span over GF(2) with expression tracking.
 
-    The interface is :class:`FieldSpan`'s, with bitsets for vectors:
-    combinations over the added columns are bitsets too, and they are
-    always kept.
+    The interface is :class:`FieldSpan`'s, with :class:`Gf2Vector` for
+    vectors: combinations over the added columns are vectors of the same
+    form, and they are always kept.  A column and its combination are
+    reduced as plain (lo, bits) pairs, whose ``lo`` drops to a pivot's when
+    the pivot starts lower and is never raised again.  A pivot is kept as
+    the tuple ``(lo, bits, clo, cbits)`` of both: the garbage collector
+    stops tracking a tuple of ints, and a pinned table can hold a pivot per
+    simplex.
     """
 
     __slots__ = ("pivots", "n_added")
 
     def __init__(self):
-        self.pivots = {}  # pivot row -> (column, combo over added columns)
+        self.pivots = {}  # pivot row -> (lo, bits, clo, cbits): column, combo
         self.n_added = 0
 
     @staticmethod
-    def vector(col) -> int:
-        """``col`` as a bitset."""
-        if type(col) is int:
+    def vector(col) -> Gf2Vector:
+        """``col`` as a :class:`Gf2Vector`; one is taken as it is."""
+        if type(col) is Gf2Vector:
             return col
-        v = 0
-        for i, x in (col.items() if isinstance(col, dict) else enumerate(col)):
-            if x % 2:
-                v |= 1 << i
-        return v
+        items = col.items() if isinstance(col, dict) else enumerate(col)
+        return _gf2_rows([i for i, x in items if x % 2])
 
     @staticmethod
-    def dense(vec: int, n: int) -> list:
-        return [(vec >> i) & 1 for i in range(n)]
+    def dense(vec: Gf2Vector, n: int) -> list:
+        out = [0] * n
+        for i, c in enumerate(reversed(bin(vec.bits)), vec.lo):
+            if c == "1":
+                out[i] = 1
+        return out
 
     @staticmethod
-    def coefficient(vec: int, i: int) -> int:
-        return (vec >> i) & 1
+    def coefficient(vec: Gf2Vector, i: int) -> int:
+        i -= vec.lo
+        return vec.bits >> i & 1 if i >= 0 else 0
 
     @staticmethod
-    def support(vec: int) -> int:
-        """The rows where ``vec`` is nonzero, as a bitset: ``vec`` itself."""
-        return vec
+    def support(vec: Gf2Vector) -> int:
+        """The rows where ``vec`` is nonzero, as a bitset (bit r is row r)."""
+        return vec.bits << vec.lo
 
-    def _reduce(self, col, combo):
+    def _reduce(self, lo: int, bits: int, clo: int, cbits: int):
+        """Reduce the vector (lo, bits) until its highest row is no pivot's,
+        and its combination (clo, cbits) alongside; returns both."""
         pivots = self.pivots
-        while col:
-            p = col.bit_length() - 1
-            hit = pivots.get(p)
+        while bits:
+            hit = pivots.get(lo + bits.bit_length() - 1)
             if hit is None:
                 break
-            col ^= hit[0]
-            combo ^= hit[1]
-        return col, combo
+            vlo, vbits, wlo, wbits = hit
+            if vlo >= lo:
+                bits ^= vbits << (vlo - lo)
+            else:
+                bits = bits << (lo - vlo) ^ vbits
+                lo = vlo
+            if not wbits:
+                continue
+            if not cbits:
+                clo, cbits = wlo, wbits
+            elif wlo >= clo:
+                cbits ^= wbits << (wlo - clo)
+            else:
+                cbits = cbits << (clo - wlo) ^ wbits
+                clo = wlo
+        return lo, bits, clo, cbits
 
     def _absorb(self, col, combo=None):
         """Add a column.  Returns (enlarged, combo), where combo is the
         reduced column's combination over the added columns: a kernel
         vector when the span did not grow.  ``combo`` replaces the
-        column's own combination, the unit bitset at its index; any linear
+        column's own combination, the unit vector at its index; any linear
         image of the combinations can be carried this way."""
         if combo is None:
-            combo = 1 << self.n_added
+            clo, cbits = self.n_added, 1
+        else:
+            clo, cbits = combo.lo, combo.bits
         self.n_added += 1
-        col, combo = self._reduce(self.vector(col), combo)
-        if not col:
-            return False, combo
-        self.pivots[col.bit_length() - 1] = (col, combo)
+        if type(col) is not Gf2Vector:
+            col = self.vector(col)
+        lo, bits, clo, cbits = self._reduce(col.lo, col.bits, clo, cbits)
+        if not bits:
+            return False, Gf2Vector(clo, cbits)
+        self.pivots[lo + bits.bit_length() - 1] = (lo, bits, clo, cbits)
         return True, None
 
-    def _pin(self, vec: int, slot=None):
+    def _pin(self, vec: Gf2Vector, slot: int):
         """Make ``vec`` a pivot as it is, with the unit combination at
-        ``slot`` (zero when None).  Its highest row must be no pivot's."""
-        self.pivots[vec.bit_length() - 1] = (vec, 0 if slot is None else 1 << slot)
+        ``slot``.  Its highest row must be no pivot's."""
+        self.pivots[vec.lo + vec.bits.bit_length() - 1] = (vec.lo, vec.bits, slot, 1)
+
+    def _drop_combinations(self):
+        """Give every pivot the zero combination, as a table of image
+        pivots for :func:`_pinned_presentation` has."""
+        self.pivots = {top: (lo, bits, 0, 0)
+                       for top, (lo, bits, _, _) in self.pivots.items()}
 
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
@@ -375,12 +439,15 @@ class Gf2Span:
         return twin
 
     def contains(self, col) -> bool:
-        return not self._reduce(self.vector(col), 0)[0]
+        col = self.vector(col)
+        return not self._reduce(col.lo, col.bits, 0, 0)[1]
 
     def express(self, col):
-        """Coefficient bitset over the added columns, or None if outside."""
-        col, combo = self._reduce(self.vector(col), 0)
-        return None if col else combo
+        """Coefficients over the added columns as a :class:`Gf2Vector`, or
+        None if outside."""
+        col = self.vector(col)
+        _, bits, clo, cbits = self._reduce(col.lo, col.bits, 0, 0)
+        return None if bits else Gf2Vector(clo, cbits)
 
     @property
     def rank(self):
@@ -481,11 +548,15 @@ class FieldSpan:
         self.pivots[top] = (self._scaled(col, inv), self._scaled(combo, inv))
         return True, None
 
-    def _pin(self, vec: dict, slot=None):
+    def _pin(self, vec: dict, slot: int):
         """Make ``vec`` a pivot as it is, with the unit combination at
-        ``slot`` (zero when None).  Its highest row must be no pivot's, and
-        its entry there 1."""
-        self.pivots[max(vec)] = (vec, {} if slot is None else {slot: self.ring.one})
+        ``slot``.  Its highest row must be no pivot's, and its entry there 1."""
+        self.pivots[max(vec)] = (vec, {slot: self.ring.one})
+
+    def _drop_combinations(self):
+        """Give every pivot the zero combination, as a table of image
+        pivots for :func:`_pinned_presentation` has."""
+        self.pivots = {top: (vec, {}) for top, (vec, _) in self.pivots.items()}
 
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
@@ -515,7 +586,8 @@ class FieldSpan:
 
 
 def field_span(ring: Ring):
-    """An empty span over the field ``ring``: bitsets over GF(2), dicts otherwise."""
+    """An empty span over the field ``ring``: :class:`Gf2Vector` vectors
+    over GF(2), dicts otherwise."""
     if ring == GF2:
         return Gf2Span()
     return FieldSpan(ring)
@@ -529,15 +601,10 @@ def signed_columns(ring: Ring, cols) -> list:
 
 def _signed(ring: Ring, cols):
     """:func:`signed_columns` one column at a time, each converted as it is
-    read: over Z_2 a converted column is a bitset as long as its highest row."""
+    read: over Z_2 a converted column is a :class:`Gf2Vector` stored from
+    its lowest row, built straight from the signed rows."""
     if ring == GF2:
-        for col in cols:
-            v = 0
-            for r in col:
-                if r < 0:
-                    r = ~r
-                v |= 1 << r
-            yield v
+        yield from map(_gf2_rows, cols)
         return
     one, minus = ring.normalize(1), ring.normalize(-1)
     for col in cols:
@@ -1084,8 +1151,7 @@ def field_presentations(ring: Ring, steps) -> list:
             if not grew:
                 gens.append(combo)
         out.append(_pinned_presentation(ring, n, image, gens))
-        for vec, _ in list(span.pivots.values()):
-            span._pin(vec)  # combinations are needed only while reducing
+        span._drop_combinations()  # they are needed only while reducing
         image = span
     return out
 

@@ -9,8 +9,8 @@ rows of the same form, read through one array of image positions per map.
 Coefficients are handled by two paths, both fed those columns as they are.
 Over a field (Z_2, Z_p, Q) every degree comes from one pass,
 :func:`exactalg.field_presentations`, that reduces each (co)boundary
-matrix once on the spans of :func:`exactalg.field_span` (bitsets over
-Z_2).  Cohomology is walked
+matrix once on the spans of :func:`exactalg.field_span` (over Z_2,
+bitsets stored from their lowest row).  Cohomology is walked
 upward and homology downward, so a degree's incoming matrix is reduced
 before its outgoing one, and the outgoing reduction skips the columns
 whose index is a pivot row of the incoming one (clearing).  Clearing is
@@ -553,8 +553,9 @@ def _pairings(phi, psi, ring) -> tuple:
     ``columns`` are the source's degree-d boundary columns in
     :func:`exactalg.field_span`'s form (empty ones for d = 0).
     ``pairs[j]`` holds the values on simplex j of the difference cochains,
-    one per generator, as a vector of the same form: over Z_2 a bitset
-    over the generators.
+    one per generator, as a vector of the same form: over Z_2 a
+    :class:`exactalg.Gf2Vector` over the generators, which the span's
+    ``support`` turns into the plain bitset that ``failing`` collects.
     """
     key = (phi, psi, ring)
     out = _pairing_cache.get(key)

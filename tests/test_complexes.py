@@ -18,6 +18,7 @@ from cohodist.errors import (
     DisconnectedComplexError,
     DuplicateVertexInFaceError,
     EmptyInputError,
+    InvalidCoverError,
     NotASubcomplexError,
     NotSimplicialError,
 )
@@ -172,6 +173,39 @@ class TestSubcomplexesAndCovers:
         with pytest.raises(EmptyInputError):
             Subcomplex(K, [])
 
+    def test_face_lists_and_names_must_match(self):
+        # extra face lists used to be dropped without a word
+        K = fixture_complex("s2")
+        faces = [[f] for f in S2_FACES]
+        with pytest.raises(InvalidCoverError, match="4 face lists but 1 piece names"):
+            Cover.from_face_lists(K, faces, names=["A"])
+        with pytest.raises(InvalidCoverError):
+            Cover.from_face_lists(K, faces[:1], names=["A", "B"])
+        assert len(Cover.from_face_lists(K, faces, names=list("ABCD"))) == 4
+
+    def test_repeated_piece_names_rejected(self):
+        # a cover file could not name these pieces apart, so no cover may
+        K = fixture_complex("s2")
+        faces = [[f] for f in S2_FACES]
+        with pytest.raises(InvalidCoverError, match="piece name 'A' given twice"):
+            Cover.from_face_lists(K, faces, names=["A", "A", "B", "B"])
+        # an unnamed piece i is K<i>, as a cover file names it
+        named_k1 = Subcomplex.spanned_by(K, faces[0], name="K1")
+        unnamed = Subcomplex.spanned_by(K, faces[1])
+        with pytest.raises(InvalidCoverError, match="'K1' given twice"):
+            Cover(K, [named_k1, unnamed])
+        assert len(Cover(K, [unnamed, named_k1])) == 2
+
+    def test_fixture_and_search_covers_name_pieces_apart(self):
+        from cohodist.distance import scat_query, search
+        from cohodist.exactalg import GF2
+        from cohodist.fixtures import cover_names
+        covers = [fixture_cover(name) for name in cover_names()]
+        covers.append(search(scat_query(fixture_complex("k5"), GF2), 3))
+        for cov in covers:
+            names = [p.name or f"K{i}" for i, p in enumerate(cov.pieces)]
+            assert len(set(names)) == len(names)
+
 
 class TestBarycentricSubdivision:
     def test_edge(self):
@@ -236,6 +270,13 @@ class TestSdMap:
         sd_cov = subdivide_cover(cov)
         ok, _ = is_cover(sd_cov.parent, sd_cov.pieces)
         assert ok
+
+    def test_subdivided_pieces_keep_distinct_names(self):
+        # unnamed pieces are subdivided under their file names K<i>
+        K = fixture_complex("c3")
+        cov = Cover(K, [Subcomplex.spanned_by(K, [[0, 1], [0, 2]]),
+                        Subcomplex.spanned_by(K, [[1, 2]], name="B")])
+        assert [p.name for p in subdivide_cover(cov).pieces] == ["sd K0", "sd B"]
 
 
 class TestProduct:

@@ -271,35 +271,61 @@ class TestSpans:
 
     def test_gf2_bitsets_agree_with_reference_span(self):
         # Gf2Span against FieldSpan over GF(2), fed the same random columns as
-        # dense lists, dicts or bitsets; both key pivots by their highest row,
-        # so verdicts and combinations must agree exactly
+        # dense lists or tuples, dicts, signed rows or Gf2Vectors; both key
+        # pivots by their highest row, so verdicts and combinations must
+        # agree exactly.  Local row i of a case is ambient row rows[i]: the
+        # rows start at 0, at a random offset of 10^4-10^5, or mix low and
+        # high rows, so vectors start and end at any row
         rng = random.Random(21)
-        for _ in range(300):
+        for case in range(600):
             m, n = rng.randint(1, 8), rng.randint(1, 10)
+            layout = case % 3
+            if layout == 0:
+                rows = list(range(m))
+            elif layout == 1:
+                offset = rng.randint(10**4, 10**5)
+                rows = sorted(rng.sample(range(offset, offset + 3 * m), m))
+            else:
+                low = rng.randint(0, m)
+                rows = sorted(rng.sample(range(20), low)
+                              + rng.sample(range(10**4, 10**5), m - low))
+
+            def sparse(col):
+                return {rows[i]: x for i, x in enumerate(col) if x}
+
+            def given(col):
+                d = sparse(col)
+                signed = [rng.choice((r, ~r)) for r in d]
+                rng.shuffle(signed)
+                forms = [d, Gf2Span.vector(d), signed_columns(GF2, [signed])[0]]
+                if layout == 0:
+                    forms += [col, tuple(col)]
+                vec = rng.choice(forms)
+                assert Gf2Span.support(Gf2Span.vector(vec)) == FieldSpan.support(d)
+                return vec
+
             cols = [[rng.randint(0, 1) if rng.random() < 0.6 else 0 for _ in range(m)]
                     for _ in range(n)]
             fast, ref = Gf2Span(), FieldSpan(GF2)
             for col in cols:
-                given = (col, {i: x for i, x in enumerate(col) if x},
-                         Gf2Span.vector(col))[rng.randrange(3)]
                 if rng.random() < 0.5:
-                    grew, combo = fast._absorb(given)
-                    ref_grew, ref_combo = ref._absorb(col)
+                    grew, combo = fast._absorb(given(col))
+                    ref_grew, ref_combo = ref._absorb(sparse(col))
                     assert grew == ref_grew
-                    if not grew:  # a kernel vector
+                    if not grew:  # a kernel vector: its columns sum to zero
                         assert fast.dense(combo, n) == ref.dense(ref_combo, n)
-                        total = 0
+                        total = [0] * m
                         for k in range(n):
                             if fast.coefficient(combo, k):
-                                total ^= Gf2Span.vector(cols[k])
-                        assert total == 0
+                                total = [(a + b) % 2 for a, b in zip(total, cols[k])]
+                        assert not any(total)
                 else:
-                    assert fast.add(given) == ref.add(col)
+                    assert fast.add(given(col)) == ref.add(sparse(col))
                 assert fast.rank == ref.rank
             for _ in range(6):
                 t = [rng.randint(0, 1) for _ in range(m)]
-                assert fast.contains(t) == ref.contains(t)
-                coeffs, ref_coeffs = fast.express(t), ref.express(t)
+                assert fast.contains(given(t)) == ref.contains(sparse(t))
+                coeffs, ref_coeffs = fast.express(given(t)), ref.express(sparse(t))
                 assert (coeffs is None) == (ref_coeffs is None)
                 if coeffs is not None:
                     assert fast.dense(coeffs, n) == ref.dense(ref_coeffs, n)
