@@ -260,9 +260,10 @@ def _add_ring(p):
 
 
 def _add_query_args(p, variance_help):
-    p.add_argument("--scat", metavar="CX", help="category query on CX")
-    p.add_argument("--tc", metavar="CX", help="complexity query on CX")
-    p.add_argument("--complex", metavar="CX", help="source complex for a map pair")
+    form = p.add_mutually_exclusive_group()  # one query form per command
+    form.add_argument("--scat", metavar="CX", help="category query on CX")
+    form.add_argument("--tc", metavar="CX", help="complexity query on CX")
+    form.add_argument("--complex", metavar="CX", help="source complex for a map pair")
     p.add_argument("--target", metavar="CX", help="target complex for a map pair")
     p.add_argument("--phi", metavar="MAPFILE")
     p.add_argument("--psi", metavar="MAPFILE")

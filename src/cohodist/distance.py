@@ -14,14 +14,19 @@ neither positive-degree cohomology nor the always-equal degree-0
 comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A piece is evaluated as a mask over the source's
 chain bases (:attr:`complexes.Subcomplex.mask`) and never built, by
-search and by ``verify`` alike, which checks a cover again before search
-returns it.  Every piece is a :class:`homology.PairingState`, whatever the
-ring and variance; :mod:`homology` alone decides whether a state pairs
-with cycles (in field cohomology, reducing and pairing only the new
-simplices' boundary columns as the state grows) or is read as its mask.
-Each search owns the states it grows and grows each piece from one it
-knows to lie inside; the checker it evaluates pieces with memoizes
-verdicts and holds no state but the empty one.  Exhaustive
+search and by ``verify`` alike.  Every piece is a
+:class:`homology.PairingState`, whatever the ring and variance;
+:mod:`homology` alone decides whether a state pairs with cycles (in field
+cohomology, reducing and pairing only the new simplices' boundary columns
+as the state grows) or is read as its mask.
+
+Search state is per query.  One checker evaluates every piece of a query,
+at every size and in both strategies, and memoizes each verdict for the
+whole query; it holds no state but the empty one.  One size plan
+(:func:`_size_plan`) decides, for :func:`search` and :func:`bounds_for`
+alike, whether a size is searched exhaustively or greedily, and each
+search verifies the cover it returns, once.  Each walk owns the states it
+grows and grows each piece from one it knows to lie inside.  Exhaustive
 search proves nonexistence within that family.  One depth-first walk
 assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
 then every nonempty set of maximal faces is evaluated once into a table of
@@ -30,12 +35,12 @@ first partial piece the table rejects (a piece that passes passes on
 every sub-piece).  Face sets are int bit masks throughout.  Its budget
 bounds the ``(2^s - 1)^n`` assignments of the full enumeration, which the
 table's ``2^n`` entries never exceed for two or more pieces.  The
-greedy strategy grows pieces face by face and repairs by local moves,
-re-verifying any cover before returning it.  It keeps a state beside each
-piece's face set, grows a piece that gains a face from that state, and
-its repair grows the pieces without one face from one another by divide
-and conquer, never from the empty state.  Every walk frees its states by
-reference counting as soon as it leaves them.
+greedy strategy grows pieces face by face and repairs by local moves.  It
+keeps a state beside each piece's face set, grows a piece that gains a
+face from that state, and its repair grows the pieces without one face
+from one another by divide and conquer, never from the empty state.
+Every walk frees its states by reference counting as soon as it leaves
+them.
 
 Everything is pure and deterministic given the seed; independent pieces
 and candidate covers could be evaluated concurrently without changing any
@@ -47,6 +52,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 from .complexes import (
     Cover,
@@ -159,15 +165,13 @@ def verify(query: DistanceQuery, cover: Cover) -> CoverCertificate:
         raise NotASubcomplexError("cover does not live on the query's source")
     cover_ok, missing = is_cover(cover.parent, cover.pieces)
     reports = []
-    all_equal = True
     for i, piece in enumerate(cover.pieces):
         rep = maps_equal(query.phi, query.psi, query.ring, query.variance,
                          piece=piece.mask)
-        all_equal = all_equal and rep.equal
         reports.append(PieceReport(piece.name or f"K{i}", rep.equal,
                                    rep.first_failing_degree, rep.by_degree))
     return CoverCertificate(query, cover, cover_ok, missing, tuple(reports),
-                            cover_ok and all_equal)
+                            cover_ok and all(r.equal for r in reports))
 
 
 def lower_bound(query: DistanceQuery):
@@ -196,12 +200,15 @@ class _PieceChecker:
     the query's ring and variance.
 
     Verdicts are memoized, states are not: the checker keeps each face's
-    closure, the empty state and the verdicts, and no other state.  A
-    search owns the states it grows and tells :meth:`evaluated` how to
-    build a piece's state from one of them; a piece it does not, such as
-    an assignment of exhaustive search's first pass, grows from the empty
-    state.  :meth:`removals` and :meth:`verdict_table` grow the states
-    they walk from one another and drop them as they go.
+    closure, the empty state and the verdicts, and no other state.  One
+    checker serves a whole query: :func:`bounds_for` evaluates every size
+    through it, exhaustive and greedy alike, so no face set is evaluated
+    twice in a query.  A search owns the states it grows and tells
+    :meth:`evaluated` how to build a piece's state from one of them; a
+    piece it does not, such as an assignment of exhaustive search's first
+    pass, grows from the empty state.  :meth:`removals` and
+    :meth:`verdict_table` grow the states they walk from one another and
+    drop them as they go.
     """
 
     def __init__(self, query: DistanceQuery):
@@ -318,6 +325,10 @@ class _PieceChecker:
                   for i, fs in enumerate(face_sets) if fs]
         return Cover(self.query.source, pieces)
 
+    def certificate(self, face_sets) -> CoverCertificate:
+        """The cover of the face sets (:meth:`cover_from`), verified."""
+        return verify(self.query, self.cover_from(face_sets))
+
 
 def _closure_mask(K: SimplicialComplex, key) -> tuple:
     """The closure of the simplex with position key ``key`` as a mask over
@@ -389,7 +400,14 @@ def search_exhaustive(query: DistanceQuery, size: int,
     The candidates are the assignments of each maximal face to a nonempty
     set of pieces, ``(2^size - 1)^n`` of them for n faces, in the order of
     ``itertools.product`` over the membership patterns; the budget caps
-    that count.
+    that count.  See :func:`_exhaustive` for the walk.
+    """
+    return search(query, size, "exhaustive", budget)
+
+
+def _exhaustive(checker, size):
+    """The certificate of the first cover by `size` pieces that verifies,
+    or None.
 
     One walk, :func:`_assignments`, runs uncut over the first ``2^n``
     assignments, each piece evaluated with memo, so an early cover costs a
@@ -400,36 +418,33 @@ def search_exhaustive(query: DistanceQuery, size: int,
     (restriction to it factors through the inclusion), so the cut walk
     reaches exactly the all-passing assignments, in the same order, and
     returns the first that verifies.  A proof that no cover by two or more
-    pieces exists therefore makes ``2^n - 1`` evaluations.
+    pieces exists therefore makes ``2^n - 1`` evaluations, fewer when the
+    checker already holds verdicts.
     """
-    checker = _PieceChecker(query)
     n = len(checker.faces)
     total = exhaustive_count(n, size)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} candidate covers exceed the budget of {budget}")
     first = min(total, 1 << n)
     if first > sys.maxsize:
-        raise BudgetExceededError(
-            f"a table of 2^{n} verdicts is too large to index")
-    for pieces in itertools.islice(_assignments(n, size, lambda m: True), first):
-        if all(map(checker.passes, pieces)):
-            cover = checker.cover_from(pieces)
-            if verify(query, cover).verified:
-                return cover
-    if first == total:
-        return None
+        raise BudgetExceededError(f"a table of 2^{n} verdicts is too large to index")
+    early = itertools.islice(_assignments(n, size, lambda m: True), first)
+    found = _first_verified(checker, (p for p in early if all(map(checker.passes, p))))
+    if found or first == total:
+        return found
     table = checker.verdict_table()
-    for pieces in _assignments(n, size, table.__getitem__):
-        cover = checker.cover_from(pieces)
-        if verify(query, cover).verified:
-            return cover
-    return None
+    return _first_verified(checker, _assignments(n, size, table.__getitem__))
 
 
 def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
                   restarts: int = 24) -> Cover | None:
-    """Grow pieces face by face, then repair by local moves.
+    """Grow pieces face by face, then repair by local moves; return a
+    verified cover by `size` pieces, or None.  See :func:`_greedy`."""
+    _check_size(size)
+    return _cover(_greedy(_PieceChecker(query), size, seed, restarts))
+
+
+def _greedy(checker, size, seed=0, restarts=24):
+    """The certificate of the first cover by `size` pieces that greedy
+    search finds and verifies, or None.
 
     Faces are assigned in order to the piece with the least obstruction
     (ties to the lower piece index).  Repair scans failing pieces for the
@@ -443,19 +458,28 @@ def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
     (:meth:`_PieceChecker.removals`): O(k log k) face extensions for the k
     removals of a piece of k faces, not O(k^2).
     """
-    checker = _PieceChecker(query)
     n = len(checker.faces)
     rng = random.Random(seed)
-    for attempt in range(max(1, restarts)):
-        order = list(range(n))
-        if attempt:
-            rng.shuffle(order)
-        face_sets = _repair(checker, *_grown(checker, order, size), max_steps=4 * n)
-        if face_sets is not None:
-            cover = checker.cover_from(face_sets)
-            if verify(query, cover).verified:
-                return cover
-    return None
+
+    def repaired():
+        for attempt in range(max(1, restarts)):
+            order = list(range(n))
+            if attempt:
+                rng.shuffle(order)
+            yield _repair(checker, *_grown(checker, order, size), max_steps=4 * n)
+
+    return _first_verified(checker, filter(None, repaired()))
+
+
+def _first_verified(checker, candidates):
+    """The certificate of the first candidate's cover (a list of face
+    sets) that verifies, or None; each is verified before the next is
+    drawn, so a walk may yield its own state."""
+    return next(filter(attrgetter("verified"), map(checker.certificate, candidates)), None)
+
+
+def _cover(cert):
+    return cert.cover if cert else None
 
 
 def _grown(checker, order, size):
@@ -521,16 +545,45 @@ def search(query: DistanceQuery, size: int, strategy: str = "auto",
     """Find a verified cover by `size` pieces, or None.
 
     ``exhaustive`` also proves nonexistence; ``auto`` uses it whenever the
-    enumeration fits the budget and falls back to greedy otherwise.
+    enumeration fits the budget and falls back to greedy otherwise
+    (:func:`_size_plan`, as :func:`bounds_for` decides each size).
     """
+    exhaustive, _ = _size_plan(len(query.source.maximal_faces), size, strategy, budget)
+    checker = _PieceChecker(query)
+    return _cover(_exhaustive(checker, size) if exhaustive else _greedy(checker, size, seed))
+
+
+def _size_plan(n_faces: int, size: int, strategy: str, budget: int,
+               exhaustive_upto: int | None = None, per_size: bool = False):
+    """How to search for a cover by `size` pieces of a source with
+    `n_faces` maximal faces: ``(exhaustive, note)``.
+
+    Exhaustive search is asked for by the strategy ``exhaustive``, or by
+    ``exhaustive_upto`` up to that size; ``auto`` takes it whenever its
+    ``(2^size - 1)^n`` assignments fit the budget.  An exhaustive search
+    asked for past the budget is searched greedily, with a note, under
+    ``auto``, and raises :class:`BudgetExceededError` otherwise, in the
+    words of a bound report (``per_size``) or of a search.
+    """
+    _check_size(size)
+    _check_strategy(strategy)
+    total = exhaustive_count(n_faces, size)
+    asked = strategy == "exhaustive" or size <= (exhaustive_upto or 0)
+    if total <= budget and (asked or strategy == "auto"):
+        return True, None
+    if not asked:
+        return False, None
+    if strategy == "auto":
+        return False, (f"exhaustive search at {size} pieces exceeds the "
+                       f"budget of {budget}; searched greedily")
+    raise BudgetExceededError(
+        f"exhaustive search at {size} pieces exceeds the budget" if per_size
+        else f"{total} candidate covers exceed the budget of {budget}")
+
+
+def _check_size(size: int):
     if size < 1:
         raise ValueError("size must be at least 1")
-    _check_strategy(strategy)
-    n = len(query.source.maximal_faces)
-    if strategy == "exhaustive" or (strategy == "auto"
-                                    and exhaustive_count(n, size) <= budget):
-        return search_exhaustive(query, size, budget)
-    return search_greedy(query, size, seed=seed)
 
 
 def _check_strategy(strategy: str):
@@ -574,7 +627,16 @@ def bounds_for(query: DistanceQuery, cover: Cover | None = None,
                strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
                max_size: int | None = None,
                exhaustive_upto: int | None = None) -> BoundReport:
-    """Bounds for an arbitrary query; hscat/hstc are the common wrappers."""
+    """Bounds for an arbitrary query; hscat/hstc are the common wrappers.
+
+    The lower bound is the cup-length of the difference image.  A supplied
+    cover that verifies is the upper bound; otherwise sizes from the lower
+    bound + 1 up are searched, each as :func:`_size_plan` decides, all
+    through one :class:`_PieceChecker`, until a search returns the
+    certificate of a cover it verified.  An exhaustive search that finds
+    none raises the lower bound.  When no size yields a cover, the
+    one-piece-per-face cover is verified instead.
+    """
     _check_strategy(strategy)
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
@@ -588,43 +650,28 @@ def bounds_for(query: DistanceQuery, cover: Cover | None = None,
             exact = cert.n if cert.n == lower else None
             return BoundReport(query, lower, witness, cert.n, cert, exact, notes)
         notes.append("supplied cover failed verification")
-    n_faces = len(query.source.maximal_faces)
+    checker = _PieceChecker(query)
+    n_faces = len(checker.faces)
     hard_cap = n_faces if max_size is None else min(max_size, n_faces)
-    upper = cert = None
     for size in range(lower + 1, hard_cap + 1):
-        feasible = exhaustive_count(n_faces, size) <= budget
-        want_exhaustive = (strategy == "exhaustive"
-                           or (strategy == "auto" and feasible)
-                           or (exhaustive_upto is not None and size <= exhaustive_upto))
-        if want_exhaustive and not feasible and strategy != "auto":
-            raise BudgetExceededError(
-                f"exhaustive search at {size} pieces exceeds the budget")
-        if want_exhaustive and feasible:
-            found = search_exhaustive(query, size, budget)
-            if found is None:
-                notes.append(f"no cover with {size} pieces (exhaustive)")
-                lower = size
-                continue
+        exhaustive, note = _size_plan(n_faces, size, strategy, budget,
+                                      exhaustive_upto, per_size=True)
+        if note:
+            notes.append(note)
+        cert = _exhaustive(checker, size) if exhaustive else _greedy(checker, size, seed)
+        if cert:
+            break
+        if exhaustive:
+            notes.append(f"no cover with {size} pieces (exhaustive)")
+            lower = size
         else:
-            if want_exhaustive:
-                notes.append(f"exhaustive search at {size} pieces exceeds the "
-                             f"budget of {budget}; searched greedily")
-            found = search_greedy(query, size, seed=seed)
-            if found is None:
-                notes.append(f"greedy found no cover with {size} pieces")
-                continue
-        cert = verify(query, found)
-        upper = cert.n
-        break
-    if upper is None:
+            notes.append(f"greedy found no cover with {size} pieces")
+    else:
         # one maximal simplex per piece always verifies for a connected target
-        cover = Cover.from_face_lists(query.source,
-                                      [[f] for f in query.source.maximal_faces],
-                                      names=[f"S{i}" for i in range(n_faces)])
-        cert = verify(query, cover)
+        cert = checker.certificate([1 << i for i in range(n_faces)])
         if cert.verified:
-            upper = cert.n
             notes.append("fell back to the one-piece-per-face cover")
+    upper = cert.n if cert.verified else None
     exact = upper if upper == lower else None
     return BoundReport(query, lower, witness, upper, cert, exact, notes)
 

@@ -61,6 +61,10 @@ class InvalidCoverError(CohodistError):
     """A cover's pieces, face lists and names do not fit together."""
 
 
+class UnwritableLabelError(CohodistError):
+    """A vertex label or piece name that a file would not read back as itself."""
+
+
 class ParseError(CohodistError):
     """Input file could not be parsed; carries a 1-based line number."""
 

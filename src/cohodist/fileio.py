@@ -5,7 +5,9 @@ with ``#`` comments and an optional ``order:`` header fixing the vertex
 order.  Pair labels (products) are serialized as quoted ``"a,b"`` tokens;
 nested tuple labels (barycenters of product simplices) use parentheses
 inside the quotes.  Cover files group face lines under ``piece <name>``
-headers; map files hold ``u -> v`` lines.
+headers; map files hold ``u -> v`` lines.  The writers refuse, with
+:class:`errors.UnwritableLabelError`, a label or piece name that their
+reader would not give back as itself.
 """
 
 import functools
@@ -18,7 +20,7 @@ from .complexes import (
     Subcomplex,
     from_maximal_faces,
 )
-from .errors import CohodistError, ParseError
+from .errors import CohodistError, ParseError, UnwritableLabelError
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +32,21 @@ def _label_token(label, top=True) -> str:
         inner = ",".join(_label_token(x, top=False) for x in label)
         return f'"{inner}"' if top else f"({inner})"
     return str(label)
+
+
+def _token(label, reserved=("#",)) -> str:
+    """The label's token, refused with :class:`UnwritableLabelError` unless
+    the readers give the label back from it: :func:`parse_label` must,
+    and the token must hold no whitespace, which ends a token or a line,
+    and no ``reserved`` text, such as the ``#`` that starts a comment."""
+    token = _label_token(label)
+    try:
+        if (token.split() == [token] and not any(r in token for r in reserved)
+                and parse_label(token) == label):
+            return token
+    except ValueError:
+        pass
+    raise UnwritableLabelError(f"the label {label!r} would not read back")
 
 
 def _split_top_level(text, sep=","):
@@ -123,12 +140,10 @@ def _iter_content_lines(text):
 
 
 def complex_to_text(K: SimplicialComplex, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("order: " + " ".join(_label_token(v) for v in K.vertices))
-    for f in K.maximal_faces:
-        lines.append(",".join(_label_token(v) for v in f))
+    tokens = {v: _token(v) for v in K.vertices}  # each label checked once
+    lines = [f"# {line}" for line in comment.splitlines()]
+    lines.append("order: " + " ".join(tokens.values()))
+    lines += (",".join(map(tokens.__getitem__, f)) for f in K.maximal_faces)
     return "\n".join(lines) + "\n"
 
 
@@ -157,9 +172,14 @@ def complex_from_text(text: str, require_connected: bool = True) -> SimplicialCo
     return from_maximal_faces(faces, order=order, require_connected=require_connected)
 
 
-def write_complex(K: SimplicialComplex, path, comment: str = ""):
+def _write(path, text: str):
+    # the writers build the text first, so a refused label leaves no file
     with open(path, "w") as fh:
-        fh.write(complex_to_text(K, comment))
+        fh.write(text)
+
+
+def write_complex(K: SimplicialComplex, path, comment: str = ""):
+    _write(path, complex_to_text(K, comment))
 
 
 def read_complex(path, require_connected: bool = True) -> SimplicialComplex:
@@ -172,11 +192,14 @@ def read_complex(path, require_connected: bool = True) -> SimplicialComplex:
 
 
 def cover_to_text(cover: Cover) -> str:
+    token = functools.cache(_token)
     lines = []
     for i, piece in enumerate(cover.pieces):
-        lines.append(f"piece {piece.name or f'K{i}'}")
-        for f in piece.complex.maximal_faces:
-            lines.append(",".join(_label_token(v) for v in f))
+        name = piece.name or f"K{i}"
+        lines.append(f"piece {name}")
+        if [_header(ln, "piece") for _, ln in _iter_content_lines(lines[-1])] != [name]:
+            raise UnwritableLabelError(f"the piece name {name!r} would not read back")
+        lines += (",".join(map(token, f)) for f in piece.complex.maximal_faces)
     return "\n".join(lines) + "\n"
 
 
@@ -223,8 +246,7 @@ def cover_from_text(text: str, parent: SimplicialComplex) -> Cover:
 
 
 def write_cover(cover: Cover, path):
-    with open(path, "w") as fh:
-        fh.write(cover_to_text(cover))
+    _write(path, cover_to_text(cover))
 
 
 def read_cover(path, parent: SimplicialComplex) -> Cover:
@@ -237,9 +259,10 @@ def read_cover(path, parent: SimplicialComplex) -> Cover:
 
 
 def map_to_text(phi: SimplicialMap) -> str:
-    lines = []
-    for v in phi.source.vertices:
-        lines.append(f"{_label_token(v)} -> {_label_token(phi.assignment[v])}")
+    # a source label must not hold the arrow the reader splits at
+    image = functools.cache(_token)
+    lines = [f"{_token(v, ('#', '->'))} -> {image(phi.assignment[v])}"
+             for v in phi.source.vertices]
     return "\n".join(lines) + "\n"
 
 
@@ -267,8 +290,7 @@ def map_from_text(text: str, source: SimplicialComplex,
 
 
 def write_map(phi: SimplicialMap, path):
-    with open(path, "w") as fh:
-        fh.write(map_to_text(phi))
+    _write(path, map_to_text(phi))
 
 
 def read_map(path, source, target) -> SimplicialMap:

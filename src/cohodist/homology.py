@@ -39,8 +39,10 @@ for exact membership in the lattice of the piece's coboundaries, built for
 that test and not kept.  Homology pushes the generators of H_d(piece)
 forward and reads the difference's class off the target's cached
 presentation, its coordinates reduced mod torsion over Z.
-:func:`maps_equal` reports the verdict per degree,
-:func:`equality_obstruction` counts the failing generators.
+Every path gives, per degree, one verdict form: the bitset of the
+generators that fail, as :attr:`PairingState.failing` holds it.
+:func:`maps_equal` reads a degree as equal when its bitset is 0, and
+:func:`equality_obstruction` counts the set bits.
 
 Results are pure functions of the inputs and are cached per (complex,
 ring).
@@ -487,9 +489,9 @@ class MapsEqualReport:
 
     def __init__(self, by_degree):
         self.by_degree = dict(by_degree)
-        failing = [d for d, ok in sorted(self.by_degree.items()) if not ok]
-        self.first_failing_degree = failing[0] if failing else None
-        self.equal = not failing
+        self.first_failing_degree = min(
+            (d for d, ok in self.by_degree.items() if not ok), default=None)
+        self.equal = self.first_failing_degree is None
 
     def __bool__(self):
         return self.equal
@@ -523,16 +525,22 @@ def _cochain_differences(phi, psi, ring, d):
     return diffs
 
 
-def _cochain_verdicts(phi, psi, ring, d, chains):
-    """Over Z: membership of each difference in the piece's coboundary lattice."""
+def _cochain_verdicts(phi, psi, ring, d, chains) -> int:
+    """Over Z: the bitset of the generators of H^d(target) whose
+    difference lies outside the piece's coboundary lattice."""
     idx = chains.basis_indices(d)
     diffs = [[diff[i] for i in idx] for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
-        return [not any(diff) for diff in diffs]
+        return _bits(map(any, diffs))
     snf = smith_normal_form(IntColumns(signed_columns(ring, chains.sparse_coboundary(d - 1)),
                                        chains.rank_of(d)))
-    return (exactalg._z_solve_with_snf(snf, [exactalg._int_vector(diff)]) is not None
-            for diff in diffs)
+    return _bits(exactalg._z_solve_with_snf(snf, [exactalg._int_vector(diff)]) is None
+                 for diff in diffs)
+
+
+def _bits(failing) -> int:
+    """The bitset of the positions where ``failing`` is true."""
+    return sum(1 << y for y, fails in enumerate(failing) if fails)
 
 
 # ---------------------------------------------------------------------------
@@ -650,41 +658,43 @@ def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
 
 
 def _paired_verdicts(phi, psi, ring, piece):
-    """:func:`_generator_verdicts` in field cohomology, read off the
-    :class:`PairingState` ``piece``, or one built from scratch for a mask."""
+    """:func:`_generator_verdicts` in field cohomology: the bitsets of
+    ``failing`` of the :class:`PairingState` ``piece``, or of one built
+    from scratch for a mask; 0 in every degree the state does not pair."""
     if isinstance(piece, PairingState):
         if piece.pairings is not _pairings(phi, psi, ring):
             raise ValueError("the pairing state belongs to other maps or coefficients")
         state = piece
     else:
         state = pairing_state(phi, psi, ring, COHOMOLOGY).extended(piece)
-    failing = {d: (ngens, bits)
-               for (d, ngens, _, _), bits in zip(state.pairings, state.failing)}
+    failing = {d: bits for (d, *_), bits in zip(state.pairings, state.failing)}
     top = max((d for d, bits in enumerate(state.mask) if bits), default=-1)
     for d in range(max(top, phi.target.dim) + 1):
-        ngens, bits = failing.get(d, (0, 0))
-        yield d, [not bits >> y & 1 for y in range(ngens)] if d <= top else ()
+        yield d, failing.get(d, 0)
 
 
-def _chain_verdicts(phi, psi, ring, d, pres, chains):
+def _chain_verdicts(phi, psi, ring, d, pres, chains) -> int:
+    """The bitset of the generators of H_d(piece) whose two images differ
+    in H_d(target)."""
     target = homology(phi.target, ring).presentation(d)
     n_t = chain_complex(phi.target).rank_of(d)
     idx = chains.basis_indices(d)
     phi_entries, psi_entries = chain_map(phi, d), chain_map(psi, d)
     phi_entries = [phi_entries[i] for i in idx]
     psi_entries = [psi_entries[i] for i in idx]
-    for gen in pres.gens:
-        a = _push(ring, phi_entries, n_t, gen)
-        b = _push(ring, psi_entries, n_t, gen)
-        yield target.class_is_zero([x - y for x, y in zip(a, b)])
+    differences = ([x - y for x, y in zip(_push(ring, phi_entries, n_t, gen),
+                                          _push(ring, psi_entries, n_t, gen))]
+                   for gen in pres.gens)
+    return _bits(not target.class_is_zero(diff) for diff in differences)
 
 
 def _generator_verdicts(phi, psi, ring, variance, piece):
-    """Per degree d, the verdict of every generator compared in degree d.
+    """Per degree d, the generators compared in degree d that fail.
 
-    Yields ``(d, verdicts)``, where ``verdicts`` iterates lazily over
-    booleans: True when the two images of one generator are equal in
-    (co)homology.  Cohomology compares the pullbacks of the generators of
+    Yields ``(d, bits)``, where bit y of the int ``bits`` is set when the
+    two images of generator y differ in (co)homology: the form
+    :attr:`PairingState.failing` holds, so 0 means every generator of the
+    degree passes.  Cohomology compares the pullbacks of the generators of
     H^d(target) modulo the piece's coboundaries: over a field by pairing
     with the piece's cycles (:class:`PairingState`), over Z by lattice
     membership.  Homology compares the pushforwards of the generators of
@@ -712,18 +722,14 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
     if variance == COHOMOLOGY:
         gm = cohomology(phi.target, ring)
         for d in degrees:
-            if gm.presentation(d).is_trivial or d > chains.dim:
-                yield d, ()
-            else:
-                yield d, _cochain_verdicts(phi, psi, ring, d, chains)
+            trivial = gm.presentation(d).is_trivial or d > chains.dim
+            yield d, 0 if trivial else _cochain_verdicts(phi, psi, ring, d, chains)
         return
     modules = _presentations(chains, ring, HOMOLOGY)
     for d in degrees:
         pres = modules.get(d)
-        if pres is None or pres.is_trivial:
-            yield d, ()
-        else:
-            yield d, _chain_verdicts(phi, psi, ring, d, pres, chains)
+        trivial = pres is None or pres.is_trivial
+        yield d, 0 if trivial else _chain_verdicts(phi, psi, ring, d, pres, chains)
 
 
 def maps_equal(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
@@ -731,13 +737,14 @@ def maps_equal(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
     """Do phi and psi induce the same map in every degree?
 
     Each degree is decided by testing the generator differences for being
-    zero in (co)homology.  ``piece`` restricts both maps to a subcomplex of
-    their source, as in :func:`equality_obstruction`; None means the
-    whole source.
+    zero in (co)homology: a degree is equal when its bitset of failing
+    generators (:func:`_generator_verdicts`) is 0.  ``piece`` restricts
+    both maps to a subcomplex of their source, as in
+    :func:`equality_obstruction`; None means the whole source.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
-    return MapsEqualReport({d: all(verdicts) for d, verdicts
+    return MapsEqualReport({d: bits == 0 for d, bits
                             in _generator_verdicts(phi, psi, ring, variance, piece)})
 
 
@@ -745,7 +752,9 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
                          variance: str, piece=None) -> int:
     """Number of generators whose images differ; 0 means the maps agree.
 
-    A finer-grained version of :func:`maps_equal`, used as a search score.
+    A finer-grained version of :func:`maps_equal`, used as a search score:
+    the popcounts of the bitsets of failing generators
+    (:func:`_generator_verdicts`), summed over the degrees.
     ``piece`` restricts both maps to a subcomplex of their source given as
     a mask (:attr:`complexes.Subcomplex.mask`); None means the whole
     source.  ``piece`` may also be a :class:`PairingState` of the maps,
@@ -753,6 +762,5 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
     """
     _require_parallel(phi, psi)
     _check_variance(variance)
-    return sum(not ok for _, verdicts
-               in _generator_verdicts(phi, psi, ring, variance, piece)
-               for ok in verdicts)
+    return sum(bits.bit_count() for _, bits
+               in _generator_verdicts(phi, psi, ring, variance, piece))

@@ -137,6 +137,25 @@ class TestSearch:
         with pytest.raises(BudgetExceededError):
             search_exhaustive(q, 3)  # 7^10 assignments
 
+    def test_budget_messages(self):
+        # a search counts candidate covers; a bound report names the size
+        q = scat_query(fixture_complex("k5"), GF2)
+        with pytest.raises(BudgetExceededError,
+                           match="^282475249 candidate covers exceed the budget of 16777216$"):
+            search(q, 3, strategy="exhaustive")
+        with pytest.raises(BudgetExceededError,
+                           match="^exhaustive search at 3 pieces exceeds the budget$"):
+            bounds_for(q, strategy="exhaustive")
+
+    def test_size_below_one_raises(self):
+        # search_exhaustive(q, 0) used to return None, a proof that no
+        # cover exists; -1 failed in islice and greedy in min()
+        q = scat_query(fixture_complex("k5"), GF2)
+        for size in (0, -1):
+            for fn in (search, search_exhaustive, search_greedy):
+                with pytest.raises(ValueError, match="size must be at least 1"):
+                    fn(q, size)
+
     def test_exhaustive_finds_sphere_two_cover(self):
         # facet versus complementary star: both pieces have trivial
         # positive-degree cohomology
@@ -205,10 +224,44 @@ class TestBounds:
                 bounds_for(scat_query(pt, GF2), strategy="greedy", exhaustive_upto=upto)
         assert hscat(pt, GF2, exhaustive_upto=1).exact == 0
 
+    def test_one_checker_and_one_verification_per_query(self, monkeypatch):
+        checkers, verified = [], []
+
+        class Counted(_PieceChecker):
+            def __init__(self, query):
+                checkers.append(query)
+                super().__init__(query)
+
+        def counted_verify(query, cover):
+            verified.append(cover)
+            return verify(query, cover)
+
+        monkeypatch.setattr(distance, "_PieceChecker", Counted)
+        monkeypatch.setattr(distance, "verify", counted_verify)
+        k5, rp2 = fixture_complex("k5"), fixture_complex("rp2")
+        cases = [
+            # an exhaustive proof at 2 pieces, then greedy at 3
+            (dict(K=k5, ring=GF2, exhaustive_upto=2), 2, 2),
+            (dict(K=k5, ring=GF(3)), 2, 2),
+            # no search: the one-piece-per-face fallback
+            (dict(K=rp2, ring=GF2, max_size=1), 2, 9),
+        ]
+        for kwargs, lower, upper in cases:
+            checkers.clear()
+            verified.clear()
+            rep = hscat(**kwargs)
+            assert (rep.lower, rep.upper) == (lower, upper)
+            assert len(checkers) == 1
+            assert sum(c is rep.certificate.cover for c in verified) == 1
+        checkers.clear()
+        assert search(scat_query(k5, GF2), 3) is not None
+        assert len(checkers) == 1
+
     def test_unknown_strategy_raises(self, monkeypatch):
         # a misspelt strategy used to search greedily and report a gap
         calls = []
-        monkeypatch.setattr(distance, "search_greedy", lambda *a, **k: calls.append(a))
+        for walk in ("_greedy", "_exhaustive"):
+            monkeypatch.setattr(distance, walk, lambda *a, **k: calls.append(a))
         k5 = fixture_complex("k5")
         for fn in (hscat, hstc):
             with pytest.raises(ValueError, match="unknown strategy 'exhaustiv'"):

@@ -5,8 +5,15 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from cohodist import cli, distance, fileio
-from cohodist.complexes import Cover, barycentric_subdivision, from_maximal_faces, product
-from cohodist.errors import ParseError
+from cohodist.complexes import (
+    Cover,
+    SimplicialMap,
+    Subcomplex,
+    barycentric_subdivision,
+    from_maximal_faces,
+    product,
+)
+from cohodist.errors import CohodistError, ParseError, UnwritableLabelError
 from cohodist.fixtures import fixture_complex, fixture_cover
 
 
@@ -51,6 +58,14 @@ class TestComplexFiles:
         fileio.write_complex(K, path)
         assert fileio.read_complex(path) == K
 
+    def test_round_trip_multiline_comment(self, tmp_path):
+        # a comment's second line used to be written as a face line
+        K = fixture_complex("s2")
+        path = tmp_path / "s2.cx"
+        fileio.write_complex(K, path, comment="sphere\n0,1,5")
+        assert path.read_text().startswith("# sphere\n# 0,1,5\n")
+        assert fileio.read_complex(path) == K
+
     def test_parse_error_line_number(self):
         with pytest.raises(ParseError) as err:
             fileio.complex_from_text("0,1\n0,((\n")
@@ -63,6 +78,71 @@ class TestComplexFiles:
     def test_comments_and_blanks(self):
         K = fileio.complex_from_text("# a triangle\n\n0,1,2  # filled\n")
         assert K.f_vector() == (3, 3, 1)
+
+
+class TestUnwritableLabels:
+    """Writers refuse what their readers would not give back: each of these
+    labels used to be written and read back as another label, or not read
+    back at all."""
+
+    BAD = ("7", "-3", "x ", ("a,b", 1), "a b", "a#b", "", "a\nb", 1.5, True)
+
+    def test_complex_refused(self, tmp_path):
+        assert issubclass(UnwritableLabelError, CohodistError)
+        for bad in self.BAD:
+            K = from_maximal_faces([[bad, "u"], ["u", "w"], ["w", bad]],
+                                   order=[bad, "u", "w"])
+            path = tmp_path / "k.cx"
+            with pytest.raises(UnwritableLabelError):
+                fileio.write_complex(K, path)
+            assert not path.exists()
+
+    def test_each_label_checked_once(self, monkeypatch):
+        calls = []
+        parse = fileio.parse_label
+        monkeypatch.setattr(fileio, "parse_label",
+                            lambda token: calls.append(token) or parse(token))
+        K = fixture_complex("s2")
+        text = fileio.complex_to_text(K)
+        assert sorted(calls) == sorted(map(str, K.vertices))
+        assert fileio.complex_from_text(text) == K
+
+    def test_map_refused(self, tmp_path):
+        c3 = fixture_complex("c3")
+        for bad in self.BAD + ("a->b",):
+            K = from_maximal_faces([[bad, "u"], ["u", "w"], ["w", bad]],
+                                   order=[bad, "u", "w"])
+            phi = SimplicialMap(K, c3, {bad: 0, "u": 1, "w": 2})
+            with pytest.raises(UnwritableLabelError):
+                fileio.write_map(phi, tmp_path / "phi.map")
+            if bad != "a->b":
+                with pytest.raises(UnwritableLabelError):
+                    fileio.write_map(SimplicialMap(c3, K, {0: bad, 1: "u", 2: "w"}),
+                                     tmp_path / "psi.map")
+        assert not list(tmp_path.iterdir())
+        # an arrow inside a target label reads back
+        K = from_maximal_faces([["a->b", "u"], ["u", "w"], ["w", "a->b"]])
+        psi = SimplicialMap(c3, K, {0: "a->b", 1: "u", 2: "w"})
+        fileio.write_map(psi, tmp_path / "psi.map")
+        assert fileio.read_map(tmp_path / "psi.map", c3, K).assignment == psi.assignment
+
+    def test_cover_refused(self, tmp_path):
+        s2 = fixture_complex("s2")
+        for name in ("a#b", " a", "a ", "a\nb", "#"):
+            cov = Cover(s2, [Subcomplex.spanned_by(s2, s2.maximal_faces, name=name)])
+            with pytest.raises(UnwritableLabelError):
+                fileio.write_cover(cov, tmp_path / "c.cover")
+        for bad in self.BAD:
+            K = from_maximal_faces([[bad, "u"], ["u", "w"], ["w", bad]],
+                                   order=[bad, "u", "w"])
+            with pytest.raises(UnwritableLabelError):
+                fileio.write_cover(Cover.from_face_lists(K, [K.maximal_faces]),
+                                   tmp_path / "c.cover")
+        assert not list(tmp_path.iterdir())
+        # a name with inner spaces reads back
+        cov = Cover(s2, [Subcomplex.spanned_by(s2, s2.maximal_faces, name="piece one")])
+        fileio.write_cover(cov, tmp_path / "c.cover")
+        assert fileio.read_cover(tmp_path / "c.cover", s2).pieces[0].name == "piece one"
 
 
 class TestCoverAndMapFiles:
@@ -262,6 +342,18 @@ class TestCli:
             assert exc.value.code == 2
             assert "must be at least 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_one_query_form(self, capsys):
+        # "bounds --scat s2 --tc s2" used to run the category query
+        for command in ("bounds", "verify"):
+            for forms in (["--scat", "s2", "--tc", "s2"],
+                          ["--tc", "s2", "--complex", "s2"],
+                          ["--scat", "s2", "--complex", "s2"]):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command, *forms, "--cover", "table2"])
+                assert exc.value.code == 2
+                captured = capsys.readouterr()
+                assert "not allowed with argument" in captured.err and not captured.out
 
     def test_max_size_below_one_rejected(self, capsys):
         for value in ("-1", "0"):

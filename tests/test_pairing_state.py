@@ -430,7 +430,8 @@ class TestBoundedStates:
 
         evaluate = _PieceChecker._evaluate
         table = _PieceChecker.verdict_table
-        greedy = distance.search_greedy
+        greedy = distance._greedy
+        greedy_sizes = []
 
         def counted(self, face_set, piece):
             kind, size = phase[-1] if phase else ("other", None)
@@ -450,16 +451,17 @@ class TestBoundedStates:
             finally:
                 phase.pop()
 
-        def in_greedy(query, size, **kwargs):
+        def in_greedy(checker, size, *args, **kwargs):
             phase.append(("greedy", size))
+            greedy_sizes.append(size)
             try:
-                return greedy(query, size, **kwargs)
+                return greedy(checker, size, *args, **kwargs)
             finally:
                 phase.pop()
 
         monkeypatch.setattr(_PieceChecker, "_evaluate", counted)
         monkeypatch.setattr(_PieceChecker, "verdict_table", in_table)
-        monkeypatch.setattr(distance, "search_greedy", in_greedy)
+        monkeypatch.setattr(distance, "_greedy", in_greedy)
 
         report = hscat(fixture_complex("k5"), GF2, exhaustive_upto=2)
         assert report.exact == 2
@@ -467,7 +469,8 @@ class TestBoundedStates:
         # parents and the empty state (the 10-face set was memoized by the
         # first pass)
         assert peaks["table"] == 10
-        assert peaks["greedy"] <= 11
+        # greedy at 3 pieces reads only face sets the size-2 table holds
+        assert greedy_sizes == [3] and "greedy" not in peaks
         peaks.clear()
         report = hstc(fixture_complex("s2"), GF(3))
         assert report.exact == 2

@@ -219,8 +219,9 @@ def test_bounds_make_pinned_evaluations(evaluations):
                       ("S2", 0xd00005206100000016000000)]
     assert (report.lower, report.exact) == (2, 2)
     evaluations.clear()
+    # the size-2 table holds every face set greedy reads at size 3
     report = hscat(fixture_complex("k5"), GF2, exhaustive_upto=2)
-    assert len(evaluations) == 1055
+    assert len(evaluations) == 1023
     assert report.notes == ["no cover with 2 pieces (exhaustive)"]
     assert report.exact == 2
 
@@ -228,7 +229,7 @@ def test_bounds_make_pinned_evaluations(evaluations):
 def test_integer_and_homology_searches_make_pinned_evaluations(evaluations):
     # Z and homology searches hold and grow pieces as field cohomology does
     report = hscat(fixture_complex("k5"), ZZ, exhaustive_upto=2)
-    assert len(evaluations) == 1055
+    assert len(evaluations) == 1023
     assert (report.lower, report.exact) == (2, 2)
     evaluations.clear()
     report = hscat(fixture_complex("torus"), ZZ)
@@ -246,7 +247,7 @@ def test_integer_and_homology_searches_make_pinned_evaluations(evaluations):
 def test_greedy_gap_makes_pinned_evaluations(evaluations):
     # greedy at two pieces repairs every restart and finds no cover over Z_2
     report = hstc(fixture_complex("s2"), GF2)
-    assert len(evaluations) == 7652
+    assert len(evaluations) == 7346
     assert [report.lower, report.upper] == [1, 2]
     assert report.exact is None
 

@@ -24,15 +24,19 @@ from cohodist.distance import DistanceQuery, _PieceChecker
 from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.fixtures import fixture_complex, rp2_loop
 from cohodist.homology import (
+    _generator_verdicts,
     chain_complex,
     equality_obstruction,
     homology,
+    induced_map,
     maps_equal,
+    pairing_state,
     pushforward_chain,
 )
 
 from .oracles import boundary_rows
 from .presentation_path import maps_equal_by_presentation
+from .reference_membership import obstruction_by_membership
 
 RINGS = (ZZ, QQ, GF2, GF(3))
 VARIANCES = ("cohomology", "homology")
@@ -108,6 +112,56 @@ class TestDifferentialAgainstPresentations:
                             == equality_obstruction(phi, psi, ring, variance))
                     unequal += not fast.equal
         assert unequal > 20
+
+
+def failing_by_presentation(phi, psi, ring, variance):
+    """Per degree, the generators whose two images differ, counted on the
+    induced homomorphisms: a Hom's matrix is canonical, so two images of
+    one generator are equal exactly when their columns are."""
+    f, g = induced_map(phi, ring, variance), induced_map(psi, ring, variance)
+    return {d: sum(f.hom(d).matrix.column(j) != g.hom(d).matrix.column(j)
+                   for j in range(f.hom(d).source.ngens))
+            for d in f.degrees}
+
+
+class TestBitsetVerdicts:
+    """Every path yields per degree the bitset of the failing generators."""
+
+    def test_bitsets_against_references(self):
+        rng = random.Random(21)
+        checked = failing = 0
+        pairs = map_pairs(rng)
+        for label, phi, psi in pairs:
+            for ring in RINGS:
+                for variance in VARIANCES:
+                    checker = _PieceChecker(DistanceQuery(phi, psi, ring, variance))
+                    n = len(checker.faces)
+                    cap = 12 if ring == ZZ and n > 60 else n
+                    for _ in range(3):
+                        face_set = sum(1 << i for i in
+                                       rng.sample(range(n), rng.randint(1, cap)))
+                        mask = checker.mask(face_set)
+                        bits = dict(_generator_verdicts(phi, psi, ring, variance, mask))
+                        report = maps_equal(phi, psi, ring, variance, piece=mask)
+                        assert report.by_degree == {d: b == 0 for d, b in bits.items()}
+                        total = sum(b.bit_count() for b in bits.values())
+                        assert total == equality_obstruction(phi, psi, ring, variance,
+                                                             piece=mask)
+                        if variance == "cohomology" and ring.is_field:
+                            want = obstruction_by_membership(phi, psi, ring, mask)
+                            state = pairing_state(phi, psi, ring, variance).extended(mask)
+                            assert dict(_generator_verdicts(
+                                phi, psi, ring, variance, state)) == bits
+                        else:
+                            piece = checker.subcomplex(face_set)
+                            a, b = restrict(phi, piece), restrict(psi, piece)
+                            by_degree = failing_by_presentation(a, b, ring, variance)
+                            assert by_degree == {d: b.bit_count() for d, b in bits.items()}
+                            want = sum(by_degree.values())
+                        assert total == want, (label, ring, variance)
+                        checked += 1
+                        failing += total > 0
+        assert checked == 3 * len(RINGS) * len(VARIANCES) * len(pairs) and failing > 50
 
 
 class TestCompositeContent:
