@@ -90,13 +90,15 @@ def _query_from_args(args, parser):
     """(query, display name of the source complex)."""
     ring = ring_from_code(args.ring)
     variance = args.variance
-    if getattr(args, "scat", None):
+    if (args.scat or args.tc) and (args.target or args.phi or args.psi):
+        parser.error("--target, --phi and --psi go with --complex, not --scat or --tc")
+    if args.scat:
         K = _resolve_complex(args.scat)
         return scat_query(K, ring, variance), args.scat
-    if getattr(args, "tc", None):
+    if args.tc:
         K = _resolve_complex(args.tc)
         return stc_query(K, ring, variance), f"{args.tc} x {args.tc}"
-    if getattr(args, "complex", None):
+    if args.complex:
         if not (args.phi and args.psi and args.target):
             parser.error("--complex needs --target, --phi and --psi")
         K = _resolve_complex(args.complex)
@@ -306,8 +308,8 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="lower/upper bounds on a distance query")
-    _add_query_args(p, "cohomology only: the cup-length lower bound applies to "
-                       "the cohomology variance, so homology exits 2")
+    _add_query_args(p, "compare in cohomology (default) or homology; the lower "
+                       "bound is the cup-length, over Q for homology over z")
     p.add_argument("--cover", metavar="COVER", help="verify this cover for the upper bound")
     p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET)

@@ -26,6 +26,7 @@ from .errors import (
     InvalidCoverError,
     NotASubcomplexError,
     NotSimplicialError,
+    UnsupportedLabelError,
 )
 
 
@@ -33,17 +34,18 @@ def label_key(label):
     """Total order on vertex labels across the types we use.
 
     ints sort before strings before tuples; tuples sort lexicographically
-    by their members' keys.
+    by their members' keys.  Any other label, a bool or a float among them,
+    raises :class:`errors.UnsupportedLabelError`.
     """
     if isinstance(label, bool):
-        raise TypeError("bool is not a vertex label")
+        raise UnsupportedLabelError("bool is not a vertex label")
     if isinstance(label, int):
         return (0, label)
     if isinstance(label, str):
         return (1, label)
     if isinstance(label, tuple):
         return (2, tuple(label_key(x) for x in label))
-    raise TypeError(f"unsupported vertex label {label!r}")
+    raise UnsupportedLabelError(f"unsupported vertex label {label!r}")
 
 
 class SimplicialComplex:
@@ -263,6 +265,8 @@ def from_maximal_faces(faces, order=None, require_connected=True) -> SimplicialC
         vertices = tuple(order)
         if set(vertices) != verts or len(vertices) != len(set(vertices)):
             raise EmptyInputError("explicit order must list each vertex exactly once")
+        for v in vertices:
+            label_key(v)  # raises on a label of no supported type
     pos = {v: i for i, v in enumerate(vertices)}
     keys = [tuple(sorted(map(pos.__getitem__, f))) for f in faces]
     K = SimplicialComplex(vertices, _downward_closure(keys))

@@ -15,7 +15,7 @@ their span would; the invariants below rely on that reduction.
 from .complexes import SimplicialComplex, SimplicialMap, product
 from .errors import ComplexMismatchError, NotAFieldError, RingMismatchError
 from .exactalg import Ring
-from .homology import _cochain_differences, chain_complex, cohomology
+from .homology import _cochain_differences, _require_parallel, chain_complex, cohomology
 
 class CohomologyClass:
     """A cohomology class of one degree, carried by a cochain representative."""
@@ -228,8 +228,7 @@ def J_generators(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> GradedCl
     Their span is the image of phi* - psi* in positive degrees; the
     degree-0 difference vanishes for a connected target and is omitted.
     """
-    if phi.source != psi.source or phi.target != psi.target:
-        raise ComplexMismatchError("maps must share source and target")
+    _require_parallel(phi, psi)
     return GradedClassSet(CohomologyClass(phi.source, ring, d, diff, check=False)
                           for d in range(1, phi.target.dim + 1)
                           for diff in _cochain_differences(phi, psi, ring, d))

@@ -15,10 +15,10 @@ comparison, and in dimension one every subcomplex is of this form up to
 isolated vertices.  A piece is evaluated as a mask over the source's
 chain bases (:attr:`complexes.Subcomplex.mask`) and never built, by
 search and by ``verify`` alike.  Every piece is a
-:class:`homology.PairingState`, whatever the ring and variance;
-:mod:`homology` alone decides whether a state pairs with cycles (in field
-cohomology, reducing and pairing only the new simplices' boundary columns
-as the state grows) or is read as its mask.
+:class:`homology.PairingState`, whatever the ring and variance; it pairs
+with cycles over a field, reducing and pairing only the new simplices'
+boundary columns as the state grows, and is read as its mask over Z.
+The lower bound is a cup-length in either variance (:func:`lower_bound`).
 
 Search state is per query.  One checker evaluates every piece of a query,
 at every size and in both strategies, and memoizes each verdict for the
@@ -67,11 +67,13 @@ from .complexes import (
     subdivide_cover,
 )
 from .cupring import J_generators, ProductWitness, lcp_with_witness
-from .errors import BudgetExceededError, NotASubcomplexError, VarianceUnsupportedError
-from .exactalg import Ring
+from .errors import BudgetExceededError, NotASubcomplexError
+from .exactalg import QQ, Ring
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
+    _check_variance,
+    _require_parallel,
     equality_obstruction,
     maps_equal,
     pairing_state,
@@ -91,10 +93,8 @@ class DistanceQuery:
     variance: str = COHOMOLOGY
 
     def __post_init__(self):
-        if self.phi.source != self.psi.source or self.phi.target != self.psi.target:
-            raise ValueError("maps must share source and target")
-        if self.variance not in (COHOMOLOGY, HOMOLOGY):
-            raise ValueError(f"bad variance {self.variance!r}")
+        _require_parallel(self.phi, self.psi)
+        _check_variance(self.variance)
 
     @property
     def source(self) -> SimplicialComplex:
@@ -175,12 +175,13 @@ def verify(query: DistanceQuery, cover: Cover) -> CoverCertificate:
 
 
 def lower_bound(query: DistanceQuery):
-    """(lcp of the difference image, witness product); cohomology only."""
-    if query.variance != COHOMOLOGY:
-        raise VarianceUnsupportedError(
-            "the cup-length lower bound applies to the cohomology variance")
-    J = J_generators(query.phi, query.psi, query.ring)
-    return lcp_with_witness(J)
+    """(lcp of the difference image, witness product), in either variance:
+    over a field both give one verdict per piece, and a cover for Z homology
+    is one for Q homology (H_*(P; Q) = H_*(P; Z) (x) Q), so it takes Q's."""
+    ring = query.ring
+    if query.variance == HOMOLOGY and not ring.is_field:
+        ring = QQ
+    return lcp_with_witness(J_generators(query.phi, query.psi, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ class _PieceChecker:
     (:func:`homology.pairing_state`) by its faces' masks.  The query's
     maps are compared on it by :func:`homology.equality_obstruction`, once
     per face set; whether a state pairs with cycles is decided there, from
-    the query's ring and variance.
+    the query's ring.
 
     Verdicts are memoized, states are not: the checker keeps each face's
     closure, the empty state and the verdicts, and no other state.  One
@@ -217,7 +218,7 @@ class _PieceChecker:
         self.faces = source.maximal_faces
         self._closures = [_closure_mask(source, key) for key in source.maximal_keys()]
         self._cache = {0: 0}  # the empty piece is vacuous
-        self._empty = pairing_state(query.phi, query.psi, query.ring, query.variance)
+        self._empty = pairing_state(query.phi, query.psi, query.ring)
 
     def subcomplex(self, face_set: int, name="") -> Subcomplex:
         return Subcomplex.spanned_by(self.query.source,

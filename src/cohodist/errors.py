@@ -49,16 +49,16 @@ class BoundaryNotInCyclesError(CohodistError):
     pass
 
 
-class VarianceUnsupportedError(CohodistError):
-    pass
-
-
 class BudgetExceededError(CohodistError):
     pass
 
 
 class InvalidCoverError(CohodistError):
     """A cover's pieces, face lists and names do not fit together."""
+
+
+class UnsupportedLabelError(CohodistError):
+    """A vertex label that is not an int, a str or a tuple of such."""
 
 
 class UnwritableLabelError(CohodistError):

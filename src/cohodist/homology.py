@@ -27,18 +27,18 @@ the source given as a mask over the source's chain bases
 without building the subcomplex; cover search and ``verify`` both call
 it.  For every generator
 of the relevant group it tests whether the difference of the two
-(co)chain images is zero in (co)homology.  Cohomology pulls back the
-generators of H^d(target).  Over a field a difference is a coboundary on
-the piece exactly when it vanishes on every d-cycle of the piece, so a
-:class:`PairingState` reduces the piece's boundary columns and pairs each
-new cycle with the differences; it grows by a face, reducing only the new
-columns as it grows and leaving the state it grew from as it was, which is
-how cover search evaluates the pieces it grows.
-Over Z that duality fails through Ext terms, and the difference is tested
-for exact membership in the lattice of the piece's coboundaries, built for
-that test and not kept.  Homology pushes the generators of H_d(piece)
-forward and reads the difference's class off the target's cached
-presentation, its coordinates reduced mod torsion over Z.
+(co)chain images is zero in (co)homology.  Over a field H^d(P) is dual
+to H_d(P), so both variances pull back the generators of H^d(target): a
+difference is a coboundary on the piece exactly when it vanishes on every
+d-cycle of the piece, so a :class:`PairingState` reduces the piece's
+boundary columns and pairs each new cycle with the differences; it grows
+by a face, reducing only the new columns, and leaves the state it grew
+from as it was, which is how cover search evaluates the pieces it grows.
+Over Z that duality fails through Ext terms, and the piece is presented
+(:class:`_PieceChains`): cohomology tests the difference for membership
+in the lattice of the piece's coboundaries, and homology pushes the
+generators of H_d(piece) forward and reads the difference's class off the
+target's presentation, its coordinates reduced mod torsion.
 Every path gives, per degree, one verdict form: the bitset of the
 generators that fail, as :attr:`PairingState.failing` holds it.
 :func:`maps_equal` reads a degree as equal when its bitset is 0, and
@@ -66,7 +66,7 @@ from .exactalg import (
     trivial_presentation,
 )
 from .complexes import SimplicialComplex, SimplicialMap, _bit_indices
-from .errors import BoundaryNotInCyclesError
+from .errors import BoundaryNotInCyclesError, ComplexMismatchError
 
 COHOMOLOGY = "cohomology"
 HOMOLOGY = "homology"
@@ -248,8 +248,8 @@ class GradedModule:
 
 
 def _presentations(data, ring: Ring, variance) -> dict:
-    """H^d or H_d for every degree of a :class:`ChainComplexData` (or
-    :class:`_PieceChains`).
+    """H^d or H_d for every degree of a :class:`ChainComplexData` (or,
+    over Z, of a :class:`_PieceChains`).
 
     Over a field all degrees come from one pass that reduces each
     (co)boundary matrix once (:func:`exactalg.field_presentations`):
@@ -276,17 +276,14 @@ def _check_composites(data, ring: Ring):
     once over Z and kept on a :class:`ChainComplexData`.  The composite is
     zero over Q exactly when g == 0 and over Z_p exactly when p divides g.
     The coboundary composites are the transposes of these, so one content
-    serves every ring and both variances.  A :class:`_PieceChains` reads
-    its parent's contents: each composite column of a piece is one of the
-    parent's, so the piece's composite is zero wherever the parent's is.
+    serves every ring and both variances.
     """
-    owner = data.parent if isinstance(data, _PieceChains) else data
-    memo = owner._contents if isinstance(owner, ChainComplexData) else {}
+    memo = data._contents if isinstance(data, ChainComplexData) else {}
     p = ring.p
     for d in range(1, data.dim):
         g = memo.get(d)
         if g is None:
-            g = memo[d] = _composite_content(owner, d)
+            g = memo[d] = _composite_content(data, d)
         if g and (p is None or g % p):
             raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
 
@@ -504,7 +501,7 @@ class MapsEqualReport:
 
 def _require_parallel(phi, psi):
     if phi.source != psi.source or phi.target != psi.target:
-        raise ValueError("maps must share source and target")
+        raise ComplexMismatchError("maps must share source and target")
 
 
 _difference_cache: dict = {}
@@ -544,7 +541,7 @@ def _bits(failing) -> int:
 
 
 # ---------------------------------------------------------------------------
-# field cohomology: difference cochains paired with the cycles of a piece
+# over a field: difference cochains paired with the cycles of a piece
 
 
 _pairing_cache: dict = {}
@@ -583,8 +580,8 @@ def _pairings(phi, psi, ring) -> tuple:
 
 class PairingState:
     """A piece of the source of two parallel maps, with the generators of
-    H^*(target) that fail on it when its query pairs with cycles (field
-    cohomology; see :func:`pairing_state`), kept so that it can grow.
+    H^*(target) that fail on it when its query is over a field (in either
+    variance; see :func:`pairing_state`), kept so that it can grow.
 
     Over a field im delta^{d-1}|_P = (ker boundary_d|_P)^perp, so a
     generator y of H^d(target) passes on a piece P exactly when its
@@ -601,8 +598,8 @@ class PairingState:
     disconnected (:func:`_pairings`).  ``failing`` holds per degree the
     bitset of the generators that failed.  A generator that fails fails on
     every larger piece, and a degree whose generators have all failed
-    reduces nothing more.  Any other query's state has no pairings: it
-    only joins masks, and is read as its ``mask``.
+    reduces nothing more.  A Z query's state has no pairings: it only
+    joins masks, and is read as its ``mask``.
 
     :meth:`extended` grows the piece as the persistence column reduction
     (Edelsbrunner, Letscher and Zomorodian 2002) grows a filtration: only
@@ -639,26 +636,20 @@ class PairingState:
         return PairingState(self.pairings, grown, spans, failing)
 
 
-def _pairs(ring: Ring, variance: str) -> bool:
-    """Whether a query's pieces pair difference cochains with cycles."""
-    return variance == COHOMOLOGY and ring.is_field
-
-
-def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
-                  variance: str) -> PairingState:
-    """The empty piece of the maps' source for a query over ``ring`` in
-    ``variance``, to grow with :meth:`PairingState.extended` and pass to
-    :func:`equality_obstruction` as its ``piece``.  It pairs with cycles
-    in field cohomology and pairs nothing otherwise."""
+def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> PairingState:
+    """The empty piece of the maps' source for a query over ``ring``, in
+    either variance, to grow with :meth:`PairingState.extended` and pass
+    to :func:`equality_obstruction` as its ``piece``.  It pairs with
+    cycles over a field and pairs nothing over Z."""
     _require_parallel(phi, psi)
-    pairings = _pairings(phi, psi, ring) if _pairs(ring, variance) else ()
+    pairings = _pairings(phi, psi, ring) if ring.is_field else ()
     empty = (0,) * (chain_complex(phi.source).dim + 1)
     spans = [field_span(ring) for _ in pairings]
     return PairingState(pairings, empty, spans, [0] * len(pairings))
 
 
 def _paired_verdicts(phi, psi, ring, piece):
-    """:func:`_generator_verdicts` in field cohomology: the bitsets of
+    """:func:`_generator_verdicts` over a field: the bitsets of
     ``failing`` of the :class:`PairingState` ``piece``, or of one built
     from scratch for a mask; 0 in every degree the state does not pair."""
     if isinstance(piece, PairingState):
@@ -666,7 +657,7 @@ def _paired_verdicts(phi, psi, ring, piece):
             raise ValueError("the pairing state belongs to other maps or coefficients")
         state = piece
     else:
-        state = pairing_state(phi, psi, ring, COHOMOLOGY).extended(piece)
+        state = pairing_state(phi, psi, ring).extended(piece)
     failing = {d: bits for (d, *_), bits in zip(state.pairings, state.failing)}
     top = max((d for d, bits in enumerate(state.mask) if bits), default=-1)
     for d in range(max(top, phi.target.dim) + 1):
@@ -694,29 +685,29 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
     Yields ``(d, bits)``, where bit y of the int ``bits`` is set when the
     two images of generator y differ in (co)homology: the form
     :attr:`PairingState.failing` holds, so 0 means every generator of the
-    degree passes.  Cohomology compares the pullbacks of the generators of
-    H^d(target) modulo the piece's coboundaries: over a field by pairing
-    with the piece's cycles (:class:`PairingState`), over Z by lattice
-    membership.  Homology compares the pushforwards of the generators of
-    H_d(piece) in H_d(target), relation-aware over Z.
+    degree passes.  Over a field both variances pair the pulled-back
+    generators of H^d(target) with the piece's cycles (:class:`PairingState`;
+    by duality a degree fails in one exactly when in the other).  Over Z
+    cohomology tests them for lattice membership, and homology compares
+    the pushforwards of the generators of H_d(piece) in H_d(target).
 
     ``piece`` is a subcomplex of the source as a mask
     (:attr:`complexes.Subcomplex.mask`), or None for the whole source, or
     a :class:`PairingState` of the maps.  A state that pairs nothing is
-    read as its mask; one that pairs answers field cohomology over its own
-    ring only.  The maps are restricted to the piece without building it:
-    the source's (co)boundary columns and the maps' chain-map entries are
+    read as its mask; one that pairs answers its own field only.  Over Z
+    the maps are restricted to the piece without building it: the
+    source's (co)boundary columns and the maps' chain-map entries are
     restricted to the piece's indices (see :class:`_PieceChains`).
     """
     if piece is None:
         piece = chain_complex(phi.source).full_mask()
     elif isinstance(piece, PairingState) and not piece.pairings:
         piece = piece.mask
-    if _pairs(ring, variance):
+    if ring.is_field:
         yield from _paired_verdicts(phi, psi, ring, piece)
         return
     if isinstance(piece, PairingState):
-        raise ValueError("a pairing state compares maps in field cohomology only")
+        raise ValueError("a paired state compares maps over its own field only")
     chains = _PieceChains(chain_complex(phi.source), piece)
     degrees = range(max(chains.dim, phi.target.dim) + 1)
     if variance == COHOMOLOGY:
@@ -754,11 +745,12 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
 
     A finer-grained version of :func:`maps_equal`, used as a search score:
     the popcounts of the bitsets of failing generators
-    (:func:`_generator_verdicts`), summed over the degrees.
+    (:func:`_generator_verdicts`), summed over the degrees; in field
+    homology those of H^d(target), as in cohomology.
     ``piece`` restricts both maps to a subcomplex of their source given as
     a mask (:attr:`complexes.Subcomplex.mask`); None means the whole
     source.  ``piece`` may also be a :class:`PairingState` of the maps,
-    grown from :func:`pairing_state` for the same ring and variance.
+    grown from :func:`pairing_state` for the same ring.
     """
     _require_parallel(phi, psi)
     _check_variance(variance)

@@ -12,7 +12,8 @@ from itertools import combinations
 
 import pytest
 
-from cohodist.complexes import barycentric_subdivision, product
+from cohodist.complexes import barycentric_subdivision, from_maximal_faces, product
+from cohodist.errors import CohodistError, UnsupportedLabelError
 from cohodist.fileio import complex_to_text
 from cohodist.fixtures import fixture_complex, fixture_names
 
@@ -132,3 +133,14 @@ def test_equality_and_hash_agree_with_simplex_sets():
                 assert (K == L) == same
                 if same:
                     assert hash(K) == hash(L)
+
+
+def test_unsupported_labels_refused():
+    # with an explicit order these used to build a complex; without one a
+    # bare TypeError came out of the label sort
+    assert issubclass(UnsupportedLabelError, CohodistError)
+    for bad in (1.5, True, 2.0, False, ("a", 0.5)):
+        faces = [[bad, "u"], ["u", "w"], ["w", bad]]
+        for order in (None, [bad, "u", "w"]):
+            with pytest.raises(UnsupportedLabelError):
+                from_maximal_faces(faces, order=order)

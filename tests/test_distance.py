@@ -27,7 +27,7 @@ from cohodist.distance import (
     subdivision_monotonicity_check,
     verify,
 )
-from cohodist.errors import BudgetExceededError, VarianceUnsupportedError
+from cohodist.errors import BudgetExceededError
 from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.fixtures import fixture_complex, fixture_cover, rp2_loop
 from cohodist.homology import equality_obstruction, maps_equal
@@ -104,10 +104,20 @@ class TestLowerBound:
         # mod 2 the square of the difference class vanishes
         assert lower_bound(stc_query(s2, GF2))[0] == 1
 
-    def test_homology_unsupported(self):
+    def test_homology_bounds(self):
+        # over a field both variances give one verdict per piece, so one bound
         K = fixture_complex("s2")
-        with pytest.raises(VarianceUnsupportedError):
-            lower_bound(scat_query(K, GF2, variance="homology"))
+        for variance in ("cohomology", "homology"):
+            n, wit = lower_bound(scat_query(K, GF2, variance))
+            assert n == 1 and wit.degrees == (2,)
+        # over Z homology is bounded by the cup-length over Q; H_1(rp2; Z)
+        # is torsion, so the loop's bound is 0, though one piece fails
+        loop = rp2_loop()
+        q = DistanceQuery(loop, SimplicialMap.constant(loop.source, loop.target),
+                          ZZ, "homology")
+        assert lower_bound(q) == (0, None)
+        report = bounds_for(q)
+        assert report.lower == 1 and report.exact == 1
 
 
 class TestSearch:

@@ -4,14 +4,20 @@
 image positions of its vertices, so no label tuple of the source is built
 unless a face fails.  The three ways a vertex assignment can fail keep
 their messages word for word, and a failing face is still named by its
-labels, listed in the source's vertex order.
+labels, listed in the source's vertex order.  Two maps compared or pulled
+back together must be parallel, and every public entry point that takes
+such a pair refuses one that is not with the same error.
 """
 
 import pytest
 
 from cohodist.complexes import SimplicialMap, barycentric_subdivision, from_maximal_faces
-from cohodist.errors import NotSimplicialError
+from cohodist.cupring import J_generators
+from cohodist.distance import DistanceQuery
+from cohodist.errors import ComplexMismatchError, NotSimplicialError
+from cohodist.exactalg import GF2, ZZ
 from cohodist.fixtures import fixture_complex
+from cohodist.homology import equality_obstruction, maps_equal, pairing_state
 
 # a path z - a - m, its vertices listed out of label order
 PATH = from_maximal_faces([["a", "z"], ["m", "a"]], order=["z", "a", "m"])
@@ -62,3 +68,23 @@ def test_a_subdivision_face_is_named_by_its_labels():
                if K.sort_simplex({bad[v] for v in f}) not in K.simplices]
     assert failing
     assert message(sd, K, bad) == f"image of {failing[0]!r} is not a simplex"
+
+
+def test_maps_that_are_not_parallel():
+    s2, c3 = fixture_complex("s2"), fixture_complex("c3")
+    identity = SimplicialMap.identity(s2)
+    other_source = SimplicialMap.constant(c3, s2)
+    other_target = SimplicialMap(s2, CIRCLE, {v: 0 for v in s2.vertices})
+    for psi in (other_source, other_target):
+        for ring in (GF2, ZZ):
+            for call in (lambda: DistanceQuery(identity, psi, ring),
+                         lambda: DistanceQuery(identity, psi, ring, "homology"),
+                         lambda: maps_equal(identity, psi, ring, "cohomology"),
+                         lambda: equality_obstruction(identity, psi, ring, "homology"),
+                         lambda: pairing_state(identity, psi, ring),
+                         lambda: J_generators(identity, psi, ring)):
+                with pytest.raises(ComplexMismatchError, match="maps must share source and target"):
+                    call()
+    # a bad variance is refused in the words of every other entry point
+    with pytest.raises(ValueError, match="variance must be"):
+        DistanceQuery(identity, identity, GF2, "homolgy")

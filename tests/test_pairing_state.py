@@ -1,8 +1,9 @@
-"""Field cohomology pieces decided by pairing difference cochains with cycles.
+"""Field pieces decided by pairing difference cochains with cycles.
 
 Over a field a generator y of H^d(target) passes on a piece exactly when
 (phi^# - psi^#)y vanishes on every d-cycle of the piece, and
-``homology.PairingState`` grows those cycles face by face.  These tests
+``homology.PairingState`` grows those cycles face by face; homology reads
+the same states, by duality.  These tests
 compare its failing-generator counts with the membership path it replaced
 (``reference_membership``) on seeded random pieces, for states made from
 scratch, by chains of one-face extensions and by the walk that fills the
@@ -117,7 +118,7 @@ class TestAgainstMembership:
             faces = list(phi.source.maximal_faces)
             for ring in FIELDS:
                 rng.shuffle(faces)
-                state = pairing_state(phi, psi, ring, "cohomology")
+                state = pairing_state(phi, psi, ring)
                 mask = state.mask
                 # stop early on the big sources; the membership reference is slow there
                 for k, face in enumerate(faces[:24]):
@@ -181,8 +182,9 @@ class TestAgainstMembership:
 
 
 class TestStatesThatPairNothing:
-    """Over Z and in homology a state pairs nothing: search holds and grows
-    it as it does a paired one, and homology reads it as its mask."""
+    """Over Z a state pairs nothing: search holds and grows it as it does a
+    paired one, and the query reads it as its mask.  Field homology, which
+    once paired nothing too, reads the paired states of field cohomology."""
 
     QUERIES = ((ZZ, "cohomology"), (GF2, "homology"), (ZZ, "homology"))
 
@@ -192,8 +194,11 @@ class TestStatesThatPairNothing:
         for label, phi, psi in map_pairs(rng)[:7]:
             faces = phi.source.maximal_faces
             for ring, variance in self.QUERIES:
-                empty = pairing_state(phi, psi, ring, variance)
-                assert empty.pairings == () and empty.failing == []
+                empty = pairing_state(phi, psi, ring)
+                if ring.is_field:
+                    assert empty.pairings is _pairings(phi, psi, ring)
+                else:
+                    assert empty.pairings == () and empty.failing == []
                 for _ in range(3):
                     picked = rng.sample(faces, rng.randint(1, len(faces)))
                     mask = Subcomplex.spanned_by(phi.source, picked).mask
@@ -213,7 +218,9 @@ class TestStatesThatPairNothing:
 
         def record(self, face_set, piece):
             assert isinstance(piece, PairingState)
-            assert piece.pairings == ()
+            q = self.query
+            assert piece.pairings == (_pairings(q.phi, q.psi, q.ring)
+                                      if q.ring.is_field else ())
             assert piece.mask == self.mask(face_set)
             seen.append((face_set, len(live_states)))
             return evaluate(self, face_set, piece)
@@ -283,21 +290,23 @@ class TestDuality:
             disagree += (co == 0) != (ho == 0)
         assert disagree >= 1
 
-    def test_states_answer_field_cohomology_only(self):
+    def test_states_answer_their_own_field_only(self):
         K = fixture_complex("s2")
         phi, psi = SimplicialMap.identity(K), SimplicialMap.constant(K, K)
         whole = chain_complex(K).full_mask()
         # a Z state pairs nothing, so it is sound, and it is read as its mask
-        state = pairing_state(phi, psi, ZZ, "cohomology").extended(whole)
+        state = pairing_state(phi, psi, ZZ).extended(whole)
         assert state.pairings == () and state.mask == whole
         assert (equality_obstruction(phi, psi, ZZ, "cohomology", piece=state)
                 == equality_obstruction(phi, psi, ZZ, "cohomology", piece=whole) == 1)
-        state = pairing_state(phi, psi, GF2, "cohomology").extended(whole)
-        assert equality_obstruction(phi, psi, GF2, "cohomology", piece=state) == 1
-        with pytest.raises(ValueError):
-            equality_obstruction(phi, psi, GF2, "homology", piece=state)
-        with pytest.raises(ValueError):
-            equality_obstruction(phi, psi, GF(3), "cohomology", piece=state)
+        # a GF2 state answers GF2 in both variances, and no other ring
+        state = pairing_state(phi, psi, GF2).extended(whole)
+        assert state.pairings
+        for variance in ("cohomology", "homology"):
+            assert equality_obstruction(phi, psi, GF2, variance, piece=state) == 1
+            for ring in (GF(3), ZZ):
+                with pytest.raises(ValueError):
+                    equality_obstruction(phi, psi, ring, variance, piece=state)
 
 
 class TestDisconnectedTarget:
@@ -328,7 +337,7 @@ class TestDisconnectedTarget:
             assert [d for d, *_ in _pairings(phi, psi, ring)] == [0, 1]
             for face_set in range(1, 1 << len(faces)):
                 picked = [f for i, f in enumerate(faces) if face_set >> i & 1]
-                state = pairing_state(phi, psi, ring, "cohomology")
+                state = pairing_state(phi, psi, ring)
                 for face in picked:
                     state = state.extended(Subcomplex.spanned_by(K, [face]).mask)
                 mask = Subcomplex.spanned_by(K, picked).mask
@@ -366,16 +375,16 @@ class TestLeaveOneOut:
         pairs = map_pairs(rng)
         nonzero = walks = paired = 0
         for ring, variance in self.QUERIES:
-            pairing = variance == "cohomology" and ring is not ZZ
-            # the membership paths of Z and homology are slow on big sources
+            pairing = ring is not ZZ
+            # the Z path presents each piece, which is slow on big sources
             for label, phi, psi in pairs if pairing else pairs[:7]:
                 checker = _PieceChecker(DistanceQuery(phi, psi, ring, variance))
                 n = len(checker.faces)
                 face_set = random_face_set(rng, n)
                 k = face_set.bit_count()
                 depth = (k - 1).bit_length()  # ceil(log2 k)
-                empty = pairing_state(phi, psi, ring, variance)
-                # a field cohomology state skips degrees that cannot fail
+                empty = pairing_state(phi, psi, ring)
+                # a field state skips degrees that cannot fail
                 assert pairing or not empty.pairings
                 paired += bool(empty.pairings)
                 faces, grown = [], 0

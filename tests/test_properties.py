@@ -9,6 +9,11 @@ where that is simplicial) against the identity.  The properties:
   order ends with the failing generators of one built from the whole
   source at once and of the membership reference, and growing a sibling
   leaves its parent as it was;
+- on a random piece over Z_2, Z_3 and Q, the homology verdicts, which
+  read the cohomology pairing states, match the induced maps of the
+  restricted maps on presentations, a path that shares no pairing code;
+- on a random piece, a degree where the maps agree in Z homology agrees
+  in Q homology, the implication the Z homology lower bound rests on;
 - Betti numbers over Z_2, Z_3 and Q in both variances match the
   raw-face oracles, and so do the free ranks over Z;
 - every cover that exhaustive or greedy search returns verifies and still
@@ -21,7 +26,7 @@ The examples are derandomized, so every run tests the same ones.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces
+from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces, restrict
 from cohodist.distance import (
     DistanceQuery,
     scat_query,
@@ -39,10 +44,12 @@ from cohodist.homology import (
     cohomology,
     equality_obstruction,
     homology,
+    maps_equal,
     pairing_state,
 )
 
 from .oracles import betti_mod
+from .presentation_path import maps_equal_by_presentation
 from .reference_membership import obstruction_by_membership
 from .test_field_presentations import betti_q
 
@@ -98,7 +105,7 @@ def test_grown_state_matches_whole_state(pair, ring, data):
     order = data.draw(st.permutations(range(len(faces))))
     cuts = data.draw(st.sets(st.integers(1, len(faces) - 1))) if len(faces) > 1 else set()
     bounds = [0, *sorted(cuts), len(faces)]
-    state = pairing_state(phi, psi, ring, COHOMOLOGY)
+    state = pairing_state(phi, psi, ring)
     for lo, hi in zip(bounds, bounds[1:]):
         before = list(state.failing)
         other = data.draw(st.sampled_from(faces))
@@ -108,11 +115,40 @@ def test_grown_state_matches_whole_state(pair, ring, data):
         assert state.failing == before
         group = [faces[i] for i in order[lo:hi]]
         state = state.extended(Subcomplex.spanned_by(K, group).mask)
-    whole = pairing_state(phi, psi, ring, COHOMOLOGY).extended(chain_complex(K).full_mask())
+    whole = pairing_state(phi, psi, ring).extended(chain_complex(K).full_mask())
     assert state.mask == whole.mask
     assert state.failing == whole.failing
     assert (equality_obstruction(phi, psi, ring, COHOMOLOGY, piece=state)
             == obstruction_by_membership(phi, psi, ring, state.mask))
+
+
+def pieces(K):
+    """A subcomplex of K spanned by a nonempty set of its maximal faces."""
+    faces = K.maximal_faces
+    picked = st.sets(st.sampled_from(faces), min_size=1, max_size=len(faces))
+    return picked.map(lambda chosen: Subcomplex.spanned_by(K, sorted(chosen, key=faces.index)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(pair=map_pairs(), ring=st.sampled_from(FIELDS), data=st.data())
+def test_field_homology_matches_induced_maps(pair, ring, data):
+    phi, psi = pair
+    piece = data.draw(pieces(phi.source))
+    report = maps_equal(phi, psi, ring, HOMOLOGY, piece=piece.mask)
+    induced = maps_equal_by_presentation(restrict(phi, piece), restrict(psi, piece),
+                                         ring, HOMOLOGY)
+    assert report.by_degree == induced.by_degree
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(pair=map_pairs(), data=st.data())
+def test_integral_homology_agreement_holds_rationally(pair, data):
+    phi, psi = pair
+    mask = data.draw(pieces(phi.source)).mask
+    integral = maps_equal(phi, psi, ZZ, HOMOLOGY, piece=mask).by_degree
+    rational = maps_equal(phi, psi, QQ, HOMOLOGY, piece=mask).by_degree
+    assert integral.keys() == rational.keys()
+    assert all(rational[d] for d, equal in integral.items() if equal)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

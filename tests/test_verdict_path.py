@@ -3,8 +3,9 @@
 ``maps_equal`` and ``equality_obstruction`` run the whole source as its
 full piece.  These tests compare that path with the reference path
 (induced homomorphisms on presentations) on seeded maps and pieces, count
-the d∘d content work it does, and check that homology verdicts over Z
-are taken on classes, not on chains.
+the d∘d content work it does, check that field homology never presents a
+piece, and check that homology verdicts over Z are taken on classes, not
+on chains.
 """
 
 import importlib
@@ -147,9 +148,10 @@ class TestBitsetVerdicts:
                         total = sum(b.bit_count() for b in bits.values())
                         assert total == equality_obstruction(phi, psi, ring, variance,
                                                              piece=mask)
-                        if variance == "cohomology" and ring.is_field:
+                        if ring.is_field:
+                            # both variances count the generators of H^d(target)
                             want = obstruction_by_membership(phi, psi, ring, mask)
-                            state = pairing_state(phi, psi, ring, variance).extended(mask)
+                            state = pairing_state(phi, psi, ring).extended(mask)
                             assert dict(_generator_verdicts(
                                 phi, psi, ring, variance, state)) == bits
                         else:
@@ -166,14 +168,19 @@ class TestBitsetVerdicts:
 
 class TestCompositeContent:
     def test_one_content_per_parent_composite(self, monkeypatch):
-        # pieces read the d∘d content of their parent's composites; the
-        # module, not the function the package exports under that name
+        # a field piece is never presented, so pieces compute no d∘d
+        # content: the only contents are those of the whole complex, whose
+        # cohomology the difference cochains come from, each computed once.
+        # The module, not the function the package exports under that name
         hom = importlib.import_module("cohodist.homology")
-        monkeypatch.setattr(hom, "_chain_cache", {})
+        for cache in ("_chain_cache", "_graded_cache", "_difference_cache",
+                      "_pairing_cache"):
+            monkeypatch.setattr(hom, cache, {})
         calls = []
         content = hom._composite_content
 
         def counted(data, d):
+            assert isinstance(data, hom.ChainComplexData)
             calls.append(d)
             return content(data, d)
 
@@ -189,6 +196,36 @@ class TestCompositeContent:
                     equality_obstruction(phi, psi, ring, variance, piece=piece)
                 maps_equal(phi, psi, ring, variance)
         assert sorted(calls) == list(range(1, K.dim))
+
+
+class TestNoFieldPiecePresented:
+    def test_field_homology_reads_pairing_states(self, monkeypatch):
+        hom = importlib.import_module("cohodist.homology")
+        presented = []
+        presentations = hom._presentations
+
+        def recorded(data, ring, variance):
+            presented.append((type(data), ring))
+            return presentations(data, ring, variance)
+
+        monkeypatch.setattr(hom, "_presentations", recorded)
+        rng = random.Random(4)
+        pairs = map_pairs(rng)
+        for label, phi, psi in pairs:
+            faces = phi.source.maximal_faces
+            for ring in (GF2, GF(3), QQ):
+                for _ in range(3):
+                    picked = rng.sample(faces, rng.randint(1, len(faces)))
+                    mask = Subcomplex.spanned_by(phi.source, picked).mask
+                    equality_obstruction(phi, psi, ring, "homology", piece=mask)
+                    maps_equal(phi, psi, ring, "homology", piece=mask)
+                maps_equal(phi, psi, ring, "homology")
+        assert all(kind is not hom._PieceChains for kind, _ in presented)
+        # a Z piece is presented, so the patch sees pieces where they are
+        _, phi, psi = pairs[0]
+        piece = Subcomplex.spanned_by(phi.source, phi.source.maximal_faces[:3]).mask
+        equality_obstruction(phi, psi, ZZ, "homology", piece=piece)
+        assert (hom._PieceChains, ZZ) in presented
 
 
 class TestTorsionVerdicts:
