@@ -335,8 +335,16 @@ def build_parser():
     return parser
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # not at import: a caller that rebinds the cmd_* functions first
+        # gets a parser that dispatches to what it bound
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:

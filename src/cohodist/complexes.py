@@ -515,6 +515,16 @@ def barycentric_subdivision(K: SimplicialComplex):
         chains_ending[key] = ending
         all_chains.extend(ending)
     sd = SimplicialComplex(vertices, all_chains)
+    # the maximal chains are the full flags that end at a maximal simplex
+    # of K, so a d-chain is maximal exactly when it holds a maximal
+    # d-simplex of K
+    maximal = set(K.maximal_keys())
+    maximal_at = {}  # d -> positions in sd K of the maximal d-simplices of K
+    for key, p in zip(keys, at):
+        if key in maximal:
+            maximal_at.setdefault(len(key) - 1, set()).add(p)
+    sd._maximal = tuple(c for d in sorted(maximal_at) for c in sd.keys_of_dim(d)
+                        if not maximal_at[d].isdisjoint(c))
     carrier = SimplicialMap(sd, K, {s: s[-1] for s in simplices})
     return sd, carrier
 

@@ -17,7 +17,10 @@ whose index is a pivot row of the incoming one (clearing).  Clearing is
 sound only when the composite of the two matrices is zero.  The gcd of the
 entries of each composite is computed once per chain complex, over Z, and
 read in the coefficient ring before the pass
-(:class:`errors.BoundaryNotInCyclesError` otherwise).  Over Z the columns go
+(:class:`errors.BoundaryNotInCyclesError` otherwise).  It is found by
+pairing the faces first, a proof that the composite is zero read over a
+whole degree at a time; the entries are summed term by term only where
+that proof does not apply.  Over Z the columns go
 through the sparse Smith normal form, one degree at a time, which is where
 torsion comes from.
 
@@ -48,8 +51,9 @@ Results are pure functions of the inputs and are cached per (complex,
 ring).
 """
 
+from itertools import combinations, compress, count, repeat
 from math import gcd
-from operator import invert, itemgetter, or_
+from operator import eq, gt, invert, itemgetter, neg, or_, xor
 
 from . import exactalg
 from .exactalg import (
@@ -91,17 +95,20 @@ class ChainComplexData:
     (:attr:`SimplicialComplex.index`).  A boundary
     column is a tuple of signed row indices, ``r`` for +1 and ``~r`` for
     -1, one per face in the order the left-out vertex has in the simplex
-    (:func:`_boundary`).
+    (:func:`_face_rows`).
     """
 
-    __slots__ = ("complex", "keys", "index", "_sparse", "_contents")
+    __slots__ = ("complex", "keys", "index", "_faces", "_sparse", "_contents")
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
         degrees = range(K.dim + 1)
         self.keys = keys = {d: K.keys_of_dim(d) for d in degrees}
         self.index = index = K.index
-        self._sparse = {d: _boundary(keys[d], d, index) for d in degrees if d}
+        # d -> the boundary's signed rows by face position, which the
+        # columns zip; kept only until every d∘d content is known
+        self._faces = {d: _face_rows(keys[d], d, index) for d in degrees if d}
+        self._sparse = {d: list(zip(*rows)) for d, rows in self._faces.items()}
         self._contents = {}  # d -> _composite_content(self, d)
 
     @property
@@ -132,8 +139,10 @@ class ChainComplexData:
                                    self.rank_of(d - 1))
 
 
-def _boundary(keys, d: int, index) -> list:
-    """Boundary columns of the degree-d simplices ``keys`` (d >= 1).
+def _face_rows(keys, d: int, index) -> list:
+    """The boundary of the degree-d simplices ``keys`` (d >= 1) by face
+    position: list i holds the signed row of face i of every simplex, and
+    the boundary columns are these lists zipped.
 
     Face i of a simplex leaves out its vertex i and has sign (-1)^i; its
     row is its place in ``index``, stored as ``r`` or ``~r``.  The faces
@@ -146,7 +155,7 @@ def _boundary(keys, d: int, index) -> list:
         faces = zip(map(get, keys)) if d == 1 else map(get, keys)
         face_rows = map(index.__getitem__, faces)
         rows.append(list(map(invert, face_rows) if i % 2 else face_rows))
-    return list(zip(*rows))
+    return rows
 
 
 _chain_cache: dict = {}
@@ -273,10 +282,13 @@ def _check_composites(data, ring: Ring):
     boundary_d o boundary_{d+1} of ``data`` is zero over ``ring``.
 
     The content g of a composite (:func:`_composite_content`) is computed
-    once over Z and kept on a :class:`ChainComplexData`.  The composite is
-    zero over Q exactly when g == 0 and over Z_p exactly when p divides g.
-    The coboundary composites are the transposes of these, so one content
-    serves every ring and both variances.
+    once over Z and kept on a :class:`ChainComplexData`: 0 when its faces
+    pair off, and otherwise the gcd of its entries, summed term by term.
+    The composite is zero over Q exactly when g == 0 and over Z_p exactly
+    when p divides g.  The coboundary composites are the transposes of
+    these, so one content serves every ring and both variances.  Once
+    every content is known the face-position rows the pairing read are
+    dropped, before any reduction runs.
     """
     memo = data._contents if isinstance(data, ChainComplexData) else {}
     p = ring.p
@@ -286,11 +298,72 @@ def _check_composites(data, ring: Ring):
             g = memo[d] = _composite_content(data, d)
         if g and (p is None or g % p):
             raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
+    if isinstance(data, ChainComplexData):
+        data._faces = None
 
 
 def _composite_content(data, d: int) -> int:
     """gcd over Z of the entries of boundary_d o boundary_{d+1} of ``data``,
-    from its columns of signed rows; 0 when the composite is zero."""
+    from its columns of signed rows; 0 when the composite is zero.
+
+    The faces are paired first (:func:`_faces_pair`), a proof that the
+    composite is zero; where that proof does not apply the content is
+    summed term by term (:func:`_summed_content`).
+    """
+    return 0 if _faces_pair(data, d) else _summed_content(data, d)
+
+
+def _sign_positions(data, d: int):
+    """The rows of the degree-d boundary columns of ``data`` by position,
+    unsigned: list i holds the row of entry i of every column.  None unless
+    every column has d + 1 entries and entry i always has sign (-1)^i.
+
+    A :class:`ChainComplexData` holds these lists until its contents are
+    known; other columns are zipped here.
+    """
+    faces = getattr(data, "_faces", None)
+    rows = faces.get(d) if faces else None
+    if rows is None:
+        cols = data.sparse_boundary(d)
+        if any(len(col) != d + 1 for col in cols):
+            return None
+        rows = list(zip(*cols)) if cols else [()] * (d + 1)
+    out = []
+    for i, row in enumerate(rows):
+        if i % 2:
+            if row and max(row) >= 0:
+                return None
+            row = list(map(invert, row))
+        elif row and min(row) < 0:
+            return None
+        out.append(row)
+    return out
+
+
+def _faces_pair(data, d: int) -> bool:
+    """True when the terms of boundary_d o boundary_{d+1} of ``data`` cancel
+    in pairs, so that the composite is zero.
+
+    With signs (-1)^i at position i (:func:`_sign_positions`), the term
+    face k of face i, for i <= k, has sign (-1)^(i+k) and the term face i
+    of face k+1 the opposite sign; they cancel when they are the same row.
+    That is the simplicial identity, and it is checked for every column of
+    the degree at once, one pair (i, k) at a time.
+    """
+    up, down = _sign_positions(data, d + 1), _sign_positions(data, d)
+    if up is None or down is None:
+        return False
+    for k in range(d + 1):
+        for i in range(k + 1):
+            if (list(map(down[k].__getitem__, up[i]))
+                    != list(map(down[i].__getitem__, up[k + 1]))):
+                return False
+    return True
+
+
+def _summed_content(data, d: int) -> int:
+    """:func:`_composite_content` term by term: each column's image under
+    boundary_d, over Z, and the gcd of all their entries."""
     outgoing = data.sparse_boundary(d)
     g = 0
     for col in data.sparse_boundary(d + 1):
@@ -359,35 +432,30 @@ def chain_map(phi: SimplicialMap, d: int):
     row (``j`` or ``~j``, as in a boundary column) per simplex, or None when
     the image is degenerate.
 
-    Each simplex is read as its key, through one array of the target
-    position of every source vertex."""
+    The simplices are read as their keys, one vertex position at a time
+    over the whole degree, through one array of the target position of
+    every source vertex: an image is degenerate when two of its positions
+    agree, and its sign is the parity of the pairs of positions it has
+    out of order."""
     key = (phi, d)
     out = _chain_map_cache.get(key)
     if out is not None:
         return out
-    tgt = chain_complex(phi.target)
-    at = phi.image_positions()
-    index = tgt.index
-    entries = []
-    for s in chain_complex(phi.source).keys.get(d, ()):
-        image = [at[v] for v in s]
-        image_key = tuple(sorted(image))
-        if len(set(image_key)) != len(image_key):
-            entries.append(None)
-            continue
-        j = index[image_key]
-        entries.append(j if _permutation_sign(image) == 1 else ~j)
-    _chain_map_cache[key] = entries
-    return entries
-
-
-def _permutation_sign(values) -> int:
-    inversions = 0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] > values[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    index = chain_complex(phi.target).index
+    keys = chain_complex(phi.source).keys.get(d, ())
+    at = phi.image_positions().__getitem__
+    images = [list(map(at, map(itemgetter(i), keys))) for i in range(d + 1)]
+    kept = list(map(eq, map(len, map(set, zip(*images))), repeat(d + 1)))
+    images = [list(compress(image, kept)) for image in images]
+    odd = [False] * len(images[0])
+    for a, b in combinations(images, 2):
+        odd = list(map(xor, odd, map(gt, a, b)))
+    rows = map(index.__getitem__, map(tuple, map(sorted, zip(*images))))
+    out = [None] * len(keys)
+    for i, j in zip(compress(count(), kept), map(xor, rows, map(neg, odd))):
+        out[i] = j  # j ^ -1 is ~j
+    _chain_map_cache[key] = out
+    return out
 
 
 def pullback_cochain(phi: SimplicialMap, ring: Ring, d: int, cochain):

@@ -146,6 +146,58 @@ def betti_mod(faces, p):
     return tuple(out)
 
 
+def smith_diagonal(rows):
+    """The nonzero invariant factors of an integer matrix, each dividing
+    the next: its Smith normal form by row and column operations."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+
+    def move_to(t, i, j):
+        a[t], a[i] = a[i], a[t]
+        for r in a:
+            r[t], r[j] = r[j], r[t]
+
+    diagonal = []
+    for t in range(min(m, n)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
+        if not entries:
+            break
+        move_to(t, *min(entries)[1:])
+        while True:
+            p = a[t][t]
+            for i in range(t + 1, m):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for r in a:
+                    r[j] -= q * r[t]
+            left = ([(abs(a[i][t]), i, t) for i in range(t + 1, m) if a[i][t]]
+                    + [(abs(a[t][j]), t, j) for j in range(t + 1, n) if a[t][j]])
+            if left:  # remainders smaller than the pivot: the smallest leads
+                move_to(t, *min(left)[1:])
+                continue
+            rest = [i for i in range(t + 1, m) for j in range(t + 1, n) if a[i][j] % p]
+            if not rest:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[rest[0]])]  # its remainder leads next
+        diagonal.append(abs(a[t][t]))
+    return diagonal
+
+
+def integral_homology(faces):
+    """Per degree d, H_d over Z straight from the face list: its free rank
+    and its torsion coefficients (the invariant factors above 1 of the
+    boundary into degree d)."""
+    by_dim = simplices_by_dim(closure_of(faces))
+    top = max(by_dim)
+    diagonals = [[]] + [smith_diagonal(boundary_rows(by_dim, d))
+                        for d in range(1, top + 1)] + [[]]
+    return [(len(by_dim[d]) - len(diagonals[d]) - len(diagonals[d + 1]),
+             [x for x in diagonals[d + 1] if x > 1]) for d in range(top + 1)]
+
+
 def count_chains(simplices):
     """Number of chains under strict inclusion, grouped by chain length.
 

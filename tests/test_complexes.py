@@ -1,9 +1,11 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from cohodist.complexes import (
     Cover,
+    SimplicialComplex,
     SimplicialMap,
     Subcomplex,
     barycentric_subdivision,
@@ -236,6 +238,25 @@ class TestBarycentricSubdivision:
         sd, lam = barycentric_subdivision(K)
         for s in K.simplices:
             assert lam(s) == s[-1]
+
+    def test_maximal_faces_are_full_flags(self):
+        # the subdivision sets its maximal faces as it builds them: the full
+        # flags of the maximal simplices of K, in the order that reading
+        # them off the faces of a complex with the same simplices gives
+        rng = random.Random(23)
+        complexes = [fixture_complex(n) for n in ("s2", "k5", "figure1")]
+        complexes += [rand_complex(rng) for _ in range(30)]
+        for K in complexes:
+            for sd in (barycentric_subdivision(K)[0],
+                       barycentric_subdivision(barycentric_subdivision(K)[0])[0]):
+                top = [frozenset(s) for s in sd.vertices]
+                maximal = [s for s in top if not any(s < t for t in top)]
+                flags = {frozenset(frozenset(perm[:k]) for k in range(1, len(perm) + 1))
+                         for s in maximal for perm in permutations(s)}
+                assert {frozenset(map(frozenset, f)) for f in sd.maximal_faces} == flags
+                again = SimplicialComplex(sd.vertices, [k for d in range(sd.dim + 1)
+                                                       for k in sd.keys_of_dim(d)])
+                assert sd.maximal_keys() == again.maximal_keys()
 
 
 class TestSdMap:

@@ -316,6 +316,8 @@ class TestSubdivisionMonotonicity:
 
 class TestFieldVarianceOnCertificates:
     def test_same_verdicts_both_variances(self):
+        # each piece's verdict in each variance is that of the induced maps
+        # of the restricted maps on presentations, a path that pairs nothing
         cases = [
             (scat_query(fixture_complex("k5"), GF2), fixture_cover("k5")),
             (scat_query(fixture_complex("rp3"), GF2), fixture_cover("table2")),
@@ -327,8 +329,11 @@ class TestFieldVarianceOnCertificates:
             vc = verify(q, cov)
             vh = verify(hq, cov)
             assert vc.verified == vh.verified
-            for rc, rh in zip(vc.piece_reports, vh.piece_reports):
-                assert rc.equal == rh.equal
+            for piece, rc, rh in zip(cov.pieces, vc.piece_reports, vh.piece_reports):
+                phi, psi = restrict(q.phi, piece), restrict(q.psi, piece)
+                for variance, report in (("cohomology", rc), ("homology", rh)):
+                    induced = maps_equal_by_presentation(phi, psi, q.ring, variance)
+                    assert report.equal == induced.equal, (piece.name, variance)
 
 
 class TestPieceMasks:

@@ -201,6 +201,7 @@ def test_boundary_of_boundary_content_once_per_composite(monkeypatch):
         for variance in VARIANCES:
             _presentations(data, ring, variance)
     assert sorted(calls) == list(range(1, data.dim))
+    assert data._faces is None  # the face rows go once every content is known
 
 
 def test_boundary_of_boundary_content_three():
@@ -214,6 +215,70 @@ def test_boundary_of_boundary_content_three():
         for ring in (GF2, QQ):
             with pytest.raises(BoundaryNotInCyclesError):
                 _presentations(data, ring, variance)
+
+
+def test_hand_made_contents_come_from_the_summed_terms():
+    # no face pairing holds on these columns, so each content is summed
+    # term by term, and it is the one each ring above is checked against
+    homology = importlib.import_module("cohodist.homology")
+    cases = [(HandMade([1, 1, 1], {1: [(0,)], 2: [(0,)]}), 1),
+             (HandMade([1, 2, 1], {1: [(0,), (0,)], 2: [(0, 1)]}), 2),
+             (HandMade([1, 3, 1], {1: [(0,)] * 3, 2: [(0, 1, 2)]}), 3)]
+    for data, g in cases:
+        assert not homology._faces_pair(data, 1)
+        assert homology._composite_content(data, 1) == g
+
+
+class TestContentFallback:
+    """Columns the face pairing cannot read go to the summed content."""
+
+    def check(self, data, betti):
+        homology = importlib.import_module("cohodist.homology")
+        assert not homology._faces_pair(data, 1)
+        assert homology._composite_content(data, 1) == 0
+        for ring in RINGS:
+            for variance in VARIANCES:
+                modules = _presentations(data, ring, variance)
+                assert tuple(modules[d].free_rank for d in range(3)) == betti
+
+    def test_zero_composite_with_other_signs(self):
+        # a triangle 012 with its edge 02 oriented 2 -> 0: the triangle
+        # takes that edge with sign +1, so no position has the sign
+        # (-1)^i throughout, and the composite is still zero
+        edges = [(1, ~0), (~2, 0), (2, ~1)]  # 01, 20, 12
+        self.check(HandMade([3, 3, 1], {1: edges, 2: [(2, 1, 0)]}), (1, 0, 0))
+
+    def test_zero_composite_with_uneven_columns(self):
+        # two edges from vertex 0 to vertex 1 bound a disk with two sides:
+        # its column has two entries where a triangle's would have three
+        edges = [(1, ~0), (1, ~0)]
+        self.check(HandMade([2, 2, 1], {1: edges, 2: [(0, ~1)]}), (1, 0, 0))
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["face-rows", "columns"])
+def test_one_flipped_sign_in_a_subdivision(kept):
+    # flipping the sign of one face of one triangle of sd(cp2) makes both
+    # composites that meet it 2 times a nonzero chain: content 2, so the
+    # chain complex is one over Z_2 only.  ``kept`` flips the sign in the
+    # face-position rows the pairing reads and rebuilds the columns from
+    # them, as the constructor does; otherwise the rows are dropped and
+    # the columns are read as they are
+    homology = importlib.import_module("cohodist.homology")
+    good = ChainComplexData(barycentric_subdivision(fixture_complex("cp2"))[0])
+    data = ChainComplexData(good.complex)
+    rows = data._faces[2]
+    rows[1][7] = ~rows[1][7]
+    data._sparse[2] = list(zip(*rows))
+    if not kept:
+        data._faces = None
+    assert [homology._composite_content(data, d) for d in (1, 2, 3)] == [2, 2, 0]
+    for ring in (GF(3), QQ):
+        with pytest.raises(BoundaryNotInCyclesError):
+            _presentations(data, ring, COHOMOLOGY)
+    for variance in VARIANCES:
+        flipped = _presentations(data, GF2, variance)
+        want = _presentations(good, GF2, variance)
+        assert [p.group_str() for p in flipped.values()] == [p.group_str() for p in want.values()]
 
 
 def test_gf2_cohomology_of_a_subdivision_stays_small():

@@ -1,9 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import cohodist
 from cohodist import cli, distance, fileio
 from cohodist.complexes import (
     Cover,
@@ -565,3 +570,69 @@ class TestJsonReports:
             code_text, out_text = run_cli(capsys, *argv)
             assert code_json == code_text
             assert payload["status"] in out_text
+
+
+class TestParserReuse:
+    """``main`` builds its parser on its first call and reuses it, so a
+    run of calls in one process must print, call for call, what the same
+    arguments print in a process of their own."""
+
+    ARGVS = [
+        ["info", "s2"],
+        ["cohomology", "s2", "--ring", "zp:4"],  # bad input: exit 2
+        ["bounds", "--scat", "s2", "--tc", "s2"],  # rejected by argparse: exit 2
+        ["--help"],
+        ["--json", "cohomology", "rp2", "--ring", "z2"],
+        ["verify", "--help"],
+        ["frobnicate"],  # rejected by argparse: exit 2
+        ["bounds", "--scat", "k5", "--exhaustive", "2"],
+        ["info", "k5"],
+    ]
+
+    @staticmethod
+    def timeless(text):
+        # the elapsed time is the one part of a report that may differ
+        text = re.sub(r"\(\d+\.\d+s\)", "(Ts)", text)
+        return re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": T', text)
+
+    def fresh(self, argv):
+        src = os.path.dirname(os.path.dirname(cohodist.__file__))
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from cohodist.cli import main; sys.exit(main())",
+             *argv], capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, self.timeless(done.stdout), self.timeless(done.stderr)
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_parser", None)
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        codes = []
+        for argv in self.ARGVS:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as e:  # argparse exits on --help and bad arguments
+                code = e.code
+            got = capsys.readouterr()
+            assert (code, self.timeless(got.out), self.timeless(got.err)) == self.fresh(argv), argv
+            codes.append(code)
+        assert built == [1]
+        assert codes == [0, 2, 2, 0, 0, 0, 2, 0, 0]
+
+    def test_parser_built_on_first_call(self):
+        # importing the CLI builds no parser, so functions rebound after the
+        # import (as a tracer rebinds them) are the ones the parser calls
+        src = os.path.dirname(os.path.dirname(cohodist.__file__))
+        script = (
+            "from cohodist import cli\n"
+            "assert cli._parser is None\n"
+            "calls = []\n"
+            "cli.cmd_info = lambda args, parser: calls.append(args.complex) or "
+            "cli.Report('info', 'ok', {})\n"
+            "assert cli.main(['info', 's2']) == 0 and calls == ['s2']\n"
+            "assert cli._parser is not None\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.returncode == 0, done.stderr

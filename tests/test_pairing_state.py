@@ -8,8 +8,10 @@ compare its failing-generator counts with the membership path it replaced
 (``reference_membership``) on seeded random pieces, for states made from
 scratch, by chains of one-face extensions and by the walk that fills the
 verdict table, and against states built from scratch for the pieces
-greedy's repair grows by divide and conquer; check the duality it rests on
-against homology verdicts; and count the states alive while search runs.
+greedy's repair grows by divide and conquer; check the verdicts of both
+variances, which the duality makes one, against the induced maps of the
+restricted maps on presentations; and count the states alive while search
+runs.
 """
 
 import gc
@@ -18,7 +20,7 @@ import random
 import pytest
 
 from cohodist import distance
-from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces
+from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces, restrict
 from cohodist.distance import (
     DistanceQuery,
     _PieceChecker,
@@ -34,9 +36,11 @@ from cohodist.homology import (
     _pairings,
     chain_complex,
     equality_obstruction,
+    maps_equal,
     pairing_state,
 )
 
+from .presentation_path import maps_equal_by_presentation
 from .reference_membership import obstruction_by_membership
 
 FIELDS = (GF2, GF(3), QQ)
@@ -261,20 +265,25 @@ class TestDuality:
     def pieces(self, rng, K, count):
         faces = K.maximal_faces
         for _ in range(count):
-            yield Subcomplex.spanned_by(K, rng.sample(faces, rng.randint(1, len(faces)))).mask
+            yield Subcomplex.spanned_by(K, rng.sample(faces, rng.randint(1, len(faces))))
 
     def test_fields_agree_with_homology(self):
+        # both variances read the same pairing states over a field, so each
+        # is checked against the induced maps of the restricted maps on
+        # presentations, a path that pairs nothing
         rng = random.Random(34)
         passed = failed = 0
         for name in ("s2", "rp2", "torus", "rp3", "figure1", "c3xs2"):
             q = scat_query(shuffled(rng, name), GF2)
             for ring in FIELDS:
-                for mask in self.pieces(rng, q.source, 8):
-                    co = equality_obstruction(q.phi, q.psi, ring, "cohomology", piece=mask)
-                    ho = equality_obstruction(q.phi, q.psi, ring, "homology", piece=mask)
-                    assert (co == 0) == (ho == 0), (name, ring)
-                    passed += co == 0
-                    failed += co > 0
+                for piece in self.pieces(rng, q.source, 8):
+                    phi, psi = restrict(q.phi, piece), restrict(q.psi, piece)
+                    for variance in ("cohomology", "homology"):
+                        report = maps_equal(q.phi, q.psi, ring, variance, piece=piece.mask)
+                        induced = maps_equal_by_presentation(phi, psi, ring, variance)
+                        assert report.by_degree == induced.by_degree, (name, ring, variance)
+                    passed += report.equal
+                    failed += not report.equal
         assert passed > 20 and failed > 20
 
     def test_integers_disagree_on_rp3(self):
@@ -284,9 +293,9 @@ class TestDuality:
         rng = random.Random(35)
         q = scat_query(fixture_complex("rp3"), ZZ)
         disagree = 0
-        for mask in self.pieces(rng, q.source, 40):
-            co = equality_obstruction(q.phi, q.psi, ZZ, "cohomology", piece=mask)
-            ho = equality_obstruction(q.phi, q.psi, ZZ, "homology", piece=mask)
+        for piece in self.pieces(rng, q.source, 40):
+            co = equality_obstruction(q.phi, q.psi, ZZ, "cohomology", piece=piece.mask)
+            ho = equality_obstruction(q.phi, q.psi, ZZ, "homology", piece=piece.mask)
             disagree += (co == 0) != (ho == 0)
         assert disagree >= 1
 

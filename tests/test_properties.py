@@ -18,10 +18,18 @@ where that is simplicial) against the identity.  The properties:
   raw-face oracles, and so do the free ranks over Z;
 - every cover that exhaustive or greedy search returns verifies and still
   verifies after subdivision, and greedy finds no cover at a size where
-  exhaustive search proves that none exists.
+  exhaustive search proves that none exists;
+- the d∘d content read through the face pairing equals the one summed
+  term by term, with or without one boundary sign flipped;
+- universal coefficients: on a complex with torsion (rp2 or a Moore space
+  of Z_3, wedged with a random complex), the Z_p Betti numbers are the
+  free ranks over Z plus the p-torsion of H_d and H_{d-1}, both variances,
+  and the package's groups over Z are the oracle's.
 
 The examples are derandomized, so every run tests the same ones.
 """
+
+import importlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +48,7 @@ from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.homology import (
     COHOMOLOGY,
     HOMOLOGY,
+    ChainComplexData,
     chain_complex,
     cohomology,
     equality_obstruction,
@@ -48,7 +57,7 @@ from cohodist.homology import (
     pairing_state,
 )
 
-from .oracles import betti_mod
+from .oracles import betti_mod, integral_homology
 from .presentation_path import maps_equal_by_presentation
 from .reference_membership import obstruction_by_membership
 from .test_field_presentations import betti_q
@@ -177,3 +186,65 @@ def test_search_returns_verified_covers(pair, ring, variance, size):
             assert len(cover.pieces) <= size
             assert verify(query, cover).verified
             assert subdivision_monotonicity_check(query, cover)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(K=complexes(), data=st.data())
+def test_paired_content_matches_summed_content(K, data):
+    homology = importlib.import_module("cohodist.homology")
+    chains = ChainComplexData(K)
+    # the constructor's columns always pair off
+    assert all(homology._faces_pair(chains, d) for d in range(1, K.dim))
+    if K.dim >= 2 and data.draw(st.booleans()):
+        # flip the sign of one face of one simplex, in the face rows the
+        # pairing reads and in the columns built from them
+        d = data.draw(st.integers(1, K.dim))
+        rows = chains._faces[d]
+        i = data.draw(st.integers(0, d))
+        j = data.draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = ~rows[i][j]
+        chains._sparse[d] = list(zip(*rows))
+    for d in range(1, K.dim):
+        assert (homology._composite_content(chains, d)
+                == homology._summed_content(chains, d))
+
+
+# two complexes with torsion in H_1, as raw faces: rp2 (Z_2) and a Moore
+# space of Z_3, a disk whose 9-gon boundary winds three times round the
+# triangle 0 1 2 (ring 10..18 inside it, centre 19)
+RP2_FACES = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5), (1, 2, 3), (1, 2, 5),
+             (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+MOORE3_FACES = [face for i in range(9)
+                for face in ((i % 3, (i + 1) % 3, 10 + i),
+                             ((i + 1) % 3, 10 + i, 10 + (i + 1) % 9),
+                             (10 + i, 10 + (i + 1) % 9, 19))]
+
+
+@st.composite
+def torsion_complexes(draw):
+    """rp2 or the Moore space of Z_3, wedged at vertex 0 with a random
+    complex of :func:`complexes` (labels moved past the base's), in a
+    random vertex order: a list of faces."""
+    faces = list(draw(st.sampled_from((RP2_FACES, MOORE3_FACES))))
+    if draw(st.booleans()):
+        extra = draw(complexes())
+        first = extra.vertices[0]
+        faces += [tuple(0 if v == first else 100 + v for v in f) for f in extra.maximal_faces]
+    return faces
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(faces=torsion_complexes(), p=st.sampled_from((2, 3, 5)), data=st.data())
+def test_universal_coefficients_with_torsion(faces, p, data):
+    order = data.draw(st.permutations(sorted({v for f in faces for v in f})))
+    K = from_maximal_faces(faces, order=order)
+    groups = integral_homology(faces)
+    integral = homology(K, ZZ)
+    assert [(pres.free_rank, list(pres.torsion))
+            for pres in map(integral.presentation, integral.degrees)] == groups
+
+    def p_torsion(d):
+        return sum(1 for t in groups[d][1] if t % p == 0) if d >= 0 else 0
+
+    want = tuple(free + p_torsion(d) + p_torsion(d - 1) for d, (free, _) in enumerate(groups))
+    assert homology(K, GF(p)).betti() == cohomology(K, GF(p)).betti() == want
