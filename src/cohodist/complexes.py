@@ -484,6 +484,9 @@ def diagonal_map(K: SimplicialComplex, product_complex=None):
 # barycentric subdivision
 
 
+_sd_cache: dict = {}  # the last complex subdivided -> its pair
+
+
 def barycentric_subdivision(K: SimplicialComplex):
     """(sd K, carrier map sd K -> K).
 
@@ -491,6 +494,24 @@ def barycentric_subdivision(K: SimplicialComplex):
     under strict inclusion.  The carrier map sends a barycenter to the last
     vertex of its simplex in K's order, a simplicial approximation of the
     identity.
+
+    The last pair built is memoized by the value of K: an equal complex
+    (the same vertex order and simplices) subdivided next, such as the
+    same file read again, gets back the identical pair, whose caches
+    downstream then match it without comparing its simplices.  The
+    repeats this serves come in a row (two queries on one file, the
+    source and target of a self-map), and one entry keeps a process that
+    subdivides many complexes from holding every subdivision it made.
+    """
+    pair = _sd_cache.get(K)
+    if pair is None:
+        _sd_cache.clear()
+        pair = _sd_cache[K] = _subdivide(K)
+    return pair
+
+
+def _subdivide(K: SimplicialComplex):
+    """:func:`barycentric_subdivision`, built.
 
     The chains are built on positions: a simplex of K is found by its key
     (:meth:`SimplicialComplex.keys_of_dim`), and a chain is the tuple of

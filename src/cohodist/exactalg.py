@@ -24,10 +24,11 @@ and Q.  Both key a pivot by its highest row, and every
 field kernel (rank, kernel, image, solve, quotient) is written once on top
 of them, as is :func:`field_presentations`, which presents every degree of
 a cochain complex's cohomology from one reduction per matrix, with
-clearing.  Boundary-style columns come in as tuples of signed rows (``r``
-for +1 at row r, ``~r`` for -1); :func:`signed_columns` converts them to
-a span's form.  :func:`field_span` and :func:`signed_columns` are the only
-code that tells Z_2 apart from the other fields.
+clearing and lazy pivots (:class:`_LazyPivots`).  Boundary-style columns
+come in as tuples of signed rows (``r`` for +1 at row r, ``~r`` for -1);
+a span's ``signed`` and :func:`signed_columns` convert them to a span's
+form.  :func:`field_span`, :func:`_lazy_span` and :func:`signed_columns`
+are the only code that tells Z_2 apart from the other fields.
 
 Scalars are plain Python numbers combined with Python's own operators; a
 :class:`Ring` does not do arithmetic.  Whatever must be a scalar of the
@@ -292,7 +293,10 @@ class Matrix:
 # sparse field elimination.  A span keeps vectors in its own form: a
 # Gf2Vector over GF(2), a dict row -> nonzero scalar over Z_p and Q (a plain
 # int in [0, p) over Z_p, a Fraction over Q).  Columns go in in that form,
-# as dicts, or as dense sequences.
+# as dicts, or as dense sequences; ``signed`` reads a column of signed
+# rows.  The spans of field_presentations keep lazy pivots: a column that
+# meets no pivot when it is added stays a tuple of signed rows until a
+# reduction meets its top row (_LazyPivots).
 
 
 class Gf2Vector:
@@ -354,6 +358,8 @@ class Gf2Span:
         items = col.items() if isinstance(col, dict) else enumerate(col)
         return _gf2_rows([i for i, x in items if x % 2])
 
+    signed = staticmethod(_gf2_rows)
+
     @staticmethod
     def dense(vec: Gf2Vector, n: int) -> list:
         out = [0] * n
@@ -397,6 +403,13 @@ class Gf2Span:
                 clo = wlo
         return lo, bits, clo, cbits
 
+    @staticmethod
+    def _top(state):
+        """The highest row of the vector of a :meth:`_reduce` state, or
+        None when it is zero."""
+        lo, bits = state[0], state[1]
+        return lo + bits.bit_length() - 1 if bits else None
+
     def _absorb(self, col, combo=None):
         """Add a column.  Returns (enlarged, combo), where combo is the
         reduced column's combination over the added columns: a kernel
@@ -416,10 +429,12 @@ class Gf2Span:
         self.pivots[lo + bits.bit_length() - 1] = (lo, bits, clo, cbits)
         return True, None
 
-    def _pin(self, vec: Gf2Vector, slot: int):
+    def _pin(self, vec: Gf2Vector, slot):
         """Make ``vec`` a pivot as it is, with the unit combination at
-        ``slot``.  Its highest row must be no pivot's."""
-        self.pivots[vec.lo + vec.bits.bit_length() - 1] = (vec.lo, vec.bits, slot, 1)
+        ``slot``, or the zero one when ``slot`` is None.  Its highest row
+        must be no pivot's."""
+        combo = (0, 0) if slot is None else (slot, 1)
+        self.pivots[vec.lo + vec.bits.bit_length() - 1] = (vec.lo, vec.bits, *combo)
 
     def _drop_combinations(self):
         """Give every pivot the zero combination, as a table of image
@@ -497,6 +512,10 @@ class FieldSpan:
                 out[i] = x
         return out
 
+    def signed(self, rows) -> dict:
+        """A column of signed rows (``r`` for +1 at row r, ``~r`` for -1)."""
+        return _signed_vector(rows, self.ring.one, self.ring.normalize(-1))
+
     def dense(self, vec: dict, n: int) -> list:
         out = [self.ring.zero] * n
         for i, x in vec.items():
@@ -525,6 +544,13 @@ class FieldSpan:
                 _axpy(combo, c, hit[1], p)
         return col, combo
 
+    @staticmethod
+    def _top(state):
+        """The highest row of the vector of a :meth:`_reduce` state, or
+        None when it is zero."""
+        col = state[0]
+        return max(col) if col else None
+
     def _scaled(self, vec: dict, a) -> dict:
         p = self.p
         if p is None:
@@ -548,10 +574,14 @@ class FieldSpan:
         self.pivots[top] = (self._scaled(col, inv), self._scaled(combo, inv))
         return True, None
 
-    def _pin(self, vec: dict, slot: int):
-        """Make ``vec`` a pivot as it is, with the unit combination at
-        ``slot``.  Its highest row must be no pivot's, and its entry there 1."""
-        self.pivots[max(vec)] = (vec, {slot: self.ring.one})
+    def _pin(self, vec: dict, slot):
+        """Make ``vec`` a pivot, scaled to 1 at its highest row, with the
+        unit combination at ``slot`` scaled alike, or the zero one when
+        ``slot`` is None: the pivot :meth:`_absorb` makes of a column that
+        meets no pivot.  Its highest row must be no pivot's."""
+        top = max(vec)
+        inv = self.ring.inv(vec[top])
+        self.pivots[top] = (self._scaled(vec, inv), {} if slot is None else {slot: inv})
 
     def _drop_combinations(self):
         """Give every pivot the zero combination, as a table of image
@@ -593,28 +623,89 @@ def field_span(ring: Ring):
     return FieldSpan(ring)
 
 
+class _LazyPivots:
+    """Lazy pivots for a span of :func:`field_presentations`.
+
+    A column whose top row is no pivot's when it is added becomes a pivot
+    as it is, with the unit combination at its slot, and most columns of
+    a big complex never meet another pivot after that.
+    :func:`field_presentations` keeps such a column in ``lazy`` instead,
+    as its signed rows and its slot keyed by its top row, neither
+    converted nor scaled.  :meth:`_reduce` makes it the pivot it stands
+    for (:meth:`_pin`) when a reduction meets that row: a column added
+    later, or a coordinates call.  So the pivots, kernel vectors and
+    coordinates are the ones the span gives when each column is converted
+    and absorbed as it comes.
+
+    ``_drop_combinations`` rebuilds only the pivots made so far; a lazy
+    one made after it gets the zero combination (``combos`` is False).
+    Only :func:`field_presentations` makes these spans; it never copies
+    one or reads its ``rank``, which counts the pivots made so far.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lazy = {}  # top row -> (signed rows, slot)
+        self.combos = True
+
+    def unpivoted(self, n: int) -> list:
+        """The rows below ``n`` that are no pivot's, lazy or made."""
+        pivots, lazy = self.pivots, self.lazy
+        return [j for j in range(n) if j not in pivots and j not in lazy]
+
+    def _reduce(self, *state):
+        # the span's reduction, resumed after each lazy pivot it meets
+        lazy = self.lazy
+        while True:
+            state = super()._reduce(*state)
+            top = self._top(state)
+            if top not in lazy:
+                return state
+            rows, slot = lazy.pop(top)
+            self._pin(self.signed(rows), slot if self.combos else None)
+
+    def _drop_combinations(self):
+        super()._drop_combinations()
+        self.combos = False
+
+
+class _LazyGf2Span(_LazyPivots, Gf2Span):
+    __slots__ = ("lazy", "combos")
+
+
+class _LazyFieldSpan(_LazyPivots, FieldSpan):
+    __slots__ = ("lazy", "combos")
+
+
+def _lazy_span(ring: Ring):
+    """:func:`field_span` with lazy pivots (:class:`_LazyPivots`)."""
+    if ring == GF2:
+        return _LazyGf2Span()
+    return _LazyFieldSpan(ring)
+
+
 def signed_columns(ring: Ring, cols) -> list:
     """Columns of signed rows, such as boundary columns (``r`` for +1 at row
-    r, ``~r`` for -1), in the form :func:`field_span` keeps for ``ring``."""
-    return list(_signed(ring, cols))
-
-
-def _signed(ring: Ring, cols):
-    """:func:`signed_columns` one column at a time, each converted as it is
-    read: over Z_2 a converted column is a :class:`Gf2Vector` stored from
-    its lowest row, built straight from the signed rows."""
+    r, ``~r`` for -1), in the form :func:`field_span` keeps for ``ring``:
+    over Z_2 a :class:`Gf2Vector` stored from its lowest row, built
+    straight from the signed rows."""
     if ring == GF2:
-        yield from map(_gf2_rows, cols)
-        return
+        return list(map(_gf2_rows, cols))
     one, minus = ring.normalize(1), ring.normalize(-1)
-    for col in cols:
-        vec = {}
-        for r in col:
-            if r >= 0:
-                vec[r] = one
-            else:
-                vec[~r] = minus
-        yield vec
+    return [_signed_vector(col, one, minus) for col in cols]
+
+
+def _signed_vector(rows, one, minus) -> dict:
+    """Signed rows as a dict, ``r`` to ``one`` and ``~r`` to ``minus``."""
+    vec = {}
+    for r in rows:
+        if r >= 0:
+            vec[r] = one
+        else:
+            vec[~r] = minus
+    return vec
 
 
 def _field_rank(ring: Ring, cols) -> int:
@@ -1132,6 +1223,13 @@ def field_presentations(ring: Ring, steps) -> list:
     ``coordinates`` reduces by one table: the image pivots with a zero
     combination and one pivot per generator with a unit combination.
 
+    Pivots are lazy (:class:`_LazyPivots`): a kept column that meets no
+    pivot when it is added stays a tuple of signed rows, with its slot,
+    and is converted to the span's form only when a later column or a
+    ``coordinates`` call reduces through it.  On a subdivision almost
+    every kept column is such a column.  The pivots, generators and
+    coordinates are those of converting every column as it comes.
+
     Clearing is sound only when d^k o d^{k-1} == 0; the caller checks
     that (:func:`homology._presentations` does, once per chain complex).
 
@@ -1140,14 +1238,20 @@ def field_presentations(ring: Ring, steps) -> list:
     ['Z_2', '0']
     """
     out = []
-    image = field_span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k
+    image = _lazy_span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k
     for n, cols in steps:
-        span = field_span(ring)
-        keep = [j for j in range(n) if j not in image.pivots]
+        span = _lazy_span(ring)
+        pivots, lazy = span.pivots, span.lazy
         gens = []
-        for j, col in zip(keep, _signed(ring, (cols[j] for j in keep))):
+        for j in image.unpivoted(n):  # the others are cleared
+            rows = cols[j]
+            if rows:
+                top = max(max(rows), ~min(rows))  # ~min: the top of the rows ~r
+                if top not in pivots and top not in lazy:
+                    lazy[top] = (rows, j)  # a pivot as it is, once met
+                    continue
             span.n_added = j  # combinations run over all n columns
-            grew, combo = span._absorb(col)
+            grew, combo = span._absorb(span.signed(rows))
             if not grew:
                 gens.append(combo)
         out.append(_pinned_presentation(ring, n, image, gens))

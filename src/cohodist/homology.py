@@ -10,7 +10,8 @@ Coefficients are handled by two paths, both fed those columns as they are.
 Over a field (Z_2, Z_p, Q) every degree comes from one pass,
 :func:`exactalg.field_presentations`, that reduces each (co)boundary
 matrix once on the spans of :func:`exactalg.field_span` (over Z_2,
-bitsets stored from their lowest row).  Cohomology is walked
+bitsets stored from their lowest row), converting a column only when a
+reduction reads it (lazy pivots).  Cohomology is walked
 upward and homology downward, so a degree's incoming matrix is reduced
 before its outgoing one, and the outgoing reduction skips the columns
 whose index is a pivot row of the incoming one (clearing).  Clearing is

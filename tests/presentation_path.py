@@ -6,12 +6,14 @@ compare them with :func:`exactalg.homs_equal`.  The package decides it by
 (co)boundary membership of generator differences; the tests check that
 the two agree.  :func:`field_presentation_by_degree` builds one degree of
 (co)homology over a field from a kernel and a quotient, without clearing,
-to check the package's one-pass reduction against.  Unlike ``oracles.py``
-these helpers are built from package code.
+to check the package's one-pass reduction against, and
+:func:`eager_field_presentations` is that one pass as it runs without
+lazy pivots, converting every kept column as it comes.  Unlike
+``oracles.py`` these helpers are built from package code.
 """
 
 from cohodist import exactalg
-from cohodist.exactalg import homs_equal, signed_columns
+from cohodist.exactalg import field_span, homs_equal, signed_columns
 from cohodist.homology import COHOMOLOGY, MapsEqualReport, induced_map
 
 
@@ -40,3 +42,25 @@ def field_presentation_by_degree(data, ring, variance, d):
     cycles = exactalg._field_kernel(ring, signed_columns(ring, cycle_src))
     return exactalg._field_quotient(ring, data.rank_of(d), cycles,
                                     signed_columns(ring, boundary_src))
+
+
+def eager_field_presentations(ring, steps):
+    """:func:`exactalg.field_presentations` with every kept column
+    converted and absorbed as it comes, on the plain spans of
+    :func:`exactalg.field_span`: the pivots, generators and coordinates
+    the lazy pass must reproduce."""
+    out = []
+    image = field_span(ring)
+    for n, cols in steps:
+        span = field_span(ring)
+        keep = [j for j in range(n) if j not in image.pivots]
+        gens = []
+        for j, col in zip(keep, signed_columns(ring, [cols[j] for j in keep])):
+            span.n_added = j
+            grew, combo = span._absorb(col)
+            if not grew:
+                gens.append(combo)
+        out.append(exactalg._pinned_presentation(ring, n, image, gens))
+        span._drop_combinations()
+        image = span
+    return out

@@ -21,13 +21,15 @@ from cohodist.homology import chain_complex, cohomology, homology, induced_map
 from .reference_complex import label_complex, reference_complex
 from .test_complex_constructor import scrambled
 
+complexes_module = importlib.import_module("cohodist.complexes")
 homology_module = importlib.import_module("cohodist.homology")
 
 
 @pytest.fixture
 def label_reads(monkeypatch):
     """The complexes whose label tuples are built, one entry per build;
-    the homology caches start empty so that every result is computed."""
+    the subdivision memo and the homology caches start empty so that every
+    result is computed, on a subdivision no earlier test has read."""
     reads = []
     build = SimplicialComplex._labels
 
@@ -36,6 +38,7 @@ def label_reads(monkeypatch):
         return build(self, keys)
 
     monkeypatch.setattr(SimplicialComplex, "_labels", counting)
+    monkeypatch.setattr(complexes_module, "_sd_cache", {})
     for cache in ("_chain_cache", "_graded_cache", "_chain_map_cache"):
         monkeypatch.setattr(homology_module, cache, {})
     return reads

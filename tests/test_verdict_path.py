@@ -173,6 +173,7 @@ class TestCompositeContent:
         # cohomology the difference cochains come from, each computed once.
         # The module, not the function the package exports under that name
         hom = importlib.import_module("cohodist.homology")
+        monkeypatch.setattr(importlib.import_module("cohodist.complexes"), "_sd_cache", {})
         for cache in ("_chain_cache", "_graded_cache", "_difference_cache",
                       "_pairing_cache"):
             monkeypatch.setattr(hom, cache, {})
