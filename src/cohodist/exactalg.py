@@ -1230,8 +1230,8 @@ def field_presentations(ring: Ring, steps) -> list:
     every kept column is such a column.  The pivots, generators and
     coordinates are those of converting every column as it comes.
 
-    Clearing is sound only when d^k o d^{k-1} == 0; the caller checks
-    that (:func:`homology._presentations` does, once per chain complex).
+    Clearing is sound only when d^k o d^{k-1} == 0; every
+    :class:`homology.ChainComplexData` satisfies it.
 
     >>> d0 = [(~0,), (0,)]   # one edge: the coboundary of each end
     >>> [p.group_str() for p in field_presentations(GF2, [(2, d0), (1, [[]])])]
@@ -1313,6 +1313,28 @@ def _z_quotient(ambient, cycle_cols, boundary_cols) -> Presentation:
         return [sum(x * w[l] for l, x in row.items() if l in w) for row in u_kept]
 
     return Presentation(ZZ, ambient, gens, orders, express)
+
+
+def _z_presentations(steps) -> list:
+    """:func:`field_presentations` over Z, from the same steps.
+
+    Each step's columns are signed once.  Their kernel, with the next
+    step's n as its row count (0 after the last step), is the group's
+    cocycles, and :func:`_z_quotient` presents it modulo the previous
+    step's columns.
+    """
+    out = []
+    previous = []  # d^{k-1}, the coboundaries in C^k
+    steps = iter(steps)
+    step = next(steps, None)
+    while step is not None:
+        n, cols = step
+        step = next(steps, None)
+        cols = signed_columns(ZZ, cols)
+        cycles = _z_kernel(IntColumns(cols, step[0] if step else 0))
+        out.append(_z_quotient(n, cycles, previous))
+        previous = cols
+    return out
 
 
 def _z_solve_with_snf(snf: SNF, targets):

@@ -174,8 +174,16 @@ def complex_from_text(text: str, require_connected: bool = True) -> SimplicialCo
 
 def _write(path, text: str):
     # the writers build the text first, so a refused label leaves no file
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text (byte {e.start}: {e.reason})")
 
 
 def write_complex(K: SimplicialComplex, path, comment: str = ""):
@@ -183,8 +191,7 @@ def write_complex(K: SimplicialComplex, path, comment: str = ""):
 
 
 def read_complex(path, require_connected: bool = True) -> SimplicialComplex:
-    with open(path) as fh:
-        return complex_from_text(fh.read(), require_connected)
+    return complex_from_text(_read(path), require_connected)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +257,7 @@ def write_cover(cover: Cover, path):
 
 
 def read_cover(path, parent: SimplicialComplex) -> Cover:
-    with open(path) as fh:
-        return cover_from_text(fh.read(), parent)
+    return cover_from_text(_read(path), parent)
 
 
 # ---------------------------------------------------------------------------
@@ -294,5 +300,4 @@ def write_map(phi: SimplicialMap, path):
 
 
 def read_map(path, source, target) -> SimplicialMap:
-    with open(path) as fh:
-        return map_from_text(fh.read(), source, target)
+    return map_from_text(_read(path), source, target)

@@ -6,23 +6,20 @@ alternating signs in the complex's vertex order.  A column is one tuple of
 signed row indices, ``r`` for +1 and ``~r`` for -1, each row found by the
 face's key (its sorted tuple of vertex positions); chain maps give signed
 rows of the same form, read through one array of image positions per map.
-Coefficients are handled by two paths, both fed those columns as they are.
-Over a field (Z_2, Z_p, Q) every degree comes from one pass,
-:func:`exactalg.field_presentations`, that reduces each (co)boundary
-matrix once on the spans of :func:`exactalg.field_span` (over Z_2,
-bitsets stored from their lowest row), converting a column only when a
-reduction reads it (lazy pivots).  Cohomology is walked
-upward and homology downward, so a degree's incoming matrix is reduced
-before its outgoing one, and the outgoing reduction skips the columns
-whose index is a pivot row of the incoming one (clearing).  Clearing is
-sound only when the composite of the two matrices is zero.  The gcd of the
-entries of each composite is computed once per chain complex, over Z, and
-read in the coefficient ring before the pass
-(:class:`errors.BoundaryNotInCyclesError` otherwise).  It is found by
-pairing the faces first, a proof that the composite is zero read over a
-whole degree at a time; the entries are summed term by term only where
-that proof does not apply.  Over Z the columns go
-through the sparse Smith normal form, one degree at a time, which is where
+Every degree comes from one walk over the (co)boundary matrices, fed
+those columns as they are.  Cohomology is walked upward and homology
+downward, and only the function that presents the steps depends on the
+ring.  Over a field (Z_2, Z_p, Q) it is
+:func:`exactalg.field_presentations`, one pass that reduces each
+(co)boundary matrix once on the spans of :func:`exactalg.field_span`
+(over Z_2, bitsets stored from their lowest row), converting a column
+only when a reduction reads it (lazy pivots); a degree's incoming matrix
+is reduced before its outgoing one, and the outgoing reduction skips the
+columns whose index is a pivot row of the incoming one (clearing).
+Clearing is sound only when the composite of the two matrices is zero,
+which every :class:`ChainComplexData` satisfies by the simplicial
+identity.  Over Z it is :func:`exactalg._z_presentations`, the sparse
+Smith normal form of each matrix and of its relations, which is where
 torsion comes from.
 
 Equality of induced maps is decided by one routine, on a subcomplex of
@@ -53,7 +50,6 @@ ring).
 """
 
 from itertools import combinations, compress, count, repeat
-from math import gcd
 from operator import eq, gt, invert, itemgetter, neg, or_, xor
 
 from . import exactalg
@@ -71,7 +67,7 @@ from .exactalg import (
     trivial_presentation,
 )
 from .complexes import SimplicialComplex, SimplicialMap, _bit_indices
-from .errors import BoundaryNotInCyclesError, ComplexMismatchError
+from .errors import ComplexMismatchError
 
 COHOMOLOGY = "cohomology"
 HOMOLOGY = "homology"
@@ -96,21 +92,19 @@ class ChainComplexData:
     (:attr:`SimplicialComplex.index`).  A boundary
     column is a tuple of signed row indices, ``r`` for +1 and ``~r`` for
     -1, one per face in the order the left-out vertex has in the simplex
-    (:func:`_face_rows`).
+    (:func:`_face_rows`).  Face k of face i and face i of face k + 1
+    (i <= k) are one simplex with opposite signs, so every composite of
+    two boundaries is zero, as the (co)homology passes need.
     """
 
-    __slots__ = ("complex", "keys", "index", "_faces", "_sparse", "_contents")
+    __slots__ = ("complex", "keys", "index", "_sparse")
 
     def __init__(self, K: SimplicialComplex):
         self.complex = K
-        degrees = range(K.dim + 1)
-        self.keys = keys = {d: K.keys_of_dim(d) for d in degrees}
+        self.keys = keys = {d: K.keys_of_dim(d) for d in range(K.dim + 1)}
         self.index = index = K.index
-        # d -> the boundary's signed rows by face position, which the
-        # columns zip; kept only until every d∘d content is known
-        self._faces = {d: _face_rows(keys[d], d, index) for d in degrees if d}
-        self._sparse = {d: list(zip(*rows)) for d, rows in self._faces.items()}
-        self._contents = {}  # d -> _composite_content(self, d)
+        self._sparse = {d: list(zip(*_face_rows(keys[d], d, index)))
+                        for d in range(1, K.dim + 1)}
 
     @property
     def dim(self) -> int:
@@ -258,140 +252,25 @@ class GradedModule:
 
 
 def _presentations(data, ring: Ring, variance) -> dict:
-    """H^d or H_d for every degree of a :class:`ChainComplexData` (or,
-    over Z, of a :class:`_PieceChains`).
+    """H^d or H_d for every degree of a :class:`ChainComplexData` (or of a
+    :class:`_PieceChains`).
 
-    Over a field all degrees come from one pass that reduces each
-    (co)boundary matrix once (:func:`exactalg.field_presentations`):
-    cohomology is walked upward and homology downward, so a degree's
-    incoming matrix is reduced before its outgoing one.
+    One walk for every ring: cohomology is walked upward and homology
+    downward, so a degree's incoming matrix comes before its outgoing one,
+    and the steps go to :func:`exactalg.field_presentations` over a field
+    and to :func:`exactalg._z_presentations` over Z.  Both need every
+    composite of two steps to be zero, which every
+    :class:`ChainComplexData` satisfies by the simplicial identity.
     """
     top = data.dim
-    if not ring.is_field:
-        return {d: _degree_presentation(data, ring, variance, d) for d in range(top + 1)}
     if variance == COHOMOLOGY:
         degrees, outgoing = range(top + 1), data.sparse_coboundary
     else:
         degrees, outgoing = range(top, -1, -1), data.sparse_boundary
-    _check_composites(data, ring)
     steps = ((data.rank_of(d), outgoing(d)) for d in degrees)
-    return dict(zip(degrees, field_presentations(ring, steps)))
-
-
-def _check_composites(data, ring: Ring):
-    """Raise :class:`BoundaryNotInCyclesError` unless every composite
-    boundary_d o boundary_{d+1} of ``data`` is zero over ``ring``.
-
-    The content g of a composite (:func:`_composite_content`) is computed
-    once over Z and kept on a :class:`ChainComplexData`: 0 when its faces
-    pair off, and otherwise the gcd of its entries, summed term by term.
-    The composite is zero over Q exactly when g == 0 and over Z_p exactly
-    when p divides g.  The coboundary composites are the transposes of
-    these, so one content serves every ring and both variances.  Once
-    every content is known the face-position rows the pairing read are
-    dropped, before any reduction runs.
-    """
-    memo = data._contents if isinstance(data, ChainComplexData) else {}
-    p = ring.p
-    for d in range(1, data.dim):
-        g = memo.get(d)
-        if g is None:
-            g = memo[d] = _composite_content(data, d)
-        if g and (p is None or g % p):
-            raise BoundaryNotInCyclesError("a boundary lies outside the cycle space")
-    if isinstance(data, ChainComplexData):
-        data._faces = None
-
-
-def _composite_content(data, d: int) -> int:
-    """gcd over Z of the entries of boundary_d o boundary_{d+1} of ``data``,
-    from its columns of signed rows; 0 when the composite is zero.
-
-    The faces are paired first (:func:`_faces_pair`), a proof that the
-    composite is zero; where that proof does not apply the content is
-    summed term by term (:func:`_summed_content`).
-    """
-    return 0 if _faces_pair(data, d) else _summed_content(data, d)
-
-
-def _sign_positions(data, d: int):
-    """The rows of the degree-d boundary columns of ``data`` by position,
-    unsigned: list i holds the row of entry i of every column.  None unless
-    every column has d + 1 entries and entry i always has sign (-1)^i.
-
-    A :class:`ChainComplexData` holds these lists until its contents are
-    known; other columns are zipped here.
-    """
-    faces = getattr(data, "_faces", None)
-    rows = faces.get(d) if faces else None
-    if rows is None:
-        cols = data.sparse_boundary(d)
-        if any(len(col) != d + 1 for col in cols):
-            return None
-        rows = list(zip(*cols)) if cols else [()] * (d + 1)
-    out = []
-    for i, row in enumerate(rows):
-        if i % 2:
-            if row and max(row) >= 0:
-                return None
-            row = list(map(invert, row))
-        elif row and min(row) < 0:
-            return None
-        out.append(row)
-    return out
-
-
-def _faces_pair(data, d: int) -> bool:
-    """True when the terms of boundary_d o boundary_{d+1} of ``data`` cancel
-    in pairs, so that the composite is zero.
-
-    With signs (-1)^i at position i (:func:`_sign_positions`), the term
-    face k of face i, for i <= k, has sign (-1)^(i+k) and the term face i
-    of face k+1 the opposite sign; they cancel when they are the same row.
-    That is the simplicial identity, and it is checked for every column of
-    the degree at once, one pair (i, k) at a time.
-    """
-    up, down = _sign_positions(data, d + 1), _sign_positions(data, d)
-    if up is None or down is None:
-        return False
-    for k in range(d + 1):
-        for i in range(k + 1):
-            if (list(map(down[k].__getitem__, up[i]))
-                    != list(map(down[i].__getitem__, up[k + 1]))):
-                return False
-    return True
-
-
-def _summed_content(data, d: int) -> int:
-    """:func:`_composite_content` term by term: each column's image under
-    boundary_d, over Z, and the gcd of all their entries."""
-    outgoing = data.sparse_boundary(d)
-    g = 0
-    for col in data.sparse_boundary(d + 1):
-        acc = {}  # the image of col, over Z
-        get = acc.get
-        for i in col:
-            s = 1 if i >= 0 else -1
-            for r in outgoing[i if i >= 0 else ~i]:
-                if r >= 0:
-                    acc[r] = get(r, 0) + s
-                else:
-                    acc[~r] = get(~r, 0) - s
-        g = gcd(g, *acc.values())
-    return g
-
-
-def _degree_presentation(data, ring: Ring, variance, d: int):
-    """H^d or H_d over Z of a :class:`ChainComplexData` (or :class:`_PieceChains`)."""
-    n = data.rank_of(d)
-    if variance == COHOMOLOGY:
-        cycle_src, cycle_rows = data.sparse_coboundary(d), data.rank_of(d + 1)
-        bnd_src = data.sparse_coboundary(d - 1) if d >= 1 else []
-    else:
-        cycle_src, cycle_rows = data.sparse_boundary(d), data.rank_of(d - 1)
-        bnd_src = data.sparse_boundary(d + 1)
-    cycles = exactalg._z_kernel(IntColumns(signed_columns(ring, cycle_src), cycle_rows))
-    return exactalg._z_quotient(n, cycles, signed_columns(ring, bnd_src))
+    presented = (field_presentations(ring, steps) if ring.is_field
+                 else exactalg._z_presentations(steps))
+    return dict(zip(degrees, presented))
 
 
 _graded_cache: dict = {}

@@ -7,13 +7,15 @@ compare them with :func:`exactalg.homs_equal`.  The package decides it by
 the two agree.  :func:`field_presentation_by_degree` builds one degree of
 (co)homology over a field from a kernel and a quotient, without clearing,
 to check the package's one-pass reduction against, and
-:func:`eager_field_presentations` is that one pass as it runs without
-lazy pivots, converting every kept column as it comes.  Unlike
+:func:`z_presentation_by_degree` does the same over Z, signing and
+transposing each degree's columns afresh.
+:func:`eager_field_presentations` is the one field pass as it runs
+without lazy pivots, converting every kept column as it comes.  Unlike
 ``oracles.py`` these helpers are built from package code.
 """
 
 from cohodist import exactalg
-from cohodist.exactalg import field_span, homs_equal, signed_columns
+from cohodist.exactalg import ZZ, IntColumns, field_span, homs_equal, signed_columns
 from cohodist.homology import COHOMOLOGY, MapsEqualReport, induced_map
 
 
@@ -42,6 +44,23 @@ def field_presentation_by_degree(data, ring, variance, d):
     cycles = exactalg._field_kernel(ring, signed_columns(ring, cycle_src))
     return exactalg._field_quotient(ring, data.rank_of(d), cycles,
                                     signed_columns(ring, boundary_src))
+
+
+def z_presentation_by_degree(data, variance, d):
+    """H^d or H_d over Z, one degree at a time: the cycles are the kernel
+    of the outgoing matrix (:func:`exactalg._z_kernel`), presented modulo
+    the incoming columns by :func:`exactalg._z_quotient`.  The package
+    walks every degree once, signing each matrix once; the tests check
+    that the two agree."""
+    n = data.rank_of(d)
+    if variance == COHOMOLOGY:
+        cycle_src, cycle_rows = data.sparse_coboundary(d), data.rank_of(d + 1)
+        boundary_src = data.sparse_coboundary(d - 1) if d >= 1 else []
+    else:
+        cycle_src, cycle_rows = data.sparse_boundary(d), data.rank_of(d - 1)
+        boundary_src = data.sparse_boundary(d + 1)
+    cycles = exactalg._z_kernel(IntColumns(signed_columns(ZZ, cycle_src), cycle_rows))
+    return exactalg._z_quotient(n, cycles, signed_columns(ZZ, boundary_src))
 
 
 def eager_field_presentations(ring, steps):

@@ -7,7 +7,6 @@ and with the oracles' Betti numbers, and its generators and coordinates
 are checked directly.
 """
 
-import importlib
 import random
 import tracemalloc
 
@@ -15,7 +14,7 @@ import pytest
 
 from cohodist.complexes import Subcomplex, barycentric_subdivision
 from cohodist.errors import BoundaryNotInCyclesError
-from cohodist.exactalg import GF, GF2, QQ, Matrix, rank
+from cohodist.exactalg import GF, GF2, QQ, ZZ, Matrix, rank
 from cohodist.fixtures import fixture_complex, fixture_names
 from cohodist.homology import (
     COHOMOLOGY,
@@ -28,7 +27,7 @@ from cohodist.homology import (
 )
 
 from .oracles import betti_mod, boundary_rows, closure_of, rank_fraction, simplices_by_dim
-from .presentation_path import field_presentation_by_degree
+from .presentation_path import field_presentation_by_degree, z_presentation_by_degree
 from .test_complexes import rand_complex
 
 RINGS = (GF2, GF(3), QQ)
@@ -141,7 +140,7 @@ def test_pieces_match_reference(name):
 
 
 class HandMade:
-    """A chain complex given by its boundary columns; d o d is not checked."""
+    """A chain complex given by its boundary columns."""
 
     def __init__(self, ranks, boundaries):
         self.ranks = ranks
@@ -158,87 +157,60 @@ class HandMade:
         return _transpose(self.sparse_boundary(d + 1), self.rank_of(d))
 
 
+def check_groups(data, ring):
+    """The presentations of both variances, each group checked against
+    the degree-by-degree reference."""
+    out = []
+    for variance in VARIANCES:
+        modules = _presentations(data, ring, variance)
+        for d, pres in modules.items():
+            ref = field_presentation_by_degree(data, ring, variance, d)
+            assert pres.group_str() == ref.group_str()
+        out.append(modules)
+    return out
+
+
 def test_boundary_of_boundary_not_zero_raises():
     # one vertex, one edge, one triangle, each boundary the generator below:
-    # d o d is 1 in every ring
+    # d o d is 1 in every ring.  The one-pass reduction assumes a chain
+    # complex; the degree-by-degree references and the Z quotient refuse it
     data = HandMade([1, 1, 1], {1: [(0,)], 2: [(0,)]})
-    for ring in RINGS:
-        for variance in VARIANCES:
-            with pytest.raises(BoundaryNotInCyclesError):
-                _presentations(data, ring, variance)
+    for variance in VARIANCES:
+        for ring in RINGS:
             with pytest.raises(BoundaryNotInCyclesError):
                 field_presentation_by_degree(data, ring, variance, 1)
+        with pytest.raises(BoundaryNotInCyclesError):
+            z_presentation_by_degree(data, variance, 1)
+        with pytest.raises(BoundaryNotInCyclesError):
+            _presentations(data, ZZ, variance)
 
 
 def test_boundary_of_boundary_checked_in_the_ring():
     # d o d is 2: zero over Z_2, where this is a chain complex, not over Z_3 or Q
     data = HandMade([1, 2, 1], {1: [(0,), (0,)], 2: [(0, 1)]})
-    for variance in VARIANCES:
-        modules = _presentations(data, GF2, variance)
-        for d, pres in modules.items():
-            ref = field_presentation_by_degree(data, GF2, variance, d)
-            assert pres.group_str() == ref.group_str()
-        for ring in (GF(3), QQ):
-            with pytest.raises(BoundaryNotInCyclesError):
-                _presentations(data, ring, variance)
-
-
-def test_boundary_of_boundary_content_once_per_composite(monkeypatch):
-    # the content of each composite is computed once per chain complex,
-    # whatever the ring and variance asking for it
-    # the module, not the function the package exports under that name
-    homology = importlib.import_module("cohodist.homology")
-    calls = []
-    content = homology._composite_content
-
-    def counted(data, d):
-        calls.append(d)
-        return content(data, d)
-
-    monkeypatch.setattr(homology, "_composite_content", counted)
-    data = ChainComplexData(fixture_complex("cp2"))
-    for ring in RINGS:
+    check_groups(data, GF2)
+    for ring in (GF(3), QQ):
         for variance in VARIANCES:
-            _presentations(data, ring, variance)
-    assert sorted(calls) == list(range(1, data.dim))
-    assert data._faces is None  # the face rows go once every content is known
+            with pytest.raises(BoundaryNotInCyclesError):
+                field_presentation_by_degree(data, ring, variance, 1)
 
 
 def test_boundary_of_boundary_content_three():
     # d o d is 3: zero over Z_3 only
     data = HandMade([1, 3, 1], {1: [(0,)] * 3, 2: [(0, 1, 2)]})
-    for variance in VARIANCES:
-        modules = _presentations(data, GF(3), variance)
-        for d, pres in modules.items():
-            ref = field_presentation_by_degree(data, GF(3), variance, d)
-            assert pres.group_str() == ref.group_str()
-        for ring in (GF2, QQ):
+    check_groups(data, GF(3))
+    for ring in (GF2, QQ):
+        for variance in VARIANCES:
             with pytest.raises(BoundaryNotInCyclesError):
-                _presentations(data, ring, variance)
-
-
-def test_hand_made_contents_come_from_the_summed_terms():
-    # no face pairing holds on these columns, so each content is summed
-    # term by term, and it is the one each ring above is checked against
-    homology = importlib.import_module("cohodist.homology")
-    cases = [(HandMade([1, 1, 1], {1: [(0,)], 2: [(0,)]}), 1),
-             (HandMade([1, 2, 1], {1: [(0,), (0,)], 2: [(0, 1)]}), 2),
-             (HandMade([1, 3, 1], {1: [(0,)] * 3, 2: [(0, 1, 2)]}), 3)]
-    for data, g in cases:
-        assert not homology._faces_pair(data, 1)
-        assert homology._composite_content(data, 1) == g
+                field_presentation_by_degree(data, ring, variance, 1)
 
 
 class TestContentFallback:
-    """Columns the face pairing cannot read go to the summed content."""
+    """Chain complexes whose columns are no simplicial boundary's."""
 
     def check(self, data, betti):
-        homology = importlib.import_module("cohodist.homology")
-        assert not homology._faces_pair(data, 1)
-        assert homology._composite_content(data, 1) == 0
         for ring in RINGS:
-            for variance in VARIANCES:
-                modules = _presentations(data, ring, variance)
+            for modules in check_groups(data, ring):
                 assert tuple(modules[d].free_rank for d in range(3)) == betti
 
     def test_zero_composite_with_other_signs(self):
@@ -255,26 +227,15 @@ class TestContentFallback:
         self.check(HandMade([2, 2, 1], {1: edges, 2: [(0, ~1)]}), (1, 0, 0))
 
 
-@pytest.mark.parametrize("kept", [True, False], ids=["face-rows", "columns"])
-def test_one_flipped_sign_in_a_subdivision(kept):
+def test_one_flipped_sign_in_a_subdivision():
     # flipping the sign of one face of one triangle of sd(cp2) makes both
-    # composites that meet it 2 times a nonzero chain: content 2, so the
-    # chain complex is one over Z_2 only.  ``kept`` flips the sign in the
-    # face-position rows the pairing reads and rebuilds the columns from
-    # them, as the constructor does; otherwise the rows are dropped and
-    # the columns are read as they are
-    homology = importlib.import_module("cohodist.homology")
+    # composites that meet it 2 times a nonzero chain, so the chain
+    # complex is one over Z_2 only, where its groups are those of sd(cp2)
     good = ChainComplexData(barycentric_subdivision(fixture_complex("cp2"))[0])
     data = ChainComplexData(good.complex)
-    rows = data._faces[2]
-    rows[1][7] = ~rows[1][7]
-    data._sparse[2] = list(zip(*rows))
-    if not kept:
-        data._faces = None
-    assert [homology._composite_content(data, d) for d in (1, 2, 3)] == [2, 2, 0]
-    for ring in (GF(3), QQ):
-        with pytest.raises(BoundaryNotInCyclesError):
-            _presentations(data, ring, COHOMOLOGY)
+    col = list(data._sparse[2][7])
+    col[1] = ~col[1]
+    data._sparse[2][7] = tuple(col)
     for variance in VARIANCES:
         flipped = _presentations(data, GF2, variance)
         want = _presentations(good, GF2, variance)

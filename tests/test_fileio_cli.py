@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -62,6 +63,14 @@ class TestComplexFiles:
         path = tmp_path / "k.cx"
         fileio.write_complex(K, path)
         assert fileio.read_complex(path) == K
+
+    def test_round_trip_non_ascii_labels(self, tmp_path):
+        # files are UTF-8 whatever the locale's encoding
+        K = from_maximal_faces([["ä", "b", "ç"]])
+        path = tmp_path / "k.cx"
+        fileio.write_complex(K, path)
+        assert "ä".encode("utf-8") in path.read_bytes()
+        assert fileio.read_complex(path).vertices == K.vertices
 
     def test_round_trip_multiline_comment(self, tmp_path):
         # a comment's second line used to be written as a face line
@@ -509,6 +518,27 @@ class TestBadInputFiles:
                               "--strategy", "exhaustive", "--budget", str(10 ** 50)],
                      "a table of 2^96 verdicts is too large to index")
         assert calls == []
+
+    def test_files_that_are_not_utf8(self, capsys, tmp_path):
+        # 200 random bytes used to stop the reader with a UnicodeDecodeError
+        # traceback and exit 1, the code of "not verified"
+        junk = bytes(random.Random(0).randrange(128, 256) for _ in range(200))
+        path = tmp_path / "junk.bin"
+        path.write_bytes(junk)
+        self.run_bad(capsys, ["info", str(path)], "is not UTF-8 text")
+        self.run_bad(capsys, ["verify", "--scat", "s2", "--cover", str(path)],
+                     "is not UTF-8 text")
+        identity = tmp_path / "id.map"
+        identity.write_text("0 -> 0\n1 -> 1\n2 -> 2\n3 -> 3\n", encoding="utf-8")
+        self.run_bad(capsys, ["bounds", "--complex", "s2", "--target", "s2",
+                              "--phi", str(path), "--psi", str(identity)],
+                     "is not UTF-8 text")
+        s2 = fixture_complex("s2")
+        for read in (lambda: fileio.read_complex(path),
+                     lambda: fileio.read_cover(path, s2),
+                     lambda: fileio.read_map(path, s2, s2)):
+            with pytest.raises(ParseError, match="byte 0"):
+                read()
 
     def test_complex_errors(self, capsys, tmp_path):
         path = tmp_path / "bad.cx"

@@ -19,8 +19,6 @@ where that is simplicial) against the identity.  The properties:
 - every cover that exhaustive or greedy search returns verifies and still
   verifies after subdivision, and greedy finds no cover at a size where
   exhaustive search proves that none exists;
-- the d∘d content read through the face pairing equals the one summed
-  term by term, with or without one boundary sign flipped;
 - universal coefficients: on a complex with torsion (rp2 or a Moore space
   of Z_3, wedged with a random complex), the Z_p Betti numbers are the
   free ranks over Z plus the p-torsion of H_d and H_{d-1}, both variances,
@@ -28,8 +26,6 @@ where that is simplicial) against the identity.  The properties:
 
 The examples are derandomized, so every run tests the same ones.
 """
-
-import importlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,7 +44,6 @@ from cohodist.exactalg import GF, GF2, QQ, ZZ
 from cohodist.homology import (
     COHOMOLOGY,
     HOMOLOGY,
-    ChainComplexData,
     chain_complex,
     cohomology,
     equality_obstruction,
@@ -186,27 +181,6 @@ def test_search_returns_verified_covers(pair, ring, variance, size):
             assert len(cover.pieces) <= size
             assert verify(query, cover).verified
             assert subdivision_monotonicity_check(query, cover)
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(K=complexes(), data=st.data())
-def test_paired_content_matches_summed_content(K, data):
-    homology = importlib.import_module("cohodist.homology")
-    chains = ChainComplexData(K)
-    # the constructor's columns always pair off
-    assert all(homology._faces_pair(chains, d) for d in range(1, K.dim))
-    if K.dim >= 2 and data.draw(st.booleans()):
-        # flip the sign of one face of one simplex, in the face rows the
-        # pairing reads and in the columns built from them
-        d = data.draw(st.integers(1, K.dim))
-        rows = chains._faces[d]
-        i = data.draw(st.integers(0, d))
-        j = data.draw(st.integers(0, len(rows[i]) - 1))
-        rows[i][j] = ~rows[i][j]
-        chains._sparse[d] = list(zip(*rows))
-    for d in range(1, K.dim):
-        assert (homology._composite_content(chains, d)
-                == homology._summed_content(chains, d))
 
 
 # two complexes with torsion in H_1, as raw faces: rp2 (Z_2) and a Moore

@@ -2,10 +2,9 @@
 
 ``maps_equal`` and ``equality_obstruction`` run the whole source as its
 full piece.  These tests compare that path with the reference path
-(induced homomorphisms on presentations) on seeded maps and pieces, count
-the d∘d content work it does, check that field homology never presents a
-piece, and check that homology verdicts over Z are taken on classes, not
-on chains.
+(induced homomorphisms on presentations) on seeded maps and pieces, check
+that field homology never presents a piece, and check that homology
+verdicts over Z are taken on classes, not on chains.
 """
 
 import importlib
@@ -164,39 +163,6 @@ class TestBitsetVerdicts:
                         checked += 1
                         failing += total > 0
         assert checked == 3 * len(RINGS) * len(VARIANCES) * len(pairs) and failing > 50
-
-
-class TestCompositeContent:
-    def test_one_content_per_parent_composite(self, monkeypatch):
-        # a field piece is never presented, so pieces compute no d∘d
-        # content: the only contents are those of the whole complex, whose
-        # cohomology the difference cochains come from, each computed once.
-        # The module, not the function the package exports under that name
-        hom = importlib.import_module("cohodist.homology")
-        monkeypatch.setattr(importlib.import_module("cohodist.complexes"), "_sd_cache", {})
-        for cache in ("_chain_cache", "_graded_cache", "_difference_cache",
-                      "_pairing_cache"):
-            monkeypatch.setattr(hom, cache, {})
-        calls = []
-        content = hom._composite_content
-
-        def counted(data, d):
-            assert isinstance(data, hom.ChainComplexData)
-            calls.append(d)
-            return content(data, d)
-
-        monkeypatch.setattr(hom, "_composite_content", counted)
-        K = fixture_complex("cp2")
-        phi, psi = SimplicialMap.identity(K), SimplicialMap.constant(K, K)
-        rng = random.Random(3)
-        faces = K.maximal_faces
-        for ring in (GF2, GF(3), QQ):
-            for variance in VARIANCES:
-                for _ in range(4):
-                    piece = Subcomplex.spanned_by(K, rng.sample(faces, rng.randint(2, 12))).mask
-                    equality_obstruction(phi, psi, ring, variance, piece=piece)
-                maps_equal(phi, psi, ring, variance)
-        assert sorted(calls) == list(range(1, K.dim))
 
 
 class TestNoFieldPiecePresented:
