@@ -356,10 +356,17 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     report.elapsed = time.perf_counter() - t0
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.render_text())
+    text = json.dumps(report.to_json(), indent=2) if args.json else report.render_text()
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``): the answer stands, and what
+        # is still buffered goes to devnull, so the flush at exit cannot
+        # raise again (the SIGPIPE note of the Python docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code
 
 

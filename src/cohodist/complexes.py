@@ -485,6 +485,16 @@ def diagonal_map(K: SimplicialComplex, product_complex=None):
 
 
 _sd_cache: dict = {}  # the last complex subdivided -> its pair
+_release_hook = None  # called with each subdivision the memo drops
+
+
+def on_subdivision_release(hook) -> None:
+    """Have ``hook(sd)`` called whenever :func:`barycentric_subdivision`
+    drops the subdivision ``sd`` from its memo, before it builds the next
+    one; :mod:`cohodist.homology` sets this at import to release what its
+    caches derived from ``sd``."""
+    global _release_hook
+    _release_hook = hook
 
 
 def barycentric_subdivision(K: SimplicialComplex):
@@ -498,13 +508,22 @@ def barycentric_subdivision(K: SimplicialComplex):
     The last pair built is memoized by the value of K: an equal complex
     (the same vertex order and simplices) subdivided next, such as the
     same file read again, gets back the identical pair, whose caches
-    downstream then match it without comparing its simplices.  The
-    repeats this serves come in a row (two queries on one file, the
-    source and target of a self-map), and one entry keeps a process that
-    subdivides many complexes from holding every subdivision it made.
+    downstream then match it without comparing its simplices, and nothing
+    is released.  The repeats this serves come in a row (two queries on
+    one file, the source and target of a self-map).  Another complex
+    replaces the entry: the replaced subdivision is passed to the release
+    hook (:func:`on_subdivision_release`), which drops the chain data,
+    modules, chain maps, difference cochains and pairings that
+    :mod:`cohodist.homology` holds for that very object, so a process that
+    subdivides many complexes holds one subdivision at a time.  A caller
+    that still holds a released subdivision can query it again; what it
+    needs is computed anew, with the same result.
     """
     pair = _sd_cache.get(K)
     if pair is None:
+        if _release_hook is not None:
+            for sd, _ in _sd_cache.values():
+                _release_hook(sd)
         _sd_cache.clear()
         pair = _sd_cache[K] = _subdivide(K)
     return pair

@@ -9,12 +9,14 @@ every degree.  ``verify`` checks a proposed cover and records per-piece,
 per-degree verdicts; failures are recorded, never thrown.
 
 Search explores pieces spanned by subsets of the source's maximal faces.
-For a connected target this loses nothing: an isolated vertex changes
-neither positive-degree cohomology nor the always-equal degree-0
-comparison, and in dimension one every subcomplex is of this form up to
-isolated vertices.  A piece is evaluated as a mask over the source's
-chain bases (:attr:`complexes.Subcomplex.mask`) and never built, by
-search and by ``verify`` alike.  Every piece is a
+This loses nothing, whatever the target: in a cover by subcomplexes on
+which the maps agree, every maximal face of the source lies in some
+piece, the span of the maximal faces inside a piece is a sub-piece of it,
+on which the maps agree too (restriction factors through the piece), and
+these spans cover the source.  So a face-spanned "no cover" is a "no
+cover" for the simplicial distance.  A piece is evaluated as a mask over
+the source's chain bases (:attr:`complexes.Subcomplex.mask`) and never
+built, by search and by ``verify`` alike.  Every piece is a
 :class:`homology.PairingState`, whatever the ring and variance; it pairs
 with cycles over a field, reducing and pairing only the new simplices'
 boundary columns as the state grows, and is read as its mask over Z.
@@ -27,7 +29,8 @@ whole query; it holds no state but the empty one.  One size plan
 alike, whether a size is searched exhaustively or greedily, and each
 search verifies the cover it returns, once.  Each walk owns the states it
 grows and grows each piece from one it knows to lie inside.  Exhaustive
-search proves nonexistence within that family.  One depth-first walk
+search proves nonexistence within that family, and so among all covers
+by subcomplexes.  One depth-first walk
 assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
 then every nonempty set of maximal faces is evaluated once into a table of
 verdicts, depth first over the sets, and the walk runs again, cut at the

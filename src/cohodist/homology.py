@@ -45,8 +45,16 @@ generators that fail, as :attr:`PairingState.failing` holds it.
 :func:`maps_equal` reads a degree as equal when its bitset is 0, and
 :func:`equality_obstruction` counts the set bits.
 
-Results are pure functions of the inputs and are cached per (complex,
-ring).
+Results are pure functions of the inputs, cached by value in module
+caches: chain data per complex, modules per (complex, ring, variance),
+chain maps per (map, degree), and difference cochains and pairings per
+map pair and ring.  Equal complexes and maps share these entries, however
+often they are read.  The one release is for subdivisions: when
+:func:`complexes.barycentric_subdivision` replaces its memo entry, every
+entry whose key holds the replaced subdivision itself (by identity), or a
+map from or to it, is dropped (:func:`_release`).  Everything else stays.
+Recomputing a released entry gives the same presentations and generators,
+so coordinates read off a released module remain valid.
 """
 
 from itertools import combinations, compress, count, repeat
@@ -66,7 +74,7 @@ from .exactalg import (
     smith_normal_form,
     trivial_presentation,
 )
-from .complexes import SimplicialComplex, SimplicialMap, _bit_indices
+from .complexes import SimplicialComplex, SimplicialMap, _bit_indices, on_subdivision_release
 from .errors import ComplexMismatchError
 
 COHOMOLOGY = "cohomology"
@@ -547,7 +555,10 @@ class PairingState:
     bitset of the generators that failed.  A generator that fails fails on
     every larger piece, and a degree whose generators have all failed
     reduces nothing more.  A Z query's state has no pairings: it only
-    joins masks, and is read as its ``mask``.
+    joins masks, and is read as its ``mask``.  ``key`` is the maps and
+    ring the state pairs for, ``(phi, psi, ring)``; a state answers those
+    only, compared by value, so it stays valid when the cached pairings
+    it was built from are released (:func:`_release`).
 
     :meth:`extended` grows the piece as the persistence column reduction
     (Edelsbrunner, Letscher and Zomorodian 2002) grows a filtration: only
@@ -556,9 +567,10 @@ class PairingState:
     again.
     """
 
-    __slots__ = ("pairings", "mask", "_spans", "failing")
+    __slots__ = ("key", "pairings", "mask", "_spans", "failing")
 
-    def __init__(self, pairings, mask, spans, failing):
+    def __init__(self, key, pairings, mask, spans, failing):
+        self.key = key
         self.pairings = pairings
         self.mask = mask
         self._spans = spans
@@ -581,7 +593,7 @@ class PairingState:
                     failing[k] |= span.support(pairing)
                     if failing[k] == every:
                         break  # the span is not read again
-        return PairingState(self.pairings, grown, spans, failing)
+        return PairingState(self.key, self.pairings, grown, spans, failing)
 
 
 def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> PairingState:
@@ -593,7 +605,7 @@ def pairing_state(phi: SimplicialMap, psi: SimplicialMap, ring: Ring) -> Pairing
     pairings = _pairings(phi, psi, ring) if ring.is_field else ()
     empty = (0,) * (chain_complex(phi.source).dim + 1)
     spans = [field_span(ring) for _ in pairings]
-    return PairingState(pairings, empty, spans, [0] * len(pairings))
+    return PairingState((phi, psi, ring), pairings, empty, spans, [0] * len(pairings))
 
 
 def _paired_verdicts(phi, psi, ring, piece):
@@ -601,7 +613,7 @@ def _paired_verdicts(phi, psi, ring, piece):
     ``failing`` of the :class:`PairingState` ``piece``, or of one built
     from scratch for a mask; 0 in every degree the state does not pair."""
     if isinstance(piece, PairingState):
-        if piece.pairings is not _pairings(phi, psi, ring):
+        if piece.key != (phi, psi, ring):
             raise ValueError("the pairing state belongs to other maps or coefficients")
         state = piece
     else:
@@ -704,3 +716,29 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
     _check_variance(variance)
     return sum(bits.bit_count() for _, bits
                in _generator_verdicts(phi, psi, ring, variance, piece))
+
+
+# ---------------------------------------------------------------------------
+# release of a subdivision
+
+
+def _refers_to(key, sd) -> bool:
+    """Does a cache key hold ``sd`` itself, or a map from or to it?"""
+    return any(part is sd or isinstance(part, SimplicialMap)
+               and (part.source is sd or part.target is sd)
+               for part in (key if isinstance(key, tuple) else (key,)))
+
+
+def _release(sd: SimplicialComplex) -> None:
+    """Drop what the caches derived from the subdivision ``sd``, which the
+    memo of :func:`complexes.barycentric_subdivision` has let go: its chain
+    data and modules, the chain maps of maps from or to it, and the
+    difference cochains and pairings of maps on it.  Keys are matched by
+    identity, so an equal complex read elsewhere keeps its entries."""
+    for cache in (_chain_cache, _graded_cache, _chain_map_cache,
+                  _difference_cache, _pairing_cache):
+        for key in [key for key in cache if _refers_to(key, sd)]:
+            del cache[key]
+
+
+on_subdivision_release(_release)

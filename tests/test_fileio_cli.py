@@ -666,3 +666,31 @@ class TestParserReuse:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early, as ``| head -c 10`` does, leaves
+    the command's exit code as it was, with no traceback on stderr.  A
+    reader that closes before the report is written makes the write fail
+    every time; one that reads 10 bytes first is the ``head`` case."""
+
+    @pytest.mark.parametrize("read, argv", [
+        (0, ["--json", "cohomology", "s2xs2", "--ring", "z2"]),
+        (10, ["--json", "cohomology", "s2xs2", "--ring", "z2"]),
+        (0, ["cohomology", "s2xs2", "--ring", "z2"]),
+    ])
+    def test_exit_code_survives_a_closed_reader(self, read, argv):
+        src = os.path.dirname(os.path.dirname(cohodist.__file__))
+        proc = subprocess.Popen([sys.executable, "-m", "cohodist.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=src))
+        try:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert err == ""
+        assert code == 0

@@ -15,12 +15,19 @@ runs.
 """
 
 import gc
+import importlib
 import random
 
 import pytest
 
 from cohodist import distance
-from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces, restrict
+from cohodist.complexes import (
+    SimplicialMap,
+    Subcomplex,
+    barycentric_subdivision,
+    from_maximal_faces,
+    restrict,
+)
 from cohodist.distance import (
     DistanceQuery,
     _PieceChecker,
@@ -44,6 +51,8 @@ from .presentation_path import maps_equal_by_presentation
 from .reference_membership import obstruction_by_membership
 
 FIELDS = (GF2, GF(3), QQ)
+
+complexes_module = importlib.import_module("cohodist.complexes")
 
 
 def shuffled(rng, name):
@@ -316,6 +325,24 @@ class TestDuality:
             for ring in (GF(3), ZZ):
                 with pytest.raises(ValueError):
                     equality_obstruction(phi, psi, ring, variance, piece=state)
+            with pytest.raises(ValueError):  # nor other maps
+                equality_obstruction(psi, phi, GF2, variance, piece=state)
+
+    def test_states_outlive_the_release_of_their_pairings(self, monkeypatch):
+        # a state knows its maps and ring by value, so it still answers them
+        # after the memo replaces sd(k5) and its cached pairings are released
+        monkeypatch.setattr(complexes_module, "_sd_cache", {})
+        sd, _ = barycentric_subdivision(fixture_complex("k5"))
+        q = scat_query(sd, GF2)
+        piece = Subcomplex.spanned_by(sd, sd.maximal_faces[3:]).mask
+        state = pairing_state(q.phi, q.psi, GF2).extended(piece)
+        barycentric_subdivision(fixture_complex("s2"))
+        fresh = pairing_state(q.phi, q.psi, GF2).extended(piece)
+        assert fresh.pairings is not state.pairings
+        for variance in ("cohomology", "homology"):
+            count = equality_obstruction(q.phi, q.psi, GF2, variance, piece=state)
+            assert count == equality_obstruction(q.phi, q.psi, GF2, variance, piece=fresh)
+            assert count == obstruction_by_membership(q.phi, q.psi, GF2, piece) > 0
 
 
 class TestDisconnectedTarget:

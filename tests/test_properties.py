@@ -23,14 +23,27 @@ where that is simplicial) against the identity.  The properties:
   of Z_3, wedged with a random complex), the Z_p Betti numbers are the
   free ranks over Z plus the p-torsion of H_d and H_{d-1}, both variances,
   and the package's groups over Z are the oracle's.
+- maps between different complexes: on seeded random complexes
+  (``rand_complex``) the carrier sd K -> K induces isomorphisms over Z_2,
+  Z_3, Q and Z in both variances, and the Betti numbers of sd K are the
+  raw-face oracles' for K, checked while the subdivision memo holds sd K
+  and again after another complex has replaced it.
 
 The examples are derandomized, so every run tests the same ones.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohodist.complexes import SimplicialMap, Subcomplex, from_maximal_faces, restrict
+from cohodist.complexes import (
+    SimplicialMap,
+    Subcomplex,
+    barycentric_subdivision,
+    from_maximal_faces,
+    restrict,
+)
 from cohodist.distance import (
     DistanceQuery,
     scat_query,
@@ -48,6 +61,7 @@ from cohodist.homology import (
     cohomology,
     equality_obstruction,
     homology,
+    induced_map,
     maps_equal,
     pairing_state,
 )
@@ -55,6 +69,7 @@ from cohodist.homology import (
 from .oracles import betti_mod, integral_homology
 from .presentation_path import maps_equal_by_presentation
 from .reference_membership import obstruction_by_membership
+from .test_complexes import rand_complex
 from .test_field_presentations import betti_q
 
 FIELDS = (GF2, GF(3), QQ)
@@ -222,3 +237,23 @@ def test_universal_coefficients_with_torsion(faces, p, data):
 
     want = tuple(free + p_torsion(d) + p_torsion(d - 1) for d, (free, _) in enumerate(groups))
     assert homology(K, GF(p)).betti() == cohomology(K, GF(p)).betti() == want
+
+
+def test_carriers_of_subdivisions_induce_isomorphisms():
+    rng = random.Random(26)
+    other = from_maximal_faces([[0, 1, 2], [2, 3]])
+    for _ in range(40):
+        K = rand_complex(rng)
+        faces = K.maximal_faces
+        sd, carrier = barycentric_subdivision(K)
+        for phase in ("the memo holds sd", "sd was released"):
+            for ring in (*FIELDS, ZZ):
+                for variance in VARIANCES:
+                    assert induced_map(carrier, ring, variance).is_iso(), (faces, ring)
+            for p in (2, 3):
+                assert cohomology(sd, GF(p)).betti() == homology(sd, GF(p)).betti() \
+                    == betti_mod(faces, p)
+            free = tuple(rank for rank, _ in integral_homology(faces))
+            for ring in (QQ, ZZ):
+                assert cohomology(sd, ring).betti() == homology(sd, ring).betti() == free
+            barycentric_subdivision(other)  # the memo lets sd go
