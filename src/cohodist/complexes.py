@@ -14,8 +14,20 @@ no label tuple is built per simplex on those paths.  A cover piece
 degree, and is built as a complex of its own only when read.  All objects
 are immutable after construction and hash by content, so value-equal
 complexes share cached chain data downstream.
+
+The builders (:func:`from_maximal_faces`, :func:`product` and
+:func:`barycentric_subdivision`) make their keys sorted and each once,
+and hand them to the constructor grouped by degree, as it stores them;
+only general input, in any order and with repeats, is normalized simplex
+by simplex.  They build with the cyclic garbage collector paused
+(:func:`_collector_paused`), as the chain data, (co)homology walks, chain
+maps and induced maps of :mod:`cohodist.homology` do: what a build
+allocates it keeps, so a collection inside it would free nothing.  The
+caller finds the collector as it left it.
 """
 
+import gc
+from contextlib import contextmanager
 from itertools import chain, combinations, repeat
 from operator import or_
 
@@ -60,29 +72,26 @@ class SimplicialComplex:
     """
 
     __slots__ = ("vertices", "_pos", "_keys", "_hash", "_by_dim", "_simplices",
-                 "_maximal", "_maximal_faces", "_index")
+                 "_maximal", "_maximal_faces", "_index", "_memo_made")
 
     def __init__(self, vertices, simplices):
         """Internal constructor; use :func:`from_maximal_faces`.
 
         ``vertices``: ordered tuple of labels.  ``simplices``: iterable of
         tuples of positions in ``vertices``, downward closed; a simplex may
-        list its positions in any order and may occur more than once.
+        list its positions in any order and may occur more than once.  The
+        builders of this module hand over their keys as they are stored
+        instead: a dict from each degree d, ascending, to the tuple of its
+        keys, each a sorted tuple of positions, ascending and without
+        repeats, so no simplex is sorted again.
         """
         self.vertices = verts = tuple(vertices)
         self._pos = {v: i for i, v in enumerate(verts)}
-        # each simplex sorted once, each degree sorted as plain int tuples
-        keys_by_len = {}
-        for key in {tuple(sorted(s)) for s in simplices}:
-            keys_by_len.setdefault(len(key), []).append(key)
-        self._keys = {}
-        for n in sorted(keys_by_len):
-            keys = keys_by_len[n]
-            keys.sort()
-            self._keys[n - 1] = tuple(keys)
+        self._keys = simplices if isinstance(simplices, dict) else _keys_by_dim(simplices)
         self._hash = None
         self._by_dim = {}
         self._simplices = self._maximal = self._maximal_faces = self._index = None
+        self._memo_made = False  # set by barycentric_subdivision's memo
 
     def _labels(self, keys):
         """The simplices with the given keys as tuples of vertex labels."""
@@ -218,12 +227,50 @@ class SimplicialComplex:
                 f"f={self.f_vector()})")
 
 
+def _sorted_by_dim(by_len) -> dict:
+    """Collections of keys without repeats, indexed by their length (entry
+    0 unused), as the constructor stores them: each degree sorted."""
+    return {n - 1: tuple(sorted(keys)) for n, keys in enumerate(by_len) if keys}
+
+
+def _keys_by_dim(simplices) -> dict:
+    """Position tuples in any order and with repeats, normalized simplex by
+    simplex, as the constructor stores them."""
+    keys = {tuple(sorted(s)) for s in simplices}
+    by_len = [[] for _ in range(max(map(len, keys), default=0) + 1)]
+    for key in keys:
+        by_len[len(key)].append(key)
+    return _sorted_by_dim(by_len)
+
+
 def _downward_closure(faces):
     closure = set()
     for face in faces:
         for k in range(1, len(face) + 1):
             closure.update(combinations(face, k))
     return closure
+
+
+@contextmanager
+def _collector_paused():
+    """The cyclic garbage collector off for a bulk build.
+
+    A build allocates its keys, columns and rows by the ten thousand and
+    keeps them all, so a collection inside it frees nothing and only walks
+    what is being built.  The collector is re-enabled before control
+    returns to the caller, also on an exception.  When it is already off,
+    by the caller or by an enclosing build, this does nothing, and the
+    thresholds are never touched, so no caller sees a changed collector
+    state.  Other threads get no cyclic collection while a build runs.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _bit_indices(bits: int) -> list:
@@ -268,10 +315,14 @@ def from_maximal_faces(faces, order=None, require_connected=True) -> SimplicialC
         for v in vertices:
             label_key(v)  # raises on a label of no supported type
     pos = {v: i for i, v in enumerate(vertices)}
-    keys = [tuple(sorted(map(pos.__getitem__, f))) for f in faces]
-    K = SimplicialComplex(vertices, _downward_closure(keys))
-    if require_connected and not K.is_connected():
-        raise DisconnectedComplexError("1-skeleton is not path-connected")
+    with _collector_paused():
+        keys = [tuple(sorted(map(pos.__getitem__, f))) for f in faces]
+        # the faces of sorted keys come out sorted, each degree's once
+        by_len = [()] + [set(chain.from_iterable(map(combinations, keys, repeat(n))))
+                         for n in range(1, max(map(len, keys)) + 1)]
+        K = SimplicialComplex(vertices, _sorted_by_dim(by_len))
+        if require_connected and not K.is_connected():
+            raise DisconnectedComplexError("1-skeleton is not path-connected")
     return K
 
 
@@ -485,14 +536,15 @@ def diagonal_map(K: SimplicialComplex, product_complex=None):
 
 
 _sd_cache: dict = {}  # the last complex subdivided -> its pair
-_release_hook = None  # called with each subdivision the memo drops
+_release_hook = None  # called whenever the memo replaces its pair
 
 
 def on_subdivision_release(hook) -> None:
-    """Have ``hook(sd)`` called whenever :func:`barycentric_subdivision`
-    drops the subdivision ``sd`` from its memo, before it builds the next
-    one; :mod:`cohodist.homology` sets this at import to release what its
-    caches derived from ``sd``."""
+    """Have ``hook()`` called whenever :func:`barycentric_subdivision`
+    replaces its memo entry, before it builds the next subdivision;
+    :mod:`cohodist.homology` sets this at import to release what its
+    caches derived from any subdivision the memo built, each marked by
+    its ``_memo_made``."""
     global _release_hook
     _release_hook = hook
 
@@ -511,10 +563,11 @@ def barycentric_subdivision(K: SimplicialComplex):
     downstream then match it without comparing its simplices, and nothing
     is released.  The repeats this serves come in a row (two queries on
     one file, the source and target of a self-map).  Another complex
-    replaces the entry: the replaced subdivision is passed to the release
-    hook (:func:`on_subdivision_release`), which drops the chain data,
-    modules, chain maps, difference cochains and pairings that
-    :mod:`cohodist.homology` holds for that very object, so a process that
+    replaces the entry, and the release hook (:func:`on_subdivision_release`)
+    drops the chain data, modules, chain maps, difference cochains and
+    pairings that :mod:`cohodist.homology` holds for every subdivision
+    this memo ever built, compared by identity: the one replaced, and one
+    replaced earlier and queried again since.  So a process that
     subdivides many complexes holds one subdivision at a time.  A caller
     that still holds a released subdivision can query it again; what it
     needs is computed anew, with the same result.
@@ -522,10 +575,12 @@ def barycentric_subdivision(K: SimplicialComplex):
     pair = _sd_cache.get(K)
     if pair is None:
         if _release_hook is not None:
-            for sd, _ in _sd_cache.values():
-                _release_hook(sd)
+            _release_hook()
         _sd_cache.clear()
-        pair = _sd_cache[K] = _subdivide(K)
+        with _collector_paused():
+            pair = _subdivide(K)
+        pair[0]._memo_made = True
+        _sd_cache[K] = pair
     return pair
 
 
@@ -534,7 +589,8 @@ def _subdivide(K: SimplicialComplex):
 
     The chains are built on positions: a simplex of K is found by its key
     (:meth:`SimplicialComplex.keys_of_dim`), and a chain is the tuple of
-    its members' positions in the vertex order of sd K.
+    its members' positions in the vertex order of sd K.  Each chain is
+    built once, so each is sorted once into its key and none is repeated.
     """
     simplices = K.simplices_of_dim_all()  # by ascending dimension
     keys = [k for d in range(K.dim + 1) for k in K.keys_of_dim(d)]
@@ -544,7 +600,7 @@ def _subdivide(K: SimplicialComplex):
     for p, g in enumerate(order):
         at[g] = p
     chains_ending = {}
-    all_chains = []
+    by_len = [[] for _ in range(K.dim + 2)]
     for key, p in zip(keys, at):
         tail = (p,)
         ending = [tail]
@@ -553,8 +609,10 @@ def _subdivide(K: SimplicialComplex):
             face = tuple(key[i] for i in range(n) if mask >> i & 1)
             ending.extend([c + tail for c in chains_ending[face]])
         chains_ending[key] = ending
-        all_chains.extend(ending)
-    sd = SimplicialComplex(vertices, all_chains)
+        for c in map(tuple, map(sorted, ending)):
+            by_len[len(c)].append(c)
+    del chains_ending  # the unsorted chains, before the keys are stored
+    sd = SimplicialComplex(vertices, _sorted_by_dim(by_len))
     # the maximal chains are the full flags that end at a maximal simplex
     # of K, so a d-chain is maximal exactly when it holds a maximal
     # d-simplex of K
@@ -628,17 +686,21 @@ def product(K: SimplicialComplex, L: SimplicialComplex):
     (u, v) sits at position pos(u) * |L| + pos(v), so a chain is built as
     the tuple of those positions.
     """
-    simplices = []  # each chain once: its projections and steps fix it
-    width = len(L.vertices)
-    for dk in range(K.dim + 1):
-        for dl in range(L.dim + 1):
-            paths = _staircase_paths(dk, dl)
-            for sigma in K.keys_of_dim(dk):
-                for tau in L.keys_of_dim(dl):
-                    for path in paths:
-                        simplices.append(tuple(sigma[i] * width + tau[j] for i, j in path))
-    vertices = [(u, v) for u in K.vertices for v in L.vertices]
-    P = SimplicialComplex(vertices, simplices)
-    pi1 = SimplicialMap(P, K, {p: p[0] for p in vertices})
-    pi2 = SimplicialMap(P, L, {p: p[1] for p in vertices})
-    return P, pi1, pi2
+    with _collector_paused():
+        # each chain once: its projections and steps fix it; its positions
+        # ascend along the path, so it is its own key
+        by_len = [[] for _ in range(K.dim + L.dim + 2)]
+        width = len(L.vertices)
+        for dk in range(K.dim + 1):
+            for dl in range(L.dim + 1):
+                paths = _staircase_paths(dk, dl)
+                for sigma in K.keys_of_dim(dk):
+                    for tau in L.keys_of_dim(dl):
+                        for path in paths:
+                            by_len[len(path)].append(
+                                tuple(sigma[i] * width + tau[j] for i, j in path))
+        vertices = [(u, v) for u in K.vertices for v in L.vertices]
+        P = SimplicialComplex(vertices, _sorted_by_dim(by_len))
+        pi1 = SimplicialMap(P, K, {p: p[0] for p in vertices})
+        pi2 = SimplicialMap(P, L, {p: p[1] for p in vertices})
+        return P, pi1, pi2

@@ -51,10 +51,18 @@ chain maps per (map, degree), and difference cochains and pairings per
 map pair and ring.  Equal complexes and maps share these entries, however
 often they are read.  The one release is for subdivisions: when
 :func:`complexes.barycentric_subdivision` replaces its memo entry, every
-entry whose key holds the replaced subdivision itself (by identity), or a
-map from or to it, is dropped (:func:`_release`).  Everything else stays.
+entry whose key holds a subdivision the memo built (by identity, the
+replaced one and any released earlier and cached again since), or a map
+from or to one, is dropped (:func:`_release`).  Everything else stays.
 Recomputing a released entry gives the same presentations and generators,
 so coordinates read off a released module remain valid.
+
+The chain data, the (co)homology walk with its coboundary transposes,
+chain maps and induced maps are built with the cyclic garbage collector
+paused (:func:`complexes._collector_paused`): they keep what they
+allocate, so a collection inside them would free nothing.  The collector
+is resumed before control returns, also on an exception, and a caller
+that had it off finds it off.
 """
 
 from itertools import combinations, compress, count, repeat
@@ -74,7 +82,13 @@ from .exactalg import (
     smith_normal_form,
     trivial_presentation,
 )
-from .complexes import SimplicialComplex, SimplicialMap, _bit_indices, on_subdivision_release
+from .complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    _bit_indices,
+    _collector_paused,
+    on_subdivision_release,
+)
 from .errors import ComplexMismatchError
 
 COHOMOLOGY = "cohomology"
@@ -110,9 +124,10 @@ class ChainComplexData:
     def __init__(self, K: SimplicialComplex):
         self.complex = K
         self.keys = keys = {d: K.keys_of_dim(d) for d in range(K.dim + 1)}
-        self.index = index = K.index
-        self._sparse = {d: list(zip(*_face_rows(keys[d], d, index)))
-                        for d in range(1, K.dim + 1)}
+        with _collector_paused():
+            self.index = index = K.index
+            self._sparse = {d: list(zip(*_face_rows(keys[d], d, index)))
+                            for d in range(1, K.dim + 1)}
 
     @property
     def dim(self) -> int:
@@ -288,7 +303,8 @@ def _graded_module(K, ring, variance) -> GradedModule:
     key = (K, ring, variance)
     gm = _graded_cache.get(key)
     if gm is None:
-        modules = _presentations(chain_complex(K), ring, variance)
+        with _collector_paused():  # coboundary transposes included
+            modules = _presentations(chain_complex(K), ring, variance)
         gm = _graded_cache[key] = GradedModule(K, ring, variance, modules)
     return gm
 
@@ -327,8 +343,14 @@ def chain_map(phi: SimplicialMap, d: int):
     out of order."""
     key = (phi, d)
     out = _chain_map_cache.get(key)
-    if out is not None:
-        return out
+    if out is None:
+        with _collector_paused():
+            out = _chain_map_cache[key] = _chain_map(phi, d)
+    return out
+
+
+def _chain_map(phi, d):
+    """:func:`chain_map`, built."""
     index = chain_complex(phi.target).index
     keys = chain_complex(phi.source).keys.get(d, ())
     at = phi.image_positions().__getitem__
@@ -342,7 +364,6 @@ def chain_map(phi: SimplicialMap, d: int):
     out = [None] * len(keys)
     for i, j in zip(compress(count(), kept), map(xor, rows, map(neg, odd))):
         out[i] = j  # j ^ -1 is ~j
-    _chain_map_cache[key] = out
     return out
 
 
@@ -413,22 +434,23 @@ def induced_map(phi: SimplicialMap, ring: Ring, variance: str) -> GradedHom:
     H^*(source complex).
     """
     _check_variance(variance)
-    if variance == COHOMOLOGY:
-        src_gm = cohomology(phi.target, ring)
-        tgt_gm = cohomology(phi.source, ring)
-        push = lambda d, vec: pullback_cochain(phi, ring, d, vec)
-    else:
-        src_gm = homology(phi.source, ring)
-        tgt_gm = homology(phi.target, ring)
-        push = lambda d, vec: pushforward_chain(phi, ring, d, vec)
-    top = max(phi.source.dim, phi.target.dim)
-    homs = {}
-    for d in range(top + 1):
-        sp = src_gm.presentation(d)
-        tp = tgt_gm.presentation(d)
-        cols = [tp.coordinates(push(d, gen)) for gen in sp.gens]
-        homs[d] = Hom(sp, tp, Matrix.from_columns(ring, cols, tp.ngens), check=False)
-    return GradedHom(src_gm, tgt_gm, homs)
+    with _collector_paused():
+        if variance == COHOMOLOGY:
+            src_gm = cohomology(phi.target, ring)
+            tgt_gm = cohomology(phi.source, ring)
+            push = lambda d, vec: pullback_cochain(phi, ring, d, vec)
+        else:
+            src_gm = homology(phi.source, ring)
+            tgt_gm = homology(phi.target, ring)
+            push = lambda d, vec: pushforward_chain(phi, ring, d, vec)
+        top = max(phi.source.dim, phi.target.dim)
+        homs = {}
+        for d in range(top + 1):
+            sp = src_gm.presentation(d)
+            tp = tgt_gm.presentation(d)
+            cols = [tp.coordinates(push(d, gen)) for gen in sp.gens]
+            homs[d] = Hom(sp, tp, Matrix.from_columns(ring, cols, tp.ngens), check=False)
+        return GradedHom(src_gm, tgt_gm, homs)
 
 
 # ---------------------------------------------------------------------------
@@ -722,22 +744,26 @@ def equality_obstruction(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
 # release of a subdivision
 
 
-def _refers_to(key, sd) -> bool:
-    """Does a cache key hold ``sd`` itself, or a map from or to it?"""
-    return any(part is sd or isinstance(part, SimplicialMap)
-               and (part.source is sd or part.target is sd)
+def _refers_to_subdivision(key) -> bool:
+    """Does a cache key hold a subdivision the memo built, or a map from or
+    to one?"""
+    return any(part._memo_made if isinstance(part, SimplicialComplex)
+               else isinstance(part, SimplicialMap)
+               and (part.source._memo_made or part.target._memo_made)
                for part in (key if isinstance(key, tuple) else (key,)))
 
 
-def _release(sd: SimplicialComplex) -> None:
-    """Drop what the caches derived from the subdivision ``sd``, which the
-    memo of :func:`complexes.barycentric_subdivision` has let go: its chain
-    data and modules, the chain maps of maps from or to it, and the
-    difference cochains and pairings of maps on it.  Keys are matched by
-    identity, so an equal complex read elsewhere keeps its entries."""
+def _release() -> None:
+    """Drop what the caches derived from the subdivisions that the memo of
+    :func:`complexes.barycentric_subdivision` built, as it replaces its
+    entry: their chain data and modules, the chain maps of maps from or to
+    them, and the difference cochains and pairings of maps on them.  That
+    includes a subdivision released before and queried again since.  Keys
+    are matched by identity, so an equal complex read elsewhere keeps its
+    entries."""
     for cache in (_chain_cache, _graded_cache, _chain_map_cache,
                   _difference_cache, _pairing_cache):
-        for key in [key for key in cache if _refers_to(key, sd)]:
+        for key in [key for key in cache if _refers_to_subdivision(key)]:
             del cache[key]
 
 

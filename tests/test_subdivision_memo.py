@@ -29,7 +29,12 @@ from cohodist.complexes import (
     from_maximal_faces,
     sd_map,
 )
-from cohodist.distance import scat_query, subdivision_monotonicity_check
+from cohodist.distance import (
+    scat_query,
+    search_greedy,
+    stc_query,
+    subdivision_monotonicity_check,
+)
 from cohodist.exactalg import GF2, ZZ
 from cohodist.fixtures import fixture_complex, fixture_cover
 from cohodist.homology import (
@@ -182,6 +187,27 @@ def test_an_equal_complex_releases_nothing(memo):
     for (ring, variance), gm in modules.items():
         assert homology_module._graded_cache[sd, ring, variance] is gm
     assert all(chain_map(carrier, d) is m for d, m in enumerate(maps))
+
+
+def test_a_subdivision_cached_again_is_released_again(memo):
+    # the check subdivides the source, then the target, which replaces the
+    # source in the memo before verify reads the source's chain data
+    q = stc_query(fixture_complex("c3"), GF2)
+    cover = search_greedy(q, 2)
+    assert cover is not None and subdivision_monotonicity_check(q, cover)
+    sd_source, = [K for K in homology_module._chain_cache
+                  if K.f_vector() == (54, 162, 108)]
+    sd_target, _ = barycentric_subdivision(q.target)  # the memo's entry
+    before = held(sd_source)
+    assert before["_chain_cache"] == 1 and held(sd_target)["_chain_cache"] == 1
+    # an equal complex subdivided next is a memo hit, and releases nothing
+    again = from_maximal_faces(q.target.maximal_faces, order=q.target.vertices)
+    assert again is not q.target and barycentric_subdivision(again)[0] is sd_target
+    assert held(sd_source) == before and held(sd_target)["_chain_cache"] == 1
+    # the next replacement releases both
+    barycentric_subdivision(fixture_complex("rp2"))
+    assert not any(held(sd_source).values())
+    assert not any(held(sd_target).values())
 
 
 def presented(K, ring):
