@@ -654,27 +654,27 @@ def subdivide_cover(cover: Cover, sd_parent=None) -> Cover:
 
 
 def _staircase_paths(a: int, b: int):
-    """Monotone chains from (0,0) to (a,b) with unit steps (Delannoy paths)."""
+    """Monotone chains from (0,0) to (a,b) with unit steps (Delannoy paths),
+    depth first with the steps in the order (1,0), (0,1), (1,1).
+
+    The walk keeps its own stack rather than a recursive closure, which
+    would refer to itself and leave a reference cycle for the collector.
+    """
     out = []
-
-    def walk(i, j, path):
+    stack = [((0, 0),)]
+    while stack:
+        path = stack.pop()
+        i, j = path[-1]
         if i == a and j == b:
-            out.append(tuple(path))
-            return
-        if i < a:
-            path.append((i + 1, j))
-            walk(i + 1, j, path)
-            path.pop()
-        if j < b:
-            path.append((i, j + 1))
-            walk(i, j + 1, path)
-            path.pop()
+            out.append(path)
+            continue
+        # pushed last first, so the steps are taken in order
         if i < a and j < b:
-            path.append((i + 1, j + 1))
-            walk(i + 1, j + 1, path)
-            path.pop()
-
-    walk(0, 0, [(0, 0)])
+            stack.append(path + ((i + 1, j + 1),))
+        if j < b:
+            stack.append(path + ((i, j + 1),))
+        if i < a:
+            stack.append(path + ((i + 1, j),))
     return out
 
 

@@ -24,11 +24,16 @@ and Q.  Both key a pivot by its highest row, and every
 field kernel (rank, kernel, image, solve, quotient) is written once on top
 of them, as is :func:`field_presentations`, which presents every degree of
 a cochain complex's cohomology from one reduction per matrix, with
-clearing and lazy pivots (:class:`_LazyPivots`).  Boundary-style columns
+clearing and lazy pivots (:class:`_LazyPivots`).  The same pass presents
+cohomology over Z on integer columns (:class:`_LazyZSpan`) while every
+pivot is 1 or -1, which certifies that the groups are free; the first
+other pivot raises :class:`_NonUnitPivot`, and the caller falls back to
+the Smith normal form walk :func:`_z_presentations`.  Boundary-style columns
 come in as tuples of signed rows (``r`` for +1 at row r, ``~r`` for -1);
 a span's ``signed`` and :func:`signed_columns` convert them to a span's
 form.  :func:`field_span`, :func:`_lazy_span` and :func:`signed_columns`
-are the only code that tells Z_2 apart from the other fields.
+are the only code that tells Z_2 apart from the other fields, and
+:func:`_lazy_span` the only one that tells Z apart from them.
 
 Scalars are plain Python numbers combined with Python's own operators; a
 :class:`Ring` does not do arithmetic.  Whatever must be a scalar of the
@@ -551,6 +556,10 @@ class FieldSpan:
         col = state[0]
         return max(col) if col else None
 
+    def _inverse(self, a):
+        """The inverse of the top entry ``a`` of a new pivot."""
+        return self.ring.inv(a)
+
     def _scaled(self, vec: dict, a) -> dict:
         p = self.p
         if p is None:
@@ -570,7 +579,7 @@ class FieldSpan:
         if not col:
             return False, combo
         top = max(col)
-        inv = self.ring.inv(col[top])
+        inv = self._inverse(col[top])
         self.pivots[top] = (self._scaled(col, inv), self._scaled(combo, inv))
         return True, None
 
@@ -580,7 +589,7 @@ class FieldSpan:
         ``slot`` is None: the pivot :meth:`_absorb` makes of a column that
         meets no pivot.  Its highest row must be no pivot's."""
         top = max(vec)
-        inv = self.ring.inv(vec[top])
+        inv = self._inverse(vec[top])
         self.pivots[top] = (self._scaled(vec, inv), {} if slot is None else {slot: inv})
 
     def _drop_combinations(self):
@@ -679,10 +688,43 @@ class _LazyFieldSpan(_LazyPivots, FieldSpan):
     __slots__ = ("lazy", "combos")
 
 
+class _NonUnitPivot(Exception):
+    """A column over Z reduced to a top entry other than 1 or -1."""
+
+
+class _LazyZSpan(_LazyPivots, FieldSpan):
+    """The span of :class:`_LazyFieldSpan` over Z, while every pivot is a unit.
+
+    Columns are dicts of ints.  Each pivot is stored monic, scaled by its
+    top entry's inverse, which is 1 or -1, so a reduction subtracts
+    integer multiples of pivots and every column and combination stays
+    integral.  A column that reduces to a top entry other than 1 or -1
+    raises :class:`_NonUnitPivot`: over Z it cannot be made monic, and its
+    image may not be saturated.  Lazy pivots are raw signed rows, whose
+    top entry is always a unit.
+    """
+
+    __slots__ = ("lazy", "combos")
+
+    def __init__(self):
+        # FieldSpan refuses Z, which this span handles only through _inverse
+        self.ring, self.p, self.pivots, self.n_added = ZZ, None, {}, 0
+        self.lazy, self.combos = {}, True
+
+    @staticmethod
+    def _inverse(a):
+        if a == 1 or a == -1:
+            return a
+        raise _NonUnitPivot(a)
+
+
 def _lazy_span(ring: Ring):
-    """:func:`field_span` with lazy pivots (:class:`_LazyPivots`)."""
+    """:func:`field_span` with lazy pivots (:class:`_LazyPivots`), and
+    over Z the unit-pivot span :class:`_LazyZSpan`."""
     if ring == GF2:
         return _LazyGf2Span()
+    if ring == ZZ:
+        return _LazyZSpan()
     return _LazyFieldSpan(ring)
 
 
@@ -1203,7 +1245,8 @@ _gf2_quotient = _field_quotient
 
 
 def field_presentations(ring: Ring, steps) -> list:
-    """Cohomology of a cochain complex over a field, one presentation per group.
+    """Cohomology of a cochain complex over a field, or over Z while every
+    pivot is a unit, one presentation per group.
 
     ``steps`` yields ``(n, cols)`` for C^0, C^1, ... in turn: n is the
     dimension of C^k and ``cols`` the n columns of d^k : C^k -> C^{k+1} as
@@ -1233,9 +1276,36 @@ def field_presentations(ring: Ring, steps) -> list:
     Clearing is sound only when d^k o d^{k-1} == 0; every
     :class:`homology.ChainComplexData` satisfies it.
 
+    Over Z (``ring`` is ``ZZ``) the spans are :class:`_LazyZSpan`s: every
+    pivot is monic, scaled by its top entry, 1 or -1, and the first
+    column that reduces to another top entry raises
+    :class:`_NonUnitPivot`.  Without one the walk presents the groups
+    over Z, all free:
+
+    - The column operations are unitriangular over Z: a column's
+      combination is its own unit plus integer multiples of earlier
+      columns' combinations.  With clearing, take for a cleared column j
+      the cleared image pivot instead, a cocycle whose top row is j with
+      entry 1 or -1.  These combinations are then a unimodular basis of
+      C^k, and the reduced columns that stay nonzero have distinct top
+      rows, so they are independent.  An integer cocycle is therefore an
+      integer combination of the generators and the cleared image pivots
+      alone: together they are a lattice basis of the cocycles.
+    - Clearing stays valid over Z: a cleared column j equals minus the
+      sum, with integer coefficients, of the columns of the image pivot's
+      lower rows, all before it.
+    - The image pivots span the image of d^{k-1} over Z (they are its
+      columns after unimodular operations) and are part of the lattice
+      basis above, so the image is a direct summand of the cocycles and
+      H^k is free on the generators.  A non-unit pivot may break this,
+      and the caller then presents the steps with a Smith normal form
+      (:func:`_z_presentations`).
+
     >>> d0 = [(~0,), (0,)]   # one edge: the coboundary of each end
     >>> [p.group_str() for p in field_presentations(GF2, [(2, d0), (1, [[]])])]
     ['Z_2', '0']
+    >>> [p.group_str() for p in field_presentations(ZZ, [(2, d0), (1, [[]])])]
+    ['Z', '0']
     """
     out = []
     image = _lazy_span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k

@@ -18,9 +18,15 @@ is reduced before its outgoing one, and the outgoing reduction skips the
 columns whose index is a pivot row of the incoming one (clearing).
 Clearing is sound only when the composite of the two matrices is zero,
 which every :class:`ChainComplexData` satisfies by the simplicial
-identity.  Over Z it is :func:`exactalg._z_presentations`, the sparse
-Smith normal form of each matrix and of its relations, which is where
-torsion comes from.
+identity.  Over Z it is the same pass on integer columns, while every
+pivot is 1 or -1: such pivots certify that each image is a direct
+summand of the cycles, so the groups are free.  Boundary matrices of
+simplicial complexes mostly reduce on such pivots (Dumas, Heckenbach,
+Saunders and Welker, "Computing simplicial homology based on efficient
+Smith normal form algorithms", 2003).  A complex whose reduction meets
+another pivot, as a complex with torsion must, is presented by
+:func:`exactalg._z_presentations` instead, the sparse Smith normal form
+of each matrix and of its relations, which is where torsion comes from.
 
 Equality of induced maps is decided by one routine, on a subcomplex of
 the source given as a mask over the source's chain bases
@@ -280,19 +286,29 @@ def _presentations(data, ring: Ring, variance) -> dict:
 
     One walk for every ring: cohomology is walked upward and homology
     downward, so a degree's incoming matrix comes before its outgoing one,
-    and the steps go to :func:`exactalg.field_presentations` over a field
-    and to :func:`exactalg._z_presentations` over Z.  Both need every
-    composite of two steps to be zero, which every
-    :class:`ChainComplexData` satisfies by the simplicial identity.
+    and the steps go to :func:`exactalg.field_presentations`, over Z as
+    over a field.  Over Z that walk keeps integer columns with pivots 1
+    and -1, which present the groups, all free, as its docstring proves.
+    A reduction that meets another pivot, which is where torsion may
+    come from, signals it, and the steps are built again for
+    :func:`exactalg._z_presentations`, the sparse Smith normal form of
+    each matrix and of its relations.  Both walks need every composite of
+    two steps to be zero, which every :class:`ChainComplexData` satisfies
+    by the simplicial identity.
     """
     top = data.dim
     if variance == COHOMOLOGY:
         degrees, outgoing = range(top + 1), data.sparse_coboundary
     else:
         degrees, outgoing = range(top, -1, -1), data.sparse_boundary
-    steps = ((data.rank_of(d), outgoing(d)) for d in degrees)
-    presented = (field_presentations(ring, steps) if ring.is_field
-                 else exactalg._z_presentations(steps))
+
+    def steps():
+        return ((data.rank_of(d), outgoing(d)) for d in degrees)
+
+    try:
+        presented = field_presentations(ring, steps())
+    except exactalg._NonUnitPivot:  # over Z only
+        presented = exactalg._z_presentations(steps())
     return dict(zip(degrees, presented))
 
 

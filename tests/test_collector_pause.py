@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from cohodist import cli
-from cohodist.complexes import barycentric_subdivision, from_maximal_faces
+from cohodist.complexes import barycentric_subdivision, from_maximal_faces, product
 from cohodist.exactalg import GF2, ZZ
 from cohodist.fixtures import fixture_complex
 from cohodist.homology import (
@@ -182,3 +182,20 @@ def test_nested_builds_leave_it_to_the_outer_one(cold):
             assert not gc.isenabled()
         assert not gc.isenabled()  # the inner one did not resume it
     assert gc.isenabled()
+
+
+def test_product_leaves_no_cyclic_garbage(cold):
+    # the staircase paths are walked on a stack of their own, not by a
+    # recursive closure that refers to itself, so a product leaves nothing
+    # for the collector, and it finds the collector as it left it
+    s2 = fixture_complex("s2")
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.disable()
+    product(s2, s2)
+    assert gc.collect() == 0
+    assert not gc.isenabled()
+    gc.enable()
+    product(s2, s2)
+    assert gc.isenabled()
+    assert gc.get_threshold() == threshold
