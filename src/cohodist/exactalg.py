@@ -28,7 +28,11 @@ clearing and lazy pivots (:class:`_LazyPivots`).  The same pass presents
 cohomology over Z on integer columns (:class:`_LazyZSpan`) while every
 pivot is 1 or -1, which certifies that the groups are free; the first
 other pivot raises :class:`_NonUnitPivot`, and the caller falls back to
-the Smith normal form walk :func:`_z_presentations`.  Boundary-style columns
+the Smith normal form walk :func:`_z_presentations`.  The same span
+decides membership in the lattice of a set of integer columns
+(:func:`_z_lattice`); a non-unit pivot raises the same signal, and the
+caller then takes a Smith normal form.  Both passes take their columns
+through one intake loop (:func:`_take_columns`).  Boundary-style columns
 come in as tuples of signed rows (``r`` for +1 at row r, ``~r`` for -1);
 a span's ``signed`` and :func:`signed_columns` convert them to a span's
 form.  :func:`field_span`, :func:`_lazy_span` and :func:`signed_columns`
@@ -718,6 +722,78 @@ class _LazyZSpan(_LazyPivots, FieldSpan):
         raise _NonUnitPivot(a)
 
 
+def _take_columns(span, cols, indices, gens=None) -> None:
+    """Reduce the columns ``cols[j]`` (signed rows) for j in ``indices``
+    into the lazy ``span``, in that order.
+
+    A column whose top row is no pivot's, made or lazy, stays lazy
+    (:class:`_LazyPivots`) with its slot j.  With a list ``gens``, each
+    other column is reduced with its combination over all the columns, and
+    the combinations of those that reduce to zero are appended to
+    ``gens``.  Without one only the columns are reduced, and each pivot
+    made here gets the zero combination, as the lazy ones do on a span
+    with ``combos`` False.
+    """
+    pivots, lazy = span.pivots, span.lazy
+    for j in indices:
+        rows = cols[j]
+        if rows:
+            top = max(max(rows), ~min(rows))  # ~min: the top of the rows ~r
+            if top not in pivots and top not in lazy:
+                lazy[top] = (rows, j)  # a pivot as it is, once met
+                continue
+        if gens is None:
+            col = span._reduce(span.signed(rows), None)[0]
+            if col:
+                span._pin(col, None)
+            continue
+        span.n_added = j  # combinations run over all the columns
+        grew, combo = span._absorb(span.signed(rows))
+        if not grew:
+            gens.append(combo)
+
+
+def _z_lattice(cols) -> _LazyZSpan:
+    """The lattice the integer columns ``cols`` (signed rows) span, as a
+    :class:`_LazyZSpan` whose ``contains`` decides membership, or
+    :class:`_NonUnitPivot` when a column reduces to a top entry other
+    than 1 or -1.
+
+    The columns are reduced once, with lazy pivots and no combinations
+    (:func:`_take_columns`).  Why ``contains`` is exact:
+
+    - A reduction subtracts integer multiples of monic pivots, an
+      elementary unimodular column operation, so the nonzero reduced
+      columns generate the same lattice B as ``cols``.  They have distinct
+      top rows with entries 1 or -1 (a lazy pivot is a raw signed column,
+      whose top entry is 1 or -1 too), so they are an echelon Z-basis
+      of B.
+    - If v reduces to 0, v is an integer combination of that basis, so
+      v is in B.
+    - If v stops at w != 0, the top row of w is no pivot's row, and w
+      is in v + B.  Were v in B, w would be a nonzero integer combination
+      of the basis, whose top row is the top row of its highest basis
+      vector, a pivot row.  So v is not in B.
+
+    Nothing here needs the quotient of the columns' space by B to be
+    torsion-free.  Nor does a non-unit pivot mean torsion: a column with
+    entries 1 and 2, the 2 on top, spans a saturated lattice.  So the
+    caller's fallback is triggered by pivots, not by torsion.
+
+    >>> lattice = _z_lattice([(~0, 1), (~1, 2)])   # e1 - e0, e2 - e1
+    >>> lattice.contains({0: -1, 2: 1}), lattice.contains({2: 1})
+    (True, False)
+    >>> _z_lattice([(0, 2), (~0, 2)])   # e0 + e2 reduces e2 - e0 to -2 e0
+    Traceback (most recent call last):
+    ...
+    cohodist.exactalg._NonUnitPivot: -2
+    """
+    span = _LazyZSpan()
+    span.combos = False
+    _take_columns(span, cols, range(len(cols)))
+    return span
+
+
 def _lazy_span(ring: Ring):
     """:func:`field_span` with lazy pivots (:class:`_LazyPivots`), and
     over Z the unit-pivot span :class:`_LazyZSpan`."""
@@ -1311,19 +1387,8 @@ def field_presentations(ring: Ring, steps) -> list:
     image = _lazy_span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k
     for n, cols in steps:
         span = _lazy_span(ring)
-        pivots, lazy = span.pivots, span.lazy
         gens = []
-        for j in image.unpivoted(n):  # the others are cleared
-            rows = cols[j]
-            if rows:
-                top = max(max(rows), ~min(rows))  # ~min: the top of the rows ~r
-                if top not in pivots and top not in lazy:
-                    lazy[top] = (rows, j)  # a pivot as it is, once met
-                    continue
-            span.n_added = j  # combinations run over all n columns
-            grew, combo = span._absorb(span.signed(rows))
-            if not grew:
-                gens.append(combo)
+        _take_columns(span, cols, image.unpivoted(n), gens)  # the others are cleared
         out.append(_pinned_presentation(ring, n, image, gens))
         span._drop_combinations()  # they are needed only while reducing
         image = span

@@ -41,9 +41,13 @@ d-cycle of the piece, so a :class:`PairingState` reduces the piece's
 boundary columns and pairs each new cycle with the differences; it grows
 by a face, reducing only the new columns, and leaves the state it grew
 from as it was, which is how cover search evaluates the pieces it grows.
-Over Z that duality fails through Ext terms, and the piece is presented
-(:class:`_PieceChains`): cohomology tests the difference for membership
-in the lattice of the piece's coboundaries, and homology pushes the
+Over Z that duality fails through Ext terms, and the piece is read off
+its chains (:class:`_PieceChains`).  Cohomology tests the difference for
+membership in the lattice of the piece's coboundaries: the coboundary
+columns are reduced once on the unit-pivot span, where a difference is
+in the lattice exactly when it reduces to zero, and only a piece degree
+whose reduction meets a pivot other than 1 or -1 takes a Smith normal
+form.  Homology presents the piece on the walk above, pushes the
 generators of H_d(piece) forward and reads the difference's class off the
 target's presentation, its coordinates reduced mod torsion.
 Every path gives, per degree, one verdict form: the bitset of the
@@ -518,15 +522,31 @@ def _cochain_differences(phi, psi, ring, d):
 
 def _cochain_verdicts(phi, psi, ring, d, chains) -> int:
     """Over Z: the bitset of the generators of H^d(target) whose
-    difference lies outside the piece's coboundary lattice."""
+    difference lies outside the piece's coboundary lattice
+    B = im delta^{d-1}|P.
+
+    The columns of delta^{d-1}|P are reduced once on the unit-pivot span
+    (:func:`exactalg._z_lattice`), and a difference lies in B exactly
+    when it reduces to zero there: the reduced columns are an echelon
+    Z-basis of B with top entries 1 or -1, so a difference that stops at
+    a nonzero vector stops at a top row no basis vector has, which no
+    vector of B could (the proof is in that function's docstring; it
+    needs no torsion-freeness of the piece).  Only when a column reduces
+    to another top entry is B read off a Smith normal form of the same
+    columns, in this degree of this piece alone.  Degree 0 has B = 0.
+    """
     idx = chains.basis_indices(d)
-    diffs = [[diff[i] for i in idx] for diff in _cochain_differences(phi, psi, ring, d)]
+    diffs = [{k: x for k, i in enumerate(idx) if (x := diff[i])}
+             for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
-        return _bits(map(any, diffs))
-    snf = smith_normal_form(IntColumns(signed_columns(ring, chains.sparse_coboundary(d - 1)),
-                                       chains.rank_of(d)))
-    return _bits(exactalg._z_solve_with_snf(snf, [exactalg._int_vector(diff)]) is None
-                 for diff in diffs)
+        return _bits(diffs)
+    cols = chains.sparse_coboundary(d - 1)
+    try:
+        lattice = exactalg._z_lattice(cols)
+    except exactalg._NonUnitPivot:
+        snf = smith_normal_form(IntColumns(signed_columns(ring, cols), chains.rank_of(d)))
+        return _bits(exactalg._z_solve_with_snf(snf, [diff]) is None for diff in diffs)
+    return _bits(not lattice.contains(diff) for diff in diffs)
 
 
 def _bits(failing) -> int:
@@ -686,8 +706,11 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
     degree passes.  Over a field both variances pair the pulled-back
     generators of H^d(target) with the piece's cycles (:class:`PairingState`;
     by duality a degree fails in one exactly when in the other).  Over Z
-    cohomology tests them for lattice membership, and homology compares
-    the pushforwards of the generators of H_d(piece) in H_d(target).
+    cohomology tests them for membership in the piece's coboundary
+    lattice, by one integer echelon reduction per degree and a Smith
+    normal form only where a pivot is not 1 or -1
+    (:func:`_cochain_verdicts`), and homology compares the pushforwards
+    of the generators of H_d(piece) in H_d(target).
 
     ``piece`` is a subcomplex of the source as a mask
     (:attr:`complexes.Subcomplex.mask`), or None for the whole source, or

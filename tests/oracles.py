@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch against the raw
 simplex data, so it shares no code path with the package: fraction/modular
-Gaussian elimination, boundary matrices built directly from face lists,
+Gaussian elimination, dense Smith diagonals and integer lattice
+membership, boundary matrices built directly from face lists,
 chain counting for subdivisions, the staircase product triangulation,
 cochain pullbacks along vertex maps, a naive cochain-level cup product, and
 a union-find cycle test for graph pieces.
@@ -10,6 +11,7 @@ a union-find cycle test for graph pieces.
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 
 # --- elimination -------------------------------------------------------------
@@ -186,6 +188,18 @@ def smith_diagonal(rows):
     return diagonal
 
 
+def in_integer_span(columns, v):
+    """Is the integer vector v in the lattice L the integer columns span?
+    L + Zv contains L, so the two are equal exactly when appending v keeps
+    both the rank and the product of the nonzero invariant factors (the
+    gcd of the maximal minors, which a proper superlattice of the same
+    rank divides by its index)."""
+    rows = [[c[i] for c in columns] for i in range(len(v))]
+    before = smith_diagonal(rows)
+    after = smith_diagonal([r + [x] for r, x in zip(rows, v)])
+    return len(after) == len(before) and prod(after) == prod(before)
+
+
 def integral_homology(faces):
     """Per degree d, H_d over Z straight from the face list: its free rank
     and its torsion coefficients (the invariant factors above 1 of the
@@ -300,8 +314,9 @@ def coboundary_mod(by_dim, d, vec, p):
             for j in range(len(by_dim.get(d + 1, [])))]
 
 
-def pullback_mod(by_dim, d, vertex_map, cochain, p):
-    """f^#(c)(sigma) = sign * c(f(sigma)) over Z_p, zero where f collapses sigma.
+def pullback_mod(by_dim, d, vertex_map, cochain, p=None):
+    """f^#(c)(sigma) = sign * c(f(sigma)) over Z_p (over Z when p is None),
+    zero where f collapses sigma.
 
     ``cochain`` maps sorted vertex tuples of the target to values; the sign
     is that of the permutation sorting the image vertices.
@@ -315,7 +330,8 @@ def pullback_mod(by_dim, d, vertex_map, cochain, p):
         inversions = sum(image[i] > image[j] for i in range(len(image))
                          for j in range(i + 1, len(image)))
         sign = -1 if inversions % 2 else 1
-        out.append(sign * cochain.get(tuple(sorted(image)), 0) % p)
+        value = sign * cochain.get(tuple(sorted(image)), 0)
+        out.append(value if p is None else value % p)
     return out
 
 

@@ -90,10 +90,8 @@ class TestDifferentialAgainstPresentations:
                     q = DistanceQuery(phi, psi, ring, variance)
                     checker = _PieceChecker(q)
                     n = len(checker.faces)
-                    # large pieces of s2 x s2 make Smith normal forms slow
-                    cap = 12 if ring == ZZ and n > 60 else n
                     face_sets = [sum(1 << i for i in
-                                     rng.sample(range(n), rng.randint(1, cap)))
+                                     rng.sample(range(n), rng.randint(1, n)))
                                  for _ in range(3)]
                     for face_set in face_sets:
                         piece = checker.subcomplex(face_set)
@@ -103,8 +101,6 @@ class TestDifferentialAgainstPresentations:
                         assert fast.by_degree == slow.by_degree, (label, ring, variance)
                         assert (checker.obstruction(face_set)
                                 == equality_obstruction(a, b, ring, variance))
-                    if ring == ZZ and n > cap:
-                        continue
                     fast = maps_equal(phi, psi, ring, variance)
                     slow = maps_equal_by_presentation(phi, psi, ring, variance)
                     assert fast.by_degree == slow.by_degree, (label, ring, variance)
@@ -136,10 +132,9 @@ class TestBitsetVerdicts:
                 for variance in VARIANCES:
                     checker = _PieceChecker(DistanceQuery(phi, psi, ring, variance))
                     n = len(checker.faces)
-                    cap = 12 if ring == ZZ and n > 60 else n
                     for _ in range(3):
                         face_set = sum(1 << i for i in
-                                       rng.sample(range(n), rng.randint(1, cap)))
+                                       rng.sample(range(n), rng.randint(1, n)))
                         mask = checker.mask(face_set)
                         bits = dict(_generator_verdicts(phi, psi, ring, variance, mask))
                         report = maps_equal(phi, psi, ring, variance, piece=mask)

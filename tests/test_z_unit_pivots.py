@@ -17,6 +17,7 @@ import pytest
 
 from cohodist import exactalg
 from cohodist.complexes import Subcomplex, SimplicialMap, barycentric_subdivision
+from cohodist.distance import scat_query, search
 from cohodist.exactalg import ZZ
 from cohodist.fixtures import fixture_complex
 from cohodist.homology import (
@@ -84,8 +85,8 @@ def test_subdivided_cp2_over_z():
 
 def test_the_signal_never_escapes(smith_calls):
     # whole complexes with torsion, and pieces of them: Z homology pieces
-    # are presented on the same walk, and Z cohomology pieces read the
-    # target's cohomology
+    # are presented on the same walk, and Z cohomology pieces reduce their
+    # coboundaries on the same unit pivots, falling back per piece degree
     for name in ("rp2", "rp3", "sd(rp2)"):
         K = complex_named(name)
         assert "Z_2" in cohomology(K, ZZ).group_strs()
@@ -106,3 +107,9 @@ def test_the_signal_never_escapes(smith_calls):
                 assert report.equal == (obstruction == 0)
     # the whole source is a piece with torsion, presented by the fallback
     assert len(smith_calls) > fallbacks
+    # and through distance: exhaustive searches over rp2, whose pieces fall
+    # back in both variances (1023 evaluations in homology)
+    rp2 = fixture_complex("rp2")
+    assert search(scat_query(rp2, ZZ), 1, strategy="exhaustive") is None
+    assert search(scat_query(rp2, ZZ), 2, strategy="exhaustive") is not None
+    assert search(scat_query(rp2, ZZ, HOMOLOGY), 2, strategy="exhaustive") is None
