@@ -24,7 +24,9 @@ and Q.  Both key a pivot by its highest row, and every
 field kernel (rank, kernel, image, solve, quotient) is written once on top
 of them, as is :func:`field_presentations`, which presents every degree of
 a cochain complex's cohomology from one reduction per matrix, with
-clearing and lazy pivots (:class:`_LazyPivots`).  The same pass presents
+clearing and lazy pivots (:class:`_LazyPivots`): a column that meets no
+pivot when it is added is kept as its signed rows, converted each time a
+reduction reads it, and never stored converted.  The same pass presents
 cohomology over Z on integer columns (:class:`_LazyZSpan`) while every
 pivot is 1 or -1, which certifies that the groups are free; the first
 other pivot raises :class:`_NonUnitPivot`, and the caller falls back to
@@ -304,8 +306,8 @@ class Matrix:
 # int in [0, p) over Z_p, a Fraction over Q).  Columns go in in that form,
 # as dicts, or as dense sequences; ``signed`` reads a column of signed
 # rows.  The spans of field_presentations keep lazy pivots: a column that
-# meets no pivot when it is added stays a tuple of signed rows until a
-# reduction meets its top row (_LazyPivots).
+# meets no pivot when it is added stays a tuple of signed rows, converted
+# each time a reduction meets its top row and never kept (_LazyPivots).
 
 
 class Gf2Vector:
@@ -392,9 +394,12 @@ class Gf2Span:
         and its combination (clo, cbits) alongside; returns both."""
         pivots = self.pivots
         while bits:
-            hit = pivots.get(lo + bits.bit_length() - 1)
+            top = lo + bits.bit_length() - 1
+            hit = pivots.get(top)
             if hit is None:
-                break
+                hit = self._lazy_hit(top)
+                if hit is None:
+                    break
             vlo, vbits, wlo, wbits = hit
             if vlo >= lo:
                 bits ^= vbits << (vlo - lo)
@@ -413,11 +418,11 @@ class Gf2Span:
         return lo, bits, clo, cbits
 
     @staticmethod
-    def _top(state):
-        """The highest row of the vector of a :meth:`_reduce` state, or
-        None when it is zero."""
-        lo, bits = state[0], state[1]
-        return lo + bits.bit_length() - 1 if bits else None
+    def _lazy_hit(top):
+        """The pivot held unmade at row ``top``, which :meth:`_reduce`
+        asks for when ``top`` is no pivot's row; only a span with lazy
+        pivots holds one (:class:`_LazyPivots`)."""
+        return None
 
     def _absorb(self, col, combo=None):
         """Add a column.  Returns (enlarged, combo), where combo is the
@@ -438,12 +443,19 @@ class Gf2Span:
         self.pivots[lo + bits.bit_length() - 1] = (lo, bits, clo, cbits)
         return True, None
 
+    @staticmethod
+    def _pivot(vec: Gf2Vector, top, slot) -> tuple:
+        """The pivot made of ``vec`` as it is, with the unit combination at
+        ``slot``, or the zero one when ``slot`` is None.  ``top``, its
+        highest row, is not read here."""
+        if slot is None:
+            return vec.lo, vec.bits, 0, 0
+        return vec.lo, vec.bits, slot, 1
+
     def _pin(self, vec: Gf2Vector, slot):
-        """Make ``vec`` a pivot as it is, with the unit combination at
-        ``slot``, or the zero one when ``slot`` is None.  Its highest row
-        must be no pivot's."""
-        combo = (0, 0) if slot is None else (slot, 1)
-        self.pivots[vec.lo + vec.bits.bit_length() - 1] = (vec.lo, vec.bits, *combo)
+        """Make ``vec`` a pivot (:meth:`_pivot`).  Its highest row must be
+        no pivot's."""
+        self.pivots[vec.lo + vec.bits.bit_length() - 1] = self._pivot(vec, None, slot)
 
     def _drop_combinations(self):
         """Give every pivot the zero combination, as a table of image
@@ -496,7 +508,10 @@ class FieldSpan:
     As in :class:`Gf2Span`, a pivot is keyed by its highest row and a
     column is reduced only until its highest row is no pivot's.  Pivots
     are stored monic together with their combination over the added
-    columns.
+    columns.  A pivot's dicts are never changed once stored:
+    :meth:`_reduce` changes only the column and combination it is given,
+    and every caller hands it copies or fresh dicts.  So a monic vector
+    is stored as it is, and :meth:`copy` shares the pivots.
     """
 
     __slots__ = ("ring", "p", "pivots", "n_added")
@@ -546,19 +561,16 @@ class FieldSpan:
             top = max(col)
             hit = pivots.get(top)
             if hit is None:
-                break
+                hit = self._lazy_hit(top)
+                if hit is None:
+                    break
             c = -col[top]
             _axpy(col, c, hit[0], p)
             if combo is not None:
                 _axpy(combo, c, hit[1], p)
         return col, combo
 
-    @staticmethod
-    def _top(state):
-        """The highest row of the vector of a :meth:`_reduce` state, or
-        None when it is zero."""
-        col = state[0]
-        return max(col) if col else None
+    _lazy_hit = staticmethod(Gf2Span._lazy_hit)  # no lazy pivots here either
 
     def _inverse(self, a):
         """The inverse of the top entry ``a`` of a new pivot."""
@@ -584,17 +596,26 @@ class FieldSpan:
             return False, combo
         top = max(col)
         inv = self._inverse(col[top])
-        self.pivots[top] = (self._scaled(col, inv), self._scaled(combo, inv))
+        if inv != 1:  # col and combo are this call's own copies
+            col, combo = self._scaled(col, inv), self._scaled(combo, inv)
+        self.pivots[top] = (col, combo)
         return True, None
 
-    def _pin(self, vec: dict, slot):
-        """Make ``vec`` a pivot, scaled to 1 at its highest row, with the
-        unit combination at ``slot`` scaled alike, or the zero one when
-        ``slot`` is None: the pivot :meth:`_absorb` makes of a column that
-        meets no pivot.  Its highest row must be no pivot's."""
-        top = max(vec)
+    def _pivot(self, vec: dict, top: int, slot) -> tuple:
+        """The pivot made of ``vec``, whose highest row is ``top``: ``vec``
+        scaled to 1 at ``top``, with the unit combination at ``slot``
+        scaled alike, or the zero one when ``slot`` is None.  This is the
+        pivot :meth:`_absorb` makes of a column that meets no pivot; it
+        holds ``vec`` itself when that is monic already."""
         inv = self._inverse(vec[top])
-        self.pivots[top] = (self._scaled(vec, inv), {} if slot is None else {slot: inv})
+        return (vec if inv == 1 else self._scaled(vec, inv),
+                {} if slot is None else {slot: inv})
+
+    def _pin(self, vec: dict, slot):
+        """Make ``vec`` a pivot (:meth:`_pivot`).  Its highest row must be
+        no pivot's."""
+        top = max(vec)
+        self.pivots[top] = self._pivot(vec, top, slot)
 
     def _drop_combinations(self):
         """Give every pivot the zero combination, as a table of image
@@ -637,23 +658,26 @@ def field_span(ring: Ring):
 
 
 class _LazyPivots:
-    """Lazy pivots for a span of :func:`field_presentations`.
+    """Lazy pivots for the spans of :func:`field_presentations` and
+    :func:`_z_lattice`.
 
     A column whose top row is no pivot's when it is added becomes a pivot
     as it is, with the unit combination at its slot, and most columns of
     a big complex never meet another pivot after that.
-    :func:`field_presentations` keeps such a column in ``lazy`` instead,
-    as its signed rows and its slot keyed by its top row, neither
-    converted nor scaled.  :meth:`_reduce` makes it the pivot it stands
-    for (:meth:`_pin`) when a reduction meets that row: a column added
-    later, or a coordinates call.  So the pivots, kernel vectors and
-    coordinates are the ones the span gives when each column is converted
-    and absorbed as it comes.
+    :func:`_take_columns` keeps such a column in ``lazy`` instead, as its
+    signed rows and its slot keyed by its top row, and it is never made.
+    When the span's one reduction loop meets that row, :meth:`_lazy_hit`
+    hands it the pivot the column stands for (:meth:`_pivot`), converted
+    for that read and not kept: a lazy column is read about once, by a
+    column added later or by a coordinates call.  So the pivots, kernel
+    vectors and coordinates are the ones the span gives when each column
+    is converted and absorbed as it comes.
 
-    ``_drop_combinations`` rebuilds only the pivots made so far; a lazy
-    one made after it gets the zero combination (``combos`` is False).
-    Only :func:`field_presentations` makes these spans; it never copies
-    one or reads its ``rank``, which counts the pivots made so far.
+    The combination a lazy pivot carries is the unit at its slot while
+    ``combos`` is True, and the zero one after ``_drop_combinations``,
+    which rebuilds the pivots made.  Only :func:`field_presentations` and
+    :func:`_z_lattice` make these spans; neither copies one or reads its
+    ``rank``, which counts the pivots made.
     """
 
     __slots__ = ()
@@ -668,16 +692,14 @@ class _LazyPivots:
         pivots, lazy = self.pivots, self.lazy
         return [j for j in range(n) if j not in pivots and j not in lazy]
 
-    def _reduce(self, *state):
-        # the span's reduction, resumed after each lazy pivot it meets
-        lazy = self.lazy
-        while True:
-            state = super()._reduce(*state)
-            top = self._top(state)
-            if top not in lazy:
-                return state
-            rows, slot = lazy.pop(top)
-            self._pin(self.signed(rows), slot if self.combos else None)
+    def _lazy_hit(self, top):
+        """The pivot of the lazy column at row ``top``, converted for one
+        read and left lazy, or None when there is none."""
+        entry = self.lazy.get(top)
+        if entry is None:
+            return None
+        rows, slot = entry
+        return self._pivot(self.signed(rows), top, slot if self.combos else None)
 
     def _drop_combinations(self):
         super()._drop_combinations()
@@ -740,7 +762,7 @@ def _take_columns(span, cols, indices, gens=None) -> None:
         if rows:
             top = max(max(rows), ~min(rows))  # ~min: the top of the rows ~r
             if top not in pivots and top not in lazy:
-                lazy[top] = (rows, j)  # a pivot as it is, once met
+                lazy[top] = (rows, j)  # read as a pivot, never made
                 continue
         if gens is None:
             col = span._reduce(span.signed(rows), None)[0]
@@ -1343,9 +1365,11 @@ def field_presentations(ring: Ring, steps) -> list:
     combination and one pivot per generator with a unit combination.
 
     Pivots are lazy (:class:`_LazyPivots`): a kept column that meets no
-    pivot when it is added stays a tuple of signed rows, with its slot,
-    and is converted to the span's form only when a later column or a
-    ``coordinates`` call reduces through it.  On a subdivision almost
+    pivot when it is added stays a tuple of signed rows, with its slot.
+    It is converted to the span's form each time a later column or a
+    ``coordinates`` call reduces through it, and the converted copy is
+    dropped after that one read: such a column is read about once, so
+    keeping the copy would only hold memory.  On a subdivision almost
     every kept column is such a column.  The pivots, generators and
     coordinates are those of converting every column as it comes.
 

@@ -4,8 +4,10 @@ of simplicial maps, and degreewise equality of induced maps.
 Boundary operators are kept as sparse integral columns with the usual
 alternating signs in the complex's vertex order.  A column is one tuple of
 signed row indices, ``r`` for +1 and ``~r`` for -1, each row found by the
-face's key (its sorted tuple of vertex positions); chain maps give signed
-rows of the same form, read through one array of image positions per map.
+face's key (its sorted tuple of vertex positions), and every ``~r`` of a
+complex's columns is one int object, read from one list of negative rows;
+chain maps give signed rows of the same form, read through one array of
+image positions per map.
 Every degree comes from one walk over the (co)boundary matrices, fed
 those columns as they are.  Cohomology is walked upward and homology
 downward, and only the function that presents the steps depends on the
@@ -13,9 +15,10 @@ ring.  Over a field (Z_2, Z_p, Q) it is
 :func:`exactalg.field_presentations`, one pass that reduces each
 (co)boundary matrix once on the spans of :func:`exactalg.field_span`
 (over Z_2, bitsets stored from their lowest row), converting a column
-only when a reduction reads it (lazy pivots); a degree's incoming matrix
-is reduced before its outgoing one, and the outgoing reduction skips the
-columns whose index is a pivot row of the incoming one (clearing).
+each time a reduction reads it and keeping no converted copy (lazy
+pivots); a degree's incoming matrix is reduced before its outgoing one,
+and the outgoing reduction skips the columns whose index is a pivot row
+of the incoming one (clearing).
 Clearing is sound only when the composite of the two matrices is zero,
 which every :class:`ChainComplexData` satisfies by the simplicial
 identity.  Over Z it is the same pass on integer columns, while every
@@ -136,7 +139,10 @@ class ChainComplexData:
         self.keys = keys = {d: K.keys_of_dim(d) for d in range(K.dim + 1)}
         with _collector_paused():
             self.index = index = K.index
-            self._sparse = {d: list(zip(*_face_rows(keys[d], d, index)))
+            # ~r for every row r of every degree, one int object per row
+            nrows = max((len(keys[d]) for d in range(K.dim)), default=0)
+            negative = list(map(invert, range(nrows)))
+            self._sparse = {d: list(zip(*_face_rows(keys[d], d, index, negative)))
                             for d in range(1, K.dim + 1)}
 
     @property
@@ -167,14 +173,16 @@ class ChainComplexData:
                                    self.rank_of(d - 1))
 
 
-def _face_rows(keys, d: int, index) -> list:
+def _face_rows(keys, d: int, index, negative) -> list:
     """The boundary of the degree-d simplices ``keys`` (d >= 1) by face
     position: list i holds the signed row of face i of every simplex, and
     the boundary columns are these lists zipped.
 
     Face i of a simplex leaves out its vertex i and has sign (-1)^i; its
-    row is its place in ``index``, stored as ``r`` or ``~r``.  The faces
-    are read one i at a time over the whole degree.
+    row is its place in ``index``, stored as ``r`` or ``~r``.  ``~r`` is
+    read from ``negative``, which holds ~r at place r, so that every face
+    of a row shares one int object.  The faces are read one i at a time
+    over the whole degree.
     """
     rows = []
     for i in range(d + 1):
@@ -182,7 +190,7 @@ def _face_rows(keys, d: int, index) -> list:
         get = itemgetter(*rest)
         faces = zip(map(get, keys)) if d == 1 else map(get, keys)
         face_rows = map(index.__getitem__, faces)
-        rows.append(list(map(invert, face_rows) if i % 2 else face_rows))
+        rows.append(list(map(negative.__getitem__, face_rows) if i % 2 else face_rows))
     return rows
 
 
@@ -197,14 +205,16 @@ def chain_complex(K: SimplicialComplex) -> ChainComplexData:
 
 
 def _transpose(sparse_cols, nrows: int):
-    """The transpose of columns of signed rows, in the same form."""
+    """The transpose of columns of signed rows, in the same form; the
+    entries of column j share the ints j and ~j."""
     cols = [[] for _ in range(nrows)]
     for j, col in enumerate(sparse_cols):
+        minus = ~j
         for r in col:
             if r >= 0:
                 cols[r].append(j)
             else:
-                cols[~r].append(~j)
+                cols[~r].append(minus)
     return cols
 
 

@@ -1,12 +1,14 @@
 """Lazy pivots in the one-pass field reduction against the eager pass.
 
 :func:`exactalg.field_presentations` keeps a column that meets no pivot
-as its signed rows until a later column or a ``coordinates`` call
-reduces through it.  :func:`presentation_path.eager_field_presentations`
+as its signed rows, and converts it each time a later column or a
+``coordinates`` call reduces through it, without keeping the converted
+copy.  :func:`presentation_path.eager_field_presentations`
 converts and absorbs every kept column as it comes.  On random columns
 of signed rows, many of which share their top row so that reductions do
-meet lazy pivots, both must give the same generators, groups and
-coordinates.  The module is seeded and bounded.
+meet lazy pivots, and on the subdivisions of cp2 and rp3 in both
+variances, both must give the same generators, groups and coordinates.
+The module is seeded and bounded.
 """
 
 import random
@@ -14,7 +16,10 @@ import random
 import pytest
 
 from cohodist import exactalg
+from cohodist.complexes import barycentric_subdivision
 from cohodist.exactalg import GF, GF2, QQ, field_presentations
+from cohodist.fixtures import fixture_complex
+from cohodist.homology import COHOMOLOGY, HOMOLOGY, _presentations, chain_complex
 
 from .presentation_path import eager_field_presentations
 
@@ -94,18 +99,19 @@ def compare(rng, ring, steps):
 
 @pytest.fixture
 def woken(monkeypatch):
-    """The pivots made from lazy columns after their pass, when a
-    ``coordinates`` call met them: ``_pin`` with no slot."""
+    """The lazy pivots read after their pass, when a ``coordinates`` call
+    met them: ``_lazy_hit`` answering a span whose combinations are
+    dropped, recorded as (span, top row)."""
     calls = []
-    for cls in (exactalg.Gf2Span, exactalg.FieldSpan):
-        pin = cls._pin
+    lazy_hit = exactalg._LazyPivots._lazy_hit
 
-        def recording(self, vec, slot, pin=pin):
-            if slot is None:
-                calls.append(vec)
-            return pin(self, vec, slot)
+    def recording(self, top):
+        hit = lazy_hit(self, top)
+        if hit is not None and not self.combos:
+            calls.append((self, top))
+        return hit
 
-        monkeypatch.setattr(cls, "_pin", recording)
+    monkeypatch.setattr(exactalg._LazyPivots, "_lazy_hit", recording)
     return calls
 
 
@@ -142,7 +148,46 @@ def test_coordinates_meet_a_lazy_pivot(ring, woken):
     assert [p.group_str() for p in lazy] == ["0", str(ring)]
     assert not woken
     e1 = [ring.zero, ring.one, ring.zero]
-    assert lazy[1].coordinates(e1) == eager[1].coordinates(e1)
-    assert len(woken) == 1
-    assert lazy[1].coordinates(e1) == eager[1].coordinates(e1)
-    assert len(woken) == 1  # made once, then read as a pivot
+    for calls in (1, 2):
+        assert lazy[1].coordinates(e1) == eager[1].coordinates(e1)
+        assert len(woken) == calls  # converted for each read
+        table, top = woken[-1]
+        assert top == 1 and top in table.lazy and top not in table.pivots
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("variance", (COHOMOLOGY, HOMOLOGY))
+@pytest.mark.parametrize("name", ["cp2", "rp3"])
+def test_subdivisions_match_the_eager_pass(name, variance, ring):
+    # the (co)homology walk on real chain data, where almost every kept
+    # column stays lazy and coordinates reduce through many of them
+    data = chain_complex(barycentric_subdivision(fixture_complex(name))[0])
+    if variance == COHOMOLOGY:
+        degrees, outgoing = range(data.dim + 1), data.sparse_coboundary
+    else:
+        degrees, outgoing = range(data.dim, -1, -1), data.sparse_boundary
+    steps = [(data.rank_of(d), outgoing(d)) for d in degrees]
+    modules = _presentations(data, ring, variance)
+    eager = eager_field_presentations(ring, steps)
+    rng = random.Random(f"lazy sd {name} {variance} {ring}")
+    for k, d in enumerate(degrees):
+        a, b = modules[d], eager[k]
+        assert a.gens == b.gens and a.orders == b.orders
+        n = steps[k][0]
+        # the generators, and random combinations of them plus the image of
+        # a random vector with a few nonzero entries under the incoming map
+        cocycles = list(a.gens)
+        for _ in range(4):
+            vec = [0] * n
+            for gen in a.gens:
+                c = rng.randint(-2, 2)
+                vec = [x + c * y for x, y in zip(vec, gen)]
+            if k:
+                m, incoming = steps[k - 1]
+                few = [0] * m
+                for j in rng.sample(range(m), min(6, m)):
+                    few[j] = ring.normalize(rng.randint(1, 4))
+                vec = [x + y for x, y in zip(vec, image(ring, incoming, n, few))]
+            cocycles.append(list(map(ring.normalize, vec)))
+        for vec in cocycles:
+            assert a.coordinates(vec) == b.coordinates(vec)
