@@ -15,31 +15,33 @@ quotient) apply them to sparse vectors.  A dense :class:`Matrix` over Z is
 read through its sparse columns; :class:`IntColumns` hands columns in
 directly.
 
-Elimination over a field is sparse and runs through one span interface.
-:func:`field_span` picks the span: :class:`Gf2Span` keeps vectors as
-bitsets stored from their lowest row (:class:`Gf2Vector`, an offset and
-one Python int) because the cohomology pipeline spends most of its time
-row-reducing over Z_2, and :class:`FieldSpan` keeps them as dicts over Z_p
-and Q.  Both key a pivot by its highest row, and every
-field kernel (rank, kernel, image, solve, quotient) is written once on top
-of them, as is :func:`field_presentations`, which presents every degree of
-a cochain complex's cohomology from one reduction per matrix, with
-clearing and lazy pivots (:class:`_LazyPivots`): a column that meets no
-pivot when it is added is kept as its signed rows, converted each time a
-reduction reads it, and never stored converted.  The same pass presents
-cohomology over Z on integer columns (:class:`_LazyZSpan`) while every
-pivot is 1 or -1, which certifies that the groups are free; the first
-other pivot raises :class:`_NonUnitPivot`, and the caller falls back to
-the Smith normal form walk :func:`_z_presentations`.  The same span
-decides membership in the lattice of a set of integer columns
+Elimination over a field is sparse and runs through one span interface,
+with one span class per backend.  :func:`field_span` picks the span:
+:class:`Gf2Span` keeps vectors as bitsets stored from their lowest row
+(:class:`Gf2Vector`, an offset and one Python int) because the cohomology
+pipeline spends most of its time row-reducing over Z_2, and
+:class:`FieldSpan` keeps them as dicts over Z_p and Q.  Both key a pivot
+by its highest row, and every field kernel (rank, kernel, image, solve,
+quotient) is written once on top of them, as is
+:func:`field_presentations`, which presents every degree of a cochain
+complex's cohomology from one reduction per matrix, with clearing and
+lazy pivots, which every span can hold (:class:`_Span`): a column that
+meets no pivot when it is added is kept as its signed rows, converted
+each time a reduction reads it, and never stored converted.  The same
+pass presents cohomology over Z on integer columns (:class:`_ZSpan`, a
+:class:`FieldSpan` whose pivots must be units) while every pivot is 1 or
+-1, which certifies that the groups are free; the first other pivot
+raises :class:`_NonUnitPivot`, and the caller falls back to the Smith
+normal form walk :func:`_z_presentations`.  The same span decides
+membership in the lattice of a set of integer columns
 (:func:`_z_lattice`); a non-unit pivot raises the same signal, and the
 caller then takes a Smith normal form.  Both passes take their columns
 through one intake loop (:func:`_take_columns`).  Boundary-style columns
 come in as tuples of signed rows (``r`` for +1 at row r, ``~r`` for -1);
-a span's ``signed`` and :func:`signed_columns` convert them to a span's
-form.  :func:`field_span`, :func:`_lazy_span` and :func:`signed_columns`
-are the only code that tells Z_2 apart from the other fields, and
-:func:`_lazy_span` the only one that tells Z apart from them.
+a span's ``signed`` converts them to the span's form, and
+:func:`signed_columns` reads them with the span :func:`_span` picks.
+:func:`field_span` is the only code that tells Z_2 apart from the other
+rings, and :func:`_span` the only one that tells Z apart from the fields.
 
 Scalars are plain Python numbers combined with Python's own operators; a
 :class:`Ring` does not do arithmetic.  Whatever must be a scalar of the
@@ -301,13 +303,13 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# sparse field elimination.  A span keeps vectors in its own form: a
-# Gf2Vector over GF(2), a dict row -> nonzero scalar over Z_p and Q (a plain
-# int in [0, p) over Z_p, a Fraction over Q).  Columns go in in that form,
-# as dicts, or as dense sequences; ``signed`` reads a column of signed
-# rows.  The spans of field_presentations keep lazy pivots: a column that
+# sparse elimination.  A span keeps vectors in its own form: a Gf2Vector
+# over GF(2), a dict row -> nonzero scalar over Z_p, Q and Z (a plain int
+# in [0, p) over Z_p, a Fraction over Q, an int over Z).  Columns go in in
+# that form, as dicts, or as dense sequences; ``signed`` reads a column of
+# signed rows.  Every span can hold lazy pivots (_Span): a column that
 # meets no pivot when it is added stays a tuple of signed rows, converted
-# each time a reduction meets its top row and never kept (_LazyPivots).
+# each time a reduction meets its top row and never kept.
 
 
 class Gf2Vector:
@@ -342,7 +344,53 @@ def _gf2_rows(rows) -> Gf2Vector:
     return Gf2Vector(0 if lo is None else lo, bits)
 
 
-class Gf2Span:
+class _Span:
+    """What every span shares: the pivots made, keyed by their highest
+    row, the number of columns added, and the lazy pivots.
+
+    A column whose top row is no pivot's when it is added becomes a pivot
+    as it is, with the unit combination at its slot, and most columns of
+    a big complex never meet another pivot after that.
+    :func:`_take_columns` keeps such a column in ``lazy`` instead, as its
+    signed rows and its slot keyed by its top row, and it is never made.
+    When a reduction meets that row, :meth:`_lazy_hit` hands it the pivot
+    the column stands for (:meth:`_pivot`), converted for that read and
+    not kept: a lazy column is read about once, by a column added later or
+    by a coordinates call.  So the pivots, kernel vectors and coordinates
+    are the ones the span gives when each column is converted and absorbed
+    as it comes, and a span that takes no lazy column is a plain one.
+
+    The combination a lazy pivot carries is the unit at its slot while
+    ``combos`` is True, and the zero one after ``_drop_combinations``,
+    which rebuilds the pivots made.  ``rank`` counts the pivots made.
+    """
+
+    __slots__ = ("pivots", "n_added", "lazy", "combos")
+
+    def __init__(self):
+        self.pivots = {}  # pivot row -> the pivot, in the form _pivot makes
+        self.n_added = 0
+        self.lazy = {}  # top row -> (signed rows, slot)
+        self.combos = True
+
+    def unpivoted(self, n: int) -> list:
+        """The rows below ``n`` that are no pivot's, lazy or made."""
+        pivots, lazy = self.pivots, self.lazy
+        return [j for j in range(n) if j not in pivots and j not in lazy]
+
+    def _lazy_hit(self, top):
+        """The pivot of the lazy column at row ``top``, converted for one
+        read and left lazy; the reduction loop asks for it when ``top`` is
+        a lazy pivot's row and no made pivot's."""
+        rows, slot = self.lazy[top]
+        return self._pivot(self.signed(rows), top, slot if self.combos else None)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+class Gf2Span(_Span):
     """Incremental column span over GF(2) with expression tracking.
 
     The interface is :class:`FieldSpan`'s, with :class:`Gf2Vector` for
@@ -355,11 +403,7 @@ class Gf2Span:
     simplex.
     """
 
-    __slots__ = ("pivots", "n_added")
-
-    def __init__(self):
-        self.pivots = {}  # pivot row -> (lo, bits, clo, cbits): column, combo
-        self.n_added = 0
+    __slots__ = ()
 
     @staticmethod
     def vector(col) -> Gf2Vector:
@@ -392,14 +436,14 @@ class Gf2Span:
     def _reduce(self, lo: int, bits: int, clo: int, cbits: int):
         """Reduce the vector (lo, bits) until its highest row is no pivot's,
         and its combination (clo, cbits) alongside; returns both."""
-        pivots = self.pivots
+        pivots, lazy = self.pivots, self.lazy
         while bits:
             top = lo + bits.bit_length() - 1
             hit = pivots.get(top)
             if hit is None:
-                hit = self._lazy_hit(top)
-                if hit is None:
+                if top not in lazy:
                     break
+                hit = self._lazy_hit(top)
             vlo, vbits, wlo, wbits = hit
             if vlo >= lo:
                 bits ^= vbits << (vlo - lo)
@@ -416,13 +460,6 @@ class Gf2Span:
                 cbits = cbits << (clo - wlo) ^ wbits
                 clo = wlo
         return lo, bits, clo, cbits
-
-    @staticmethod
-    def _lazy_hit(top):
-        """The pivot held unmade at row ``top``, which :meth:`_reduce`
-        asks for when ``top`` is no pivot's row; only a span with lazy
-        pivots holds one (:class:`_LazyPivots`)."""
-        return None
 
     def _absorb(self, col, combo=None):
         """Add a column.  Returns (enlarged, combo), where combo is the
@@ -458,17 +495,21 @@ class Gf2Span:
         self.pivots[vec.lo + vec.bits.bit_length() - 1] = self._pivot(vec, None, slot)
 
     def _drop_combinations(self):
-        """Give every pivot the zero combination, as a table of image
-        pivots for :func:`_pinned_presentation` has."""
+        """Give every pivot, made or lazy, the zero combination, as a table
+        of image pivots for :func:`_pinned_presentation` has."""
         self.pivots = {top: (lo, bits, 0, 0)
                        for top, (lo, bits, _, _) in self.pivots.items()}
+        self.combos = False
 
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
 
     def copy(self) -> "Gf2Span":
-        """A span with the same pivots that grows on its own."""
+        """A span with the same pivots made that grows on its own.  It
+        holds no lazy pivot, so a copy costs one dict copy: only
+        :func:`field_presentations` and :func:`_z_lattice` hold lazy
+        pivots, and neither copies its span."""
         twin = Gf2Span()
         twin.pivots = dict(self.pivots)
         twin.n_added = self.n_added
@@ -485,10 +526,6 @@ class Gf2Span:
         _, bits, clo, cbits = self._reduce(col.lo, col.bits, 0, 0)
         return None if bits else Gf2Vector(clo, cbits)
 
-    @property
-    def rank(self):
-        return len(self.pivots)
-
 
 def _axpy(y: dict, a, x: dict, p):
     """y += a * x in place, dropping the entries that cancel (mod p unless None)."""
@@ -502,7 +539,7 @@ def _axpy(y: dict, a, x: dict, p):
             y.pop(k, None)
 
 
-class FieldSpan:
+class FieldSpan(_Span):
     """Incremental column span over Z_p or Q with expression tracking.
 
     As in :class:`Gf2Span`, a pivot is keyed by its highest row and a
@@ -514,15 +551,15 @@ class FieldSpan:
     is stored as it is, and :meth:`copy` shares the pivots.
     """
 
-    __slots__ = ("ring", "p", "pivots", "n_added")
+    __slots__ = ("ring", "p", "units")
 
     def __init__(self, ring: Ring):
         if not ring.is_field:
             raise UnsupportedRingError(f"{ring} is not a field")
+        super().__init__()
         self.ring = ring
         self.p = ring.p
-        self.pivots = {}  # pivot row -> (monic column, combo over added columns)
-        self.n_added = 0
+        self.units = ring.one, ring.normalize(-1)  # ``signed``'s r and ~r
 
     def vector(self, col) -> dict:
         """``col`` as a sparse dict; a dict is taken to be one already."""
@@ -538,7 +575,14 @@ class FieldSpan:
 
     def signed(self, rows) -> dict:
         """A column of signed rows (``r`` for +1 at row r, ``~r`` for -1)."""
-        return _signed_vector(rows, self.ring.one, self.ring.normalize(-1))
+        one, minus = self.units
+        vec = {}
+        for r in rows:
+            if r >= 0:
+                vec[r] = one
+            else:
+                vec[~r] = minus
+        return vec
 
     def dense(self, vec: dict, n: int) -> list:
         out = [self.ring.zero] * n
@@ -556,21 +600,19 @@ class FieldSpan:
 
     def _reduce(self, col: dict, combo):
         """Reduce ``col`` (mutated) and, unless None, its ``combo`` alongside."""
-        pivots, p = self.pivots, self.p
+        pivots, lazy, p = self.pivots, self.lazy, self.p
         while col:
             top = max(col)
             hit = pivots.get(top)
             if hit is None:
-                hit = self._lazy_hit(top)
-                if hit is None:
+                if top not in lazy:
                     break
+                hit = self._lazy_hit(top)
             c = -col[top]
             _axpy(col, c, hit[0], p)
             if combo is not None:
                 _axpy(combo, c, hit[1], p)
         return col, combo
-
-    _lazy_hit = staticmethod(Gf2Span._lazy_hit)  # no lazy pivots here either
 
     def _inverse(self, a):
         """The inverse of the top entry ``a`` of a new pivot."""
@@ -618,16 +660,18 @@ class FieldSpan:
         self.pivots[top] = self._pivot(vec, top, slot)
 
     def _drop_combinations(self):
-        """Give every pivot the zero combination, as a table of image
-        pivots for :func:`_pinned_presentation` has."""
+        """Give every pivot, made or lazy, the zero combination, as a table
+        of image pivots for :func:`_pinned_presentation` has."""
         self.pivots = {top: (vec, {}) for top, (vec, _) in self.pivots.items()}
+        self.combos = False
 
     def add(self, col) -> bool:
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
 
     def copy(self) -> "FieldSpan":
-        """A span with the same pivots that grows on its own."""
+        """A span with the same pivots made that grows on its own, as
+        :meth:`Gf2Span.copy`."""
         twin = FieldSpan(self.ring)
         twin.pivots = dict(self.pivots)
         twin.n_added = self.n_added
@@ -644,10 +688,6 @@ class FieldSpan:
     def contains(self, col) -> bool:
         return not self._reduce(dict(self.vector(col)), None)[0]
 
-    @property
-    def rank(self):
-        return len(self.pivots)
-
 
 def field_span(ring: Ring):
     """An empty span over the field ``ring``: :class:`Gf2Vector` vectors
@@ -657,69 +697,12 @@ def field_span(ring: Ring):
     return FieldSpan(ring)
 
 
-class _LazyPivots:
-    """Lazy pivots for the spans of :func:`field_presentations` and
-    :func:`_z_lattice`.
-
-    A column whose top row is no pivot's when it is added becomes a pivot
-    as it is, with the unit combination at its slot, and most columns of
-    a big complex never meet another pivot after that.
-    :func:`_take_columns` keeps such a column in ``lazy`` instead, as its
-    signed rows and its slot keyed by its top row, and it is never made.
-    When the span's one reduction loop meets that row, :meth:`_lazy_hit`
-    hands it the pivot the column stands for (:meth:`_pivot`), converted
-    for that read and not kept: a lazy column is read about once, by a
-    column added later or by a coordinates call.  So the pivots, kernel
-    vectors and coordinates are the ones the span gives when each column
-    is converted and absorbed as it comes.
-
-    The combination a lazy pivot carries is the unit at its slot while
-    ``combos`` is True, and the zero one after ``_drop_combinations``,
-    which rebuilds the pivots made.  Only :func:`field_presentations` and
-    :func:`_z_lattice` make these spans; neither copies one or reads its
-    ``rank``, which counts the pivots made.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.lazy = {}  # top row -> (signed rows, slot)
-        self.combos = True
-
-    def unpivoted(self, n: int) -> list:
-        """The rows below ``n`` that are no pivot's, lazy or made."""
-        pivots, lazy = self.pivots, self.lazy
-        return [j for j in range(n) if j not in pivots and j not in lazy]
-
-    def _lazy_hit(self, top):
-        """The pivot of the lazy column at row ``top``, converted for one
-        read and left lazy, or None when there is none."""
-        entry = self.lazy.get(top)
-        if entry is None:
-            return None
-        rows, slot = entry
-        return self._pivot(self.signed(rows), top, slot if self.combos else None)
-
-    def _drop_combinations(self):
-        super()._drop_combinations()
-        self.combos = False
-
-
-class _LazyGf2Span(_LazyPivots, Gf2Span):
-    __slots__ = ("lazy", "combos")
-
-
-class _LazyFieldSpan(_LazyPivots, FieldSpan):
-    __slots__ = ("lazy", "combos")
-
-
 class _NonUnitPivot(Exception):
     """A column over Z reduced to a top entry other than 1 or -1."""
 
 
-class _LazyZSpan(_LazyPivots, FieldSpan):
-    """The span of :class:`_LazyFieldSpan` over Z, while every pivot is a unit.
+class _ZSpan(FieldSpan):
+    """A :class:`FieldSpan` over Z, while every pivot is a unit.
 
     Columns are dicts of ints.  Each pivot is stored monic, scaled by its
     top entry's inverse, which is 1 or -1, so a reduction subtracts
@@ -730,12 +713,11 @@ class _LazyZSpan(_LazyPivots, FieldSpan):
     top entry is always a unit.
     """
 
-    __slots__ = ("lazy", "combos")
+    __slots__ = ()
 
     def __init__(self):
-        # FieldSpan refuses Z, which this span handles only through _inverse
-        self.ring, self.p, self.pivots, self.n_added = ZZ, None, {}, 0
-        self.lazy, self.combos = {}, True
+        _Span.__init__(self)  # FieldSpan refuses Z, which only _inverse handles
+        self.ring, self.p, self.units = ZZ, None, (1, -1)
 
     @staticmethod
     def _inverse(a):
@@ -744,12 +726,18 @@ class _LazyZSpan(_LazyPivots, FieldSpan):
         raise _NonUnitPivot(a)
 
 
+def _span(ring: Ring):
+    """An empty span over ``ring``: :func:`field_span` over a field, and
+    over Z the unit-pivot span :class:`_ZSpan`."""
+    return _ZSpan() if ring == ZZ else field_span(ring)
+
+
 def _take_columns(span, cols, indices, gens=None) -> None:
     """Reduce the columns ``cols[j]`` (signed rows) for j in ``indices``
-    into the lazy ``span``, in that order.
+    into ``span``, in that order.
 
-    A column whose top row is no pivot's, made or lazy, stays lazy
-    (:class:`_LazyPivots`) with its slot j.  With a list ``gens``, each
+    A column whose top row is no pivot's, made or lazy, stays a lazy pivot
+    (:class:`_Span`) with its slot j.  With a list ``gens``, each
     other column is reduced with its combination over all the columns, and
     the combinations of those that reduce to zero are appended to
     ``gens``.  Without one only the columns are reduced, and each pivot
@@ -775,11 +763,11 @@ def _take_columns(span, cols, indices, gens=None) -> None:
             gens.append(combo)
 
 
-def _z_lattice(cols) -> _LazyZSpan:
+def _z_lattice(cols) -> _ZSpan:
     """The lattice the integer columns ``cols`` (signed rows) span, as a
-    :class:`_LazyZSpan` whose ``contains`` decides membership, or
-    :class:`_NonUnitPivot` when a column reduces to a top entry other
-    than 1 or -1.
+    :class:`_ZSpan` with lazy pivots whose ``contains`` decides
+    membership, or :class:`_NonUnitPivot` when a column reduces to a top
+    entry other than 1 or -1.
 
     The columns are reduced once, with lazy pivots and no combinations
     (:func:`_take_columns`).  Why ``contains`` is exact:
@@ -810,42 +798,18 @@ def _z_lattice(cols) -> _LazyZSpan:
     ...
     cohodist.exactalg._NonUnitPivot: -2
     """
-    span = _LazyZSpan()
+    span = _ZSpan()
     span.combos = False
     _take_columns(span, cols, range(len(cols)))
     return span
 
 
-def _lazy_span(ring: Ring):
-    """:func:`field_span` with lazy pivots (:class:`_LazyPivots`), and
-    over Z the unit-pivot span :class:`_LazyZSpan`."""
-    if ring == GF2:
-        return _LazyGf2Span()
-    if ring == ZZ:
-        return _LazyZSpan()
-    return _LazyFieldSpan(ring)
-
-
 def signed_columns(ring: Ring, cols) -> list:
     """Columns of signed rows, such as boundary columns (``r`` for +1 at row
-    r, ``~r`` for -1), in the form :func:`field_span` keeps for ``ring``:
-    over Z_2 a :class:`Gf2Vector` stored from its lowest row, built
-    straight from the signed rows."""
-    if ring == GF2:
-        return list(map(_gf2_rows, cols))
-    one, minus = ring.normalize(1), ring.normalize(-1)
-    return [_signed_vector(col, one, minus) for col in cols]
-
-
-def _signed_vector(rows, one, minus) -> dict:
-    """Signed rows as a dict, ``r`` to ``one`` and ``~r`` to ``minus``."""
-    vec = {}
-    for r in rows:
-        if r >= 0:
-            vec[r] = one
-        else:
-            vec[~r] = minus
-    return vec
+    r, ``~r`` for -1), in the form the span :func:`_span` gives for
+    ``ring`` keeps, read by its ``signed``: over Z_2 a :class:`Gf2Vector`
+    stored from its lowest row, built straight from the signed rows."""
+    return list(map(_span(ring).signed, cols))
 
 
 def _field_rank(ring: Ring, cols) -> int:
@@ -1364,7 +1328,7 @@ def field_presentations(ring: Ring, steps) -> list:
     ``coordinates`` reduces by one table: the image pivots with a zero
     combination and one pivot per generator with a unit combination.
 
-    Pivots are lazy (:class:`_LazyPivots`): a kept column that meets no
+    Pivots are lazy (:class:`_Span`): a kept column that meets no
     pivot when it is added stays a tuple of signed rows, with its slot.
     It is converted to the span's form each time a later column or a
     ``coordinates`` call reduces through it, and the converted copy is
@@ -1376,7 +1340,7 @@ def field_presentations(ring: Ring, steps) -> list:
     Clearing is sound only when d^k o d^{k-1} == 0; every
     :class:`homology.ChainComplexData` satisfies it.
 
-    Over Z (``ring`` is ``ZZ``) the spans are :class:`_LazyZSpan`s: every
+    Over Z (``ring`` is ``ZZ``) :func:`_span` gives :class:`_ZSpan`s: every
     pivot is monic, scaled by its top entry, 1 or -1, and the first
     column that reduces to another top entry raises
     :class:`_NonUnitPivot`.  Without one the walk presents the groups
@@ -1408,9 +1372,9 @@ def field_presentations(ring: Ring, steps) -> list:
     ['Z', '0']
     """
     out = []
-    image = _lazy_span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k
+    image = _span(ring)  # the reduction of d^{k-1}, pivots keyed by rows of C^k
     for n, cols in steps:
-        span = _lazy_span(ring)
+        span = _span(ring)
         gens = []
         _take_columns(span, cols, image.unpivoted(n), gens)  # the others are cleared
         out.append(_pinned_presentation(ring, n, image, gens))

@@ -181,7 +181,9 @@ def _write(path, text: str):
 def _read(path) -> str:
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read()
+            # a leading byte-order mark is no label; the "utf-8-sig" codec
+            # would strip it too, but costs a module import per process
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as e:
             raise ParseError(f"{path} is not UTF-8 text (byte {e.start}: {e.reason})")
 

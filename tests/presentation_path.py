@@ -65,9 +65,9 @@ def z_presentation_by_degree(data, variance, d):
 
 def eager_field_presentations(ring, steps):
     """:func:`exactalg.field_presentations` with every kept column
-    converted and absorbed as it comes, on the plain spans of
-    :func:`exactalg.field_span`: the pivots, generators and coordinates
-    the lazy pass must reproduce."""
+    converted and absorbed as it comes, on spans of
+    :func:`exactalg.field_span` that hold no lazy pivot: the pivots,
+    generators and coordinates the lazy pass must reproduce."""
     out = []
     image = field_span(ring)
     for n, cols in steps:

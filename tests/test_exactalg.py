@@ -14,6 +14,8 @@ from cohodist.exactalg import (
     QQ,
     ZZ,
     _is_prime,
+    _span,
+    _ZSpan,
     field_span,
     homs_equal,
     image_basis,
@@ -260,11 +262,19 @@ class TestSpans:
             assert type(field_span(R)) is FieldSpan
         with pytest.raises(UnsupportedRingError):
             field_span(ZZ)
+        # _span: the unit-pivot span over Z, field_span's over a field;
+        # each fresh span holds no lazy pivot and keeps combinations
+        assert type(_span(ZZ)) is _ZSpan
+        for R in (GF2, GF(3), GF(5), QQ):
+            assert type(_span(R)) is type(field_span(R))
+        for R in (ZZ, GF2, GF(3), QQ):
+            span = _span(R)
+            assert span.lazy == {} and span.combos is True
 
     def test_signed_columns(self):
         cols = [(0, ~2), (), (~1,)]  # r for +1 at row r, ~r for -1
-        for R in (GF2, GF(3), QQ):
-            span = field_span(R)
+        for R in (GF2, GF(3), QQ, ZZ):
+            span = _span(R)
             dense = [span.dense(v, 3) for v in signed_columns(R, cols)]
             assert dense == [[R.one, R.zero, R.normalize(-1)], [R.zero] * 3,
                              [R.zero, R.normalize(-1), R.zero]]

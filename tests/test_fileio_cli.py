@@ -189,6 +189,30 @@ class TestCoverAndMapFiles:
         pi1b = fileio.read_map(path, P, K)
         assert pi1b.assignment == pi1.assignment
 
+    def test_byte_order_mark_is_no_label(self, tmp_path):
+        # a file saved with a UTF-8 byte-order mark reads as the same file
+        # without one: the circle stays a circle, and cover and map files
+        # parse from their first line
+        def with_bom(path):
+            bommed = path.with_name("bom_" + path.name)
+            bommed.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            return bommed
+
+        circle = tmp_path / "c3.cx"
+        circle.write_text("0,1\n1,2\n2,0\n", encoding="utf-8")
+        K = fileio.read_complex(with_bom(circle))
+        assert K == fileio.read_complex(circle)
+        assert K.vertices == fixture_complex("c3").vertices
+        cov = fixture_cover("table2")
+        fileio.write_cover(cov, tmp_path / "cover.txt")
+        cov2 = fileio.read_cover(with_bom(tmp_path / "cover.txt"), cov.parent)
+        assert [p.simplices for p in cov2.pieces] == [p.simplices for p in cov.pieces]
+        assert [p.name for p in cov2.pieces] == [p.name for p in cov.pieces]
+        S = fixture_complex("s2")
+        P, pi1, _ = product(S, S)
+        fileio.write_map(pi1, tmp_path / "pi1.map")
+        assert fileio.read_map(with_bom(tmp_path / "pi1.map"), P, S).assignment == pi1.assignment
+
     def test_cover_requires_piece_header(self):
         with pytest.raises(ParseError):
             fileio.cover_from_text("0,1,2\n", fixture_complex("s2"))

@@ -103,7 +103,7 @@ def woken(monkeypatch):
     met them: ``_lazy_hit`` answering a span whose combinations are
     dropped, recorded as (span, top row)."""
     calls = []
-    lazy_hit = exactalg._LazyPivots._lazy_hit
+    lazy_hit = exactalg._Span._lazy_hit
 
     def recording(self, top):
         hit = lazy_hit(self, top)
@@ -111,7 +111,7 @@ def woken(monkeypatch):
             calls.append((self, top))
         return hit
 
-    monkeypatch.setattr(exactalg._LazyPivots, "_lazy_hit", recording)
+    monkeypatch.setattr(exactalg._Span, "_lazy_hit", recording)
     return calls
 
 
