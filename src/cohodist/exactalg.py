@@ -29,17 +29,18 @@ lazy pivots, which every span can hold (:class:`_Span`): a column that
 meets no pivot when it is added is kept as its signed rows, converted
 each time a reduction reads it, and never stored converted.  The same
 pass presents cohomology over Z on integer columns (:class:`_ZSpan`, a
-:class:`FieldSpan` whose pivots must be units) while every pivot is 1 or
--1, which certifies that the groups are free; the first other pivot
-raises :class:`_NonUnitPivot`, and the caller falls back to the Smith
-normal form walk :func:`_z_presentations`.  The same span decides
-membership in the lattice of a set of integer columns
-(:func:`_z_lattice`); a non-unit pivot raises the same signal, and the
-caller then takes a Smith normal form.  Both passes take their columns
-through one intake loop (:func:`_take_columns`).  Boundary-style columns
-come in as tuples of signed rows (``r`` for +1 at row r, ``~r`` for -1);
-a span's ``signed`` converts them to the span's form, and
-:func:`signed_columns` reads them with the span :func:`_span` picks.
+:class:`FieldSpan` whose reduction divides by a pivot's top entry)
+while every pivot is 1 or -1, which certifies that the groups are free;
+the first other pivot raises :class:`_NonUnitPivot`, and the caller
+falls back to the Smith normal form walk :func:`_z_presentations`.  The
+same span decides membership in the lattice of a set of integer columns
+(:func:`_z_lattice`) past any pivot: a column left with a remainder
+takes Euclid's step, so no Smith normal form is needed there.  Both
+passes take their columns through one intake loop
+(:func:`_take_columns`).  Boundary-style columns come in as tuples of
+signed rows (``r`` for +1 at row r, ``~r`` for -1); a span's ``signed``
+converts them to the span's form, and :func:`signed_columns` reads them
+with the span :func:`_span` picks.
 :func:`field_span` is the only code that tells Z_2 apart from the other
 rings, and :func:`_span` the only one that tells Z apart from the fields.
 
@@ -344,6 +345,9 @@ def _gf2_rows(rows) -> Gf2Vector:
     return Gf2Vector(0 if lo is None else lo, bits)
 
 
+_new = object.__new__  # how _Span.copy makes a span without __init__
+
+
 class _Span:
     """What every span shares: the pivots made, keyed by their highest
     row, the number of columns added, and the lazy pivots.
@@ -366,12 +370,29 @@ class _Span:
     """
 
     __slots__ = ("pivots", "n_added", "lazy", "combos")
+    _shared = ()  # the slots a copy shares with its span: what the ring fixes
 
     def __init__(self):
         self.pivots = {}  # pivot row -> the pivot, in the form _pivot makes
         self.n_added = 0
         self.lazy = {}  # top row -> (signed rows, slot)
         self.combos = True
+
+    def copy(self):
+        """A span of the same class with the same pivots, made and lazy,
+        that grows on its own.  Stored pivots are never changed and lazy
+        entries are tuples, so copying the two dicts suffices.  No
+        ``__init__`` runs, which keeps a copy cheap:
+        ``PairingState.extended`` copies a span at every piece
+        evaluation."""
+        twin = _new(type(self))
+        twin.pivots = self.pivots.copy()
+        twin.lazy = self.lazy.copy()
+        twin.n_added = self.n_added
+        twin.combos = self.combos
+        for name in self._shared:
+            setattr(twin, name, getattr(self, name))
+        return twin
 
     def unpivoted(self, n: int) -> list:
         """The rows below ``n`` that are no pivot's, lazy or made."""
@@ -505,16 +526,6 @@ class Gf2Span(_Span):
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
 
-    def copy(self) -> "Gf2Span":
-        """A span with the same pivots made that grows on its own.  It
-        holds no lazy pivot, so a copy costs one dict copy: only
-        :func:`field_presentations` and :func:`_z_lattice` hold lazy
-        pivots, and neither copies its span."""
-        twin = Gf2Span()
-        twin.pivots = dict(self.pivots)
-        twin.n_added = self.n_added
-        return twin
-
     def contains(self, col) -> bool:
         col = self.vector(col)
         return not self._reduce(col.lo, col.bits, 0, 0)[1]
@@ -551,7 +562,7 @@ class FieldSpan(_Span):
     is stored as it is, and :meth:`copy` shares the pivots.
     """
 
-    __slots__ = ("ring", "p", "units")
+    __slots__ = _shared = ("ring", "p", "units")
 
     def __init__(self, ring: Ring):
         if not ring.is_field:
@@ -669,14 +680,6 @@ class FieldSpan(_Span):
         """Add a column; returns True when it enlarged the span."""
         return self._absorb(col)[0]
 
-    def copy(self) -> "FieldSpan":
-        """A span with the same pivots made that grows on its own, as
-        :meth:`Gf2Span.copy`."""
-        twin = FieldSpan(self.ring)
-        twin.pivots = dict(self.pivots)
-        twin.n_added = self.n_added
-        return twin
-
     def express(self, col):
         """Coefficients over the added columns (dict index -> scalar), or None."""
         col, combo = self._reduce(dict(self.vector(col)), {})
@@ -702,15 +705,23 @@ class _NonUnitPivot(Exception):
 
 
 class _ZSpan(FieldSpan):
-    """A :class:`FieldSpan` over Z, while every pivot is a unit.
+    """The span over Z: a :class:`FieldSpan` on dicts of ints whose
+    reduction is a division step.
 
-    Columns are dicts of ints.  Each pivot is stored monic, scaled by its
-    top entry's inverse, which is 1 or -1, so a reduction subtracts
-    integer multiples of pivots and every column and combination stays
-    integral.  A column that reduces to a top entry other than 1 or -1
-    raises :class:`_NonUnitPivot`: over Z it cannot be made monic, and its
-    image may not be saturated.  Lazy pivots are raw signed rows, whose
-    top entry is always a unit.
+    At a pivot's row ``top`` a reduction takes
+    ``q, r = divmod(col[top], pivot[top])``.  With ``r == 0`` it subtracts
+    q times the pivot, so every column and combination stays integral;
+    otherwise it stops there.  A lazy pivot is a raw signed column, whose
+    top entry is 1 or -1, so dividing by it is always exact.
+
+    A presentation (:func:`field_presentations`) needs every pivot to be
+    a unit: :meth:`_absorb` stores a pivot monic, scaled by its top
+    entry's inverse, 1 or -1, and a column that reduces to another top
+    entry raises :class:`_NonUnitPivot`, since the image may then not be
+    saturated.  A lattice (:func:`_z_lattice`) takes pivots with any top
+    entry: :meth:`_insert` keeps a reduced column as it is, and where a
+    division left a remainder it takes Euclid's step
+    (:meth:`_euclid_step`).
     """
 
     __slots__ = ()
@@ -724,6 +735,50 @@ class _ZSpan(FieldSpan):
         if a == 1 or a == -1:
             return a
         raise _NonUnitPivot(a)
+
+    def _reduce(self, col: dict, combo):
+        """Reduce ``col`` (mutated) and, unless None, its ``combo``
+        alongside, by division steps, until its top row is no pivot's or
+        a division there leaves the nonzero remainder on top."""
+        pivots, lazy = self.pivots, self.lazy
+        while col:
+            top = max(col)
+            hit = pivots.get(top)
+            if hit is None:
+                if top not in lazy:
+                    break
+                hit = self._lazy_hit(top)
+            pivot = hit[0]
+            q, r = divmod(col[top], pivot[top])
+            _axpy(col, -q, pivot, None)
+            if combo is not None:
+                _axpy(combo, -q, hit[1], None)
+            if r:
+                break
+        return col, combo
+
+    def _insert(self, col: dict):
+        """Grow the lattice by ``col`` (mutated), with no combination.  A
+        column that stops at a row no pivot has becomes that row's pivot
+        as it is.  One that stops at a made pivot's row has the nonzero
+        remainder of a division on top, and takes Euclid's step there.
+        Each step leaves a smaller top entry at its row, so this ends."""
+        pivots = self.pivots
+        while col := self._reduce(col, None)[0]:
+            top = max(col)
+            if top not in pivots:
+                pivots[top] = col, {}
+                return
+            col = self._euclid_step(col, top)
+
+    def _euclid_step(self, col: dict, top: int) -> dict:
+        """Make ``col``, whose top entry is the remainder of a division by
+        the pivot at row ``top``, the pivot there, and return a copy of the
+        old pivot to be reduced in its turn: on the two top entries, a step
+        of Euclid's algorithm.  The old pivot's dict is not changed."""
+        held = self.pivots[top][0]
+        self.pivots[top] = col, {}
+        return dict(held)
 
 
 def _span(ring: Ring):
@@ -740,9 +795,9 @@ def _take_columns(span, cols, indices, gens=None) -> None:
     (:class:`_Span`) with its slot j.  With a list ``gens``, each
     other column is reduced with its combination over all the columns, and
     the combinations of those that reduce to zero are appended to
-    ``gens``.  Without one only the columns are reduced, and each pivot
-    made here gets the zero combination, as the lazy ones do on a span
-    with ``combos`` False.
+    ``gens``.  Without one ``span`` is a lattice (:func:`_z_lattice`),
+    and each other column is inserted with no combination
+    (:meth:`_ZSpan._insert`).
     """
     pivots, lazy = span.pivots, span.lazy
     for j in indices:
@@ -753,9 +808,7 @@ def _take_columns(span, cols, indices, gens=None) -> None:
                 lazy[top] = (rows, j)  # read as a pivot, never made
                 continue
         if gens is None:
-            col = span._reduce(span.signed(rows), None)[0]
-            if col:
-                span._pin(col, None)
+            span._insert(span.signed(rows))
             continue
         span.n_added = j  # combinations run over all the columns
         grew, combo = span._absorb(span.signed(rows))
@@ -764,39 +817,44 @@ def _take_columns(span, cols, indices, gens=None) -> None:
 
 
 def _z_lattice(cols) -> _ZSpan:
-    """The lattice the integer columns ``cols`` (signed rows) span, as a
+    """The lattice B the integer columns ``cols`` (signed rows) span, as a
     :class:`_ZSpan` with lazy pivots whose ``contains`` decides
-    membership, or :class:`_NonUnitPivot` when a column reduces to a top
-    entry other than 1 or -1.
+    membership.
 
-    The columns are reduced once, with lazy pivots and no combinations
-    (:func:`_take_columns`).  Why ``contains`` is exact:
+    Each column is taken once, with no combination (:func:`_take_columns`):
+    it is reduced by division steps and becomes a pivot where it stops,
+    whatever its top entry; where it stops at a made pivot's row, with
+    the remainder of a division on top, it takes that row and the old
+    pivot is reduced in its place (Euclid's step, :meth:`_ZSpan._insert`).
+    This is incremental Hermite-style insertion (Cohen, "A Course in
+    Computational Algebraic Number Theory", 1993, section 2.4).  Why
+    ``contains`` is exact:
 
-    - A reduction subtracts integer multiples of monic pivots, an
-      elementary unimodular column operation, so the nonzero reduced
-      columns generate the same lattice B as ``cols``.  They have distinct
-      top rows with entries 1 or -1 (a lazy pivot is a raw signed column,
-      whose top entry is 1 or -1 too), so they are an echelon Z-basis
-      of B.
-    - If v reduces to 0, v is an integer combination of that basis, so
-      v is in B.
-    - If v stops at w != 0, the top row of w is no pivot's row, and w
-      is in v + B.  Were v in B, w would be a nonzero integer combination
-      of the basis, whose top row is the top row of its highest basis
-      vector, a pivot row.  So v is not in B.
+    - Every step is unimodular: a division subtracts an integer multiple
+      of a pivot, and a Euclid step swaps the remainder in for the pivot
+      it came from, which is then reduced.  So the pivots, made and lazy,
+      generate B, and having distinct top rows they are an echelon
+      Z-basis of it.
+    - So a nonzero vector of B is an integer combination of the pivots,
+      and its top row t is that of the highest pivot in the combination,
+      as no other pivot reaches row t.  With k that pivot's coefficient
+      and b_t its top entry, the vector's entry at t is b_t * k.  The
+      division step there is exact, with q = k, and leaves a vector of B
+      with a lower top row.  So every v in B reduces to 0.
+    - If v reduces to 0, it is an integer combination of the pivots, so
+      it is in B.  If v stops at w != 0, w is in v + B, and its top row is
+      no pivot's or its top entry is not divisible by the pivot's: no
+      vector of B is like that, so v is not in B.
 
     Nothing here needs the quotient of the columns' space by B to be
-    torsion-free.  Nor does a non-unit pivot mean torsion: a column with
-    entries 1 and 2, the 2 on top, spans a saturated lattice.  So the
-    caller's fallback is triggered by pivots, not by torsion.
+    torsion-free.
 
     >>> lattice = _z_lattice([(~0, 1), (~1, 2)])   # e1 - e0, e2 - e1
     >>> lattice.contains({0: -1, 2: 1}), lattice.contains({2: 1})
     (True, False)
-    >>> _z_lattice([(0, 2), (~0, 2)])   # e0 + e2 reduces e2 - e0 to -2 e0
-    Traceback (most recent call last):
-    ...
-    cohodist.exactalg._NonUnitPivot: -2
+    >>> lattice = _z_lattice([(0, 2), (~0, 2)])   # e0 + e2 reduces e2 - e0 to -2 e0
+    >>> lattice.contains({0: 2}), lattice.contains({0: 1}), lattice.contains({2: 1})
+    (True, False, False)
     """
     span = _ZSpan()
     span.combos = False

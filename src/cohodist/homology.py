@@ -47,12 +47,12 @@ from as it was, which is how cover search evaluates the pieces it grows.
 Over Z that duality fails through Ext terms, and the piece is read off
 its chains (:class:`_PieceChains`).  Cohomology tests the difference for
 membership in the lattice of the piece's coboundaries: the coboundary
-columns are reduced once on the unit-pivot span, where a difference is
-in the lattice exactly when it reduces to zero, and only a piece degree
-whose reduction meets a pivot other than 1 or -1 takes a Smith normal
-form.  Homology presents the piece on the walk above, pushes the
-generators of H_d(piece) forward and reads the difference's class off the
-target's presentation, its coordinates reduced mod torsion.
+columns are reduced once into the Z span, with Euclid's step where a
+pivot is not 1 or -1, and a difference is in the lattice exactly when
+it reduces to zero there.  Homology presents the piece on the walk
+above, pushes the generators of H_d(piece) forward and reads the
+difference's class off the target's presentation, its coordinates
+reduced mod torsion.
 Every path gives, per degree, one verdict form: the bitset of the
 generators that fail, as :attr:`PairingState.failing` holds it.
 :func:`maps_equal` reads a degree as equal when its bitset is 0, and
@@ -84,7 +84,6 @@ from operator import eq, gt, invert, itemgetter, neg, or_, xor
 from . import exactalg
 from .exactalg import (
     Hom,
-    IntColumns,
     Matrix,
     Presentation,
     Ring,
@@ -92,7 +91,6 @@ from .exactalg import (
     field_presentations,
     field_span,
     signed_columns,
-    smith_normal_form,
     trivial_presentation,
 )
 from .complexes import (
@@ -535,27 +533,19 @@ def _cochain_verdicts(phi, psi, ring, d, chains) -> int:
     difference lies outside the piece's coboundary lattice
     B = im delta^{d-1}|P.
 
-    The columns of delta^{d-1}|P are reduced once on the unit-pivot span
-    (:func:`exactalg._z_lattice`), and a difference lies in B exactly
-    when it reduces to zero there: the reduced columns are an echelon
-    Z-basis of B with top entries 1 or -1, so a difference that stops at
-    a nonzero vector stops at a top row no basis vector has, which no
-    vector of B could (the proof is in that function's docstring; it
-    needs no torsion-freeness of the piece).  Only when a column reduces
-    to another top entry is B read off a Smith normal form of the same
-    columns, in this degree of this piece alone.  Degree 0 has B = 0.
+    The columns of delta^{d-1}|P are taken once into the Z span
+    (:func:`exactalg._z_lattice`), an echelon Z-basis of B whose top
+    entries are mostly 1 or -1, with Euclid's step where one is not, and
+    a difference lies in B exactly when it reduces to zero there, every
+    division exact (the proof is in that function's docstring; it needs
+    no torsion-freeness of the piece).  Degree 0 has B = 0.
     """
     idx = chains.basis_indices(d)
     diffs = [{k: x for k, i in enumerate(idx) if (x := diff[i])}
              for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
         return _bits(diffs)
-    cols = chains.sparse_coboundary(d - 1)
-    try:
-        lattice = exactalg._z_lattice(cols)
-    except exactalg._NonUnitPivot:
-        snf = smith_normal_form(IntColumns(signed_columns(ring, cols), chains.rank_of(d)))
-        return _bits(exactalg._z_solve_with_snf(snf, [diff]) is None for diff in diffs)
+    lattice = exactalg._z_lattice(chains.sparse_coboundary(d - 1))
     return _bits(not lattice.contains(diff) for diff in diffs)
 
 
@@ -717,10 +707,10 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
     generators of H^d(target) with the piece's cycles (:class:`PairingState`;
     by duality a degree fails in one exactly when in the other).  Over Z
     cohomology tests them for membership in the piece's coboundary
-    lattice, by one integer echelon reduction per degree and a Smith
-    normal form only where a pivot is not 1 or -1
-    (:func:`_cochain_verdicts`), and homology compares the pushforwards
-    of the generators of H_d(piece) in H_d(target).
+    lattice, by one integer echelon reduction per degree, with Euclid's
+    step where a pivot is not 1 or -1 (:func:`_cochain_verdicts`), and
+    homology compares the pushforwards of the generators of H_d(piece) in
+    H_d(target).
 
     ``piece`` is a subcomplex of the source as a mask
     (:attr:`complexes.Subcomplex.mask`), or None for the whole source, or

@@ -15,7 +15,9 @@ from cohodist.exactalg import (
     ZZ,
     _is_prime,
     _span,
+    _take_columns,
     _ZSpan,
+    _z_lattice,
     field_span,
     homs_equal,
     image_basis,
@@ -270,6 +272,29 @@ class TestSpans:
         for R in (ZZ, GF2, GF(3), QQ):
             span = _span(R)
             assert span.lazy == {} and span.combos is True
+
+    def test_copy_grows_on_its_own(self):
+        # every backend copies to its own class, with the pivots made and
+        # lazy; over Z that is a lattice with a pivot 2, which a copy grows
+        # by Euclid's step, and what the copy takes stays its own
+        for R in (GF2, GF(3), QQ):
+            span = _span(R)
+            span.add(span.signed((0, 2)))
+            twin = span.copy()
+            assert type(twin) is type(span) and twin.pivots == span.pivots
+            assert twin.add(span.signed((1,)))
+            assert twin.contains(span.signed((1,)))
+            assert not span.contains(span.signed((1,)))
+            assert span.rank == 1 and twin.rank == 2
+        lattice = _z_lattice([(0, 2), (~0, 2)])  # e0 + e2 lazy, -2 e0 made
+        twin = lattice.copy()
+        assert type(twin) is _ZSpan
+        assert (twin.pivots, twin.lazy, twin.combos) == (lattice.pivots, lattice.lazy, False)
+        _take_columns(twin, [(0,), (1,)], range(2))  # e0 meets -2 e0: Euclid
+        assert twin.contains({0: 1}) and twin.contains({1: 1})
+        assert not lattice.contains({0: 1}) and not lattice.contains({1: 1})
+        assert lattice.pivots == {0: ({0: -2}, {})} and list(lattice.lazy) == [2]
+        assert twin.pivots[0][0] == {0: -1} and sorted(twin.lazy) == [1, 2]
 
     def test_signed_columns(self):
         cols = [(0, ~2), (), (~1,)]  # r for +1 at row r, ~r for -1

@@ -3,20 +3,25 @@
 Over Z a generator y of H^d(target) fails on a piece P exactly when its
 difference cochain (phi^# - psi^#)y, restricted to P, lies outside the
 lattice im delta^{d-1}|P.  ``homology._cochain_verdicts`` decides that on
-the unit-pivot span and takes a Smith normal form only where a piece's
-coboundary reduces to a pivot other than 1 or -1.  Here every verdict
-bit is checked against ``oracles.in_integer_span``, built from the raw
-face lists with the oracle's own boundary matrices and pullbacks, and a
-spy on the Smith fallback checks where it is and is not reached.
+the Z span alone (``exactalg._z_lattice``): its reduction divides by each
+pivot's top entry, and a column left with a remainder takes Euclid's
+step.  Here every verdict bit is checked against
+``oracles.in_integer_span``, built from the raw face lists with the
+oracle's own boundary matrices and pullbacks, a spy on the Euclid step
+checks where it is and is not reached, and a spy on
+``exactalg.smith_normal_form`` checks that no piece verdict takes a Smith
+normal form.  A seeded property checks the lattice itself on random
+signed-row columns.
 """
 
-import importlib
 import random
+from collections import Counter
 
 import pytest
 
+from cohodist import exactalg
 from cohodist.distance import _PieceChecker, scat_query, stc_query
-from cohodist.exactalg import ZZ
+from cohodist.exactalg import ZZ, _z_lattice
 from cohodist.fixtures import fixture_complex
 from cohodist.homology import COHOMOLOGY, _generator_verdicts, cohomology
 
@@ -27,8 +32,6 @@ from .oracles import (
     pullback_mod,
     simplices_by_dim,
 )
-
-homology_module = importlib.import_module("cohodist.homology")
 
 # (query, fixture, most faces in a drawn piece); a scat query draws from
 # all its faces and also checks its whole source, an stc query's pieces
@@ -48,16 +51,31 @@ TORSION_FREE = ("s2", "torus", "cp2", "c3xs2")
 
 
 @pytest.fixture
-def smith_forms(monkeypatch):
-    """One entry per Smith normal form ``_cochain_verdicts`` falls back to."""
-    calls = []
-    smith = homology_module.smith_normal_form
+def spies(monkeypatch):
+    """Counts of the Euclid steps of the Z span, of the lattices built
+    with a pivot other than 1 or -1, and of the Smith normal forms
+    exactalg takes."""
+    calls = Counter()
+    step, lattice_of = exactalg._ZSpan._euclid_step, exactalg._z_lattice
+    smith = exactalg.smith_normal_form
 
-    def spy(matrix):
-        calls.append(matrix)
+    def euclid_spy(span, col, top):
+        calls["euclid"] += 1
+        return step(span, col, top)
+
+    def lattice_spy(cols):
+        lattice = lattice_of(cols)
+        tops = [vec[top] for top, (vec, _) in lattice.pivots.items()]
+        calls["non-unit"] += any(abs(x) != 1 for x in tops)
+        return lattice
+
+    def smith_spy(matrix):
+        calls["smith"] += 1
         return smith(matrix)
 
-    monkeypatch.setattr(homology_module, "smith_normal_form", spy)
+    monkeypatch.setattr(exactalg._ZSpan, "_euclid_step", euclid_spy)
+    monkeypatch.setattr(exactalg, "_z_lattice", lattice_spy)
+    monkeypatch.setattr(exactalg, "smith_normal_form", smith_spy)
     return calls
 
 
@@ -73,6 +91,10 @@ def pieces(checker, rng, most):
         size = rng.randint(1, most or n)
         out.append(sum(1 << i for i in rng.sample(range(n), size)))
     return out
+
+
+def faces_of(checker, face_set):
+    return [face for i, face in enumerate(checker.faces) if face_set >> i & 1]
 
 
 def oracle_bits(q, faces, d):
@@ -94,7 +116,7 @@ def oracle_bits(q, faces, d):
     return bits
 
 
-def test_piece_verdicts_match_the_lattice_oracle(smith_forms):
+def test_piece_verdicts_match_the_lattice_oracle(spies):
     rng = random.Random(29)
     reached = set()
     checked = failing = 0
@@ -104,36 +126,91 @@ def test_piece_verdicts_match_the_lattice_oracle(smith_forms):
         # vertex order: the two must agree
         for K in (q.source, q.target):
             assert list(K.vertices) == sorted(K.vertices)
+        # the target's groups take a Smith normal form where it has
+        # torsion; the pieces below take none
+        cohomology(q.target, ZZ)
         checker = _PieceChecker(q)
+        smith_forms = spies["smith"]
         for face_set in pieces(checker, rng, most):
-            faces = [checker.faces[i] for i in range(len(checker.faces))
-                     if face_set >> i & 1]
+            faces = faces_of(checker, face_set)
             verdicts = _generator_verdicts(q.phi, q.psi, ZZ, COHOMOLOGY,
                                            checker.mask(face_set))
-            before = len(smith_forms)
+            before = spies["non-unit"] + spies["euclid"]
             for d, bits in verdicts:
                 assert bits == oracle_bits(q, faces, d), (kind, name, face_set, d)
-                if len(smith_forms) > before:
+                if spies["non-unit"] + spies["euclid"] > before:
                     reached.add((kind, name))
-                before = len(smith_forms)
+                before = spies["non-unit"] + spies["euclid"]
                 checked += 1
                 failing += bits != 0
+        assert spies["smith"] == smith_forms, (kind, name)
     assert checked > 300 and failing > 40
     # only fixtures with torsion meet a pivot other than 1 or -1
     assert not [name for _, name in reached if name in TORSION_FREE]
     assert ("scat", "rp3") in reached
 
 
-def test_whole_rp2_falls_back_in_degree_two(smith_forms):
+def test_rp2_takes_euclid_steps_in_degree_two(spies):
     # H^2(rp2; Z) = Z_2, so im delta^1 is not saturated, and a reduction
-    # on pivots 1 and -1 alone would prove that it is
+    # on pivots 1 and -1 alone would prove that it is: the whole source
+    # keeps a pivot 2 in degree 2 and fails there, and the pieces that
+    # meet a remainder take Euclid's step in degree 2 alone, each verdict
+    # the oracle's
     q = query_for("scat", "rp2")
+    cohomology(q.target, ZZ)  # takes Smith normal forms, as above
     checker = _PieceChecker(q)
-    whole = checker.mask((1 << len(checker.faces)) - 1)
-    reached = []
-    for d, bits in _generator_verdicts(q.phi, q.psi, ZZ, COHOMOLOGY, whole):
-        if smith_forms:
-            reached.append(d)
-            smith_forms.clear()
-        assert bits == (1 if d == 2 else 0)
-    assert reached == [2]
+    smith_forms = spies["smith"]
+    whole = (1 << len(checker.faces)) - 1
+    stepped = Counter()
+    for face_set in range(1, whole + 1):
+        verdicts = _generator_verdicts(q.phi, q.psi, ZZ, COHOMOLOGY,
+                                       checker.mask(face_set))
+        before = spies["euclid"]
+        for d, bits in verdicts:
+            if spies["euclid"] > before:
+                stepped[d] += 1
+                assert bits == oracle_bits(q, faces_of(checker, face_set), d)
+            before = spies["euclid"]
+            if face_set == whole:
+                assert bits == (1 if d == 2 else 0)
+    assert list(stepped) == [2]
+    assert spies["smith"] == smith_forms
+
+
+def dense(rows, n):
+    col = [0] * n
+    for r in rows:
+        col[r if r >= 0 else ~r] = 1 if r >= 0 else -1
+    return col
+
+
+def test_lattice_membership_matches_the_oracle(spies):
+    # random columns of signed rows, as boundary columns are, and integer
+    # vectors: half of them integer combinations of the columns, nudged
+    # at one row half of those times, the rest drawn at random
+    rng = random.Random(32)
+    verdicts = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        cols = []
+        for _ in range(rng.randint(1, 6)):
+            rows = rng.sample(range(n), rng.randint(1, n))
+            cols.append(tuple(r if rng.random() < 0.5 else ~r for r in rows))
+        columns = [dense(rows, n) for rows in cols]
+        lattice = _z_lattice(cols)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                v = [0] * n
+                for col in columns:
+                    k = rng.randint(-2, 2)
+                    v = [a + k * b for a, b in zip(v, col)]
+                if rng.random() < 0.5:
+                    v[rng.randrange(n)] += rng.choice((-1, 1))
+            else:
+                v = [rng.randint(-3, 3) for _ in range(n)]
+            inside = in_integer_span(columns, v)
+            assert lattice.contains({i: x for i, x in enumerate(v) if x}) == inside, (cols, v)
+            verdicts[inside] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    assert spies["euclid"] > 20
+    assert spies["smith"] == 0

@@ -86,7 +86,8 @@ def test_subdivided_cp2_over_z():
 def test_the_signal_never_escapes(smith_calls):
     # whole complexes with torsion, and pieces of them: Z homology pieces
     # are presented on the same walk, and Z cohomology pieces reduce their
-    # coboundaries on the same unit pivots, falling back per piece degree
+    # coboundaries on the same span, with Euclid's step past a non-unit
+    # pivot
     for name in ("rp2", "rp3", "sd(rp2)"):
         K = complex_named(name)
         assert "Z_2" in cohomology(K, ZZ).group_strs()
@@ -107,8 +108,8 @@ def test_the_signal_never_escapes(smith_calls):
                 assert report.equal == (obstruction == 0)
     # the whole source is a piece with torsion, presented by the fallback
     assert len(smith_calls) > fallbacks
-    # and through distance: exhaustive searches over rp2, whose pieces fall
-    # back in both variances (1023 evaluations in homology)
+    # and through distance: exhaustive searches over rp2, whose pieces
+    # meet non-unit pivots in both variances (1023 evaluations in homology)
     rp2 = fixture_complex("rp2")
     assert search(scat_query(rp2, ZZ), 1, strategy="exhaustive") is None
     assert search(scat_query(rp2, ZZ), 2, strategy="exhaustive") is not None
