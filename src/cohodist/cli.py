@@ -12,7 +12,7 @@ import os
 import sys
 import time
 
-from . import fileio, fixtures
+from . import fileio
 from .complexes import barycentric_subdivision, product
 from .cupring import cup_length, zero_divisor_cup_length
 from .distance import (
@@ -67,6 +67,7 @@ class Report:
 def _resolve_complex(arg):
     if os.path.exists(arg):
         return fileio.read_complex(arg)
+    from . import fixtures  # a fixture name: its tables load now, not at start-up
     try:
         return fixtures.fixture_complex(arg)
     except KeyError:
@@ -78,6 +79,7 @@ def _resolve_complex(arg):
 def _resolve_cover(arg, parent):
     if os.path.exists(arg):
         return fileio.read_cover(arg, parent)
+    from . import fixtures
     try:
         return fixtures.fixture_cover(arg)
     except KeyError:

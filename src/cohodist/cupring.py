@@ -38,16 +38,13 @@ class CohomologyClass:
             raise ValueError("representative is not a cocycle")
 
     def _is_cocycle(self) -> bool:
-        data = chain_complex(self.complex)
-        out = [0] * data.rank_of(self.degree + 1)
-        for v, col in zip(self.vector, data.sparse_coboundary(self.degree)):
-            if v:
-                for j in col:
-                    if j >= 0:
-                        out[j] += v
-                    else:
-                        out[~j] -= v
-        return not any(map(self.ring.normalize, out))
+        """δv = 0, read one entry at a time off the boundary into the next
+        degree: a column's signed rows sum v's values to one entry of δv."""
+        v, normalize = self.vector, self.ring.normalize
+        for col in chain_complex(self.complex).sparse_boundary(self.degree + 1):
+            if normalize(sum(v[r] if r >= 0 else -v[~r] for r in col)):
+                return False
+        return True
 
     def coordinates(self):
         """Canonical coordinates in H^degree (cached)."""

@@ -48,12 +48,18 @@ them.
 Everything is pure and deterministic given the seed; independent pieces
 and candidate covers could be evaluated concurrently without changing any
 verdict.
+
+The query and its reports (:class:`DistanceQuery`, :class:`PieceReport`,
+:class:`CoverCertificate`, :class:`BoundReport`) are plain ``__slots__``
+classes with field-by-field ``==`` and a ``name=value`` repr; all but the
+bound report are frozen, and a query hashes by value.  They are not
+dataclasses, so importing the package loads neither ``dataclasses`` nor
+``inspect``.
 """
 
 import itertools
 import random
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 
@@ -86,18 +92,55 @@ DEFAULT_BUDGET = 2 ** 24
 STRATEGIES = ("auto", "exhaustive", "greedy")
 
 
-@dataclass(frozen=True)
-class DistanceQuery:
+class _Record:
+    """Field-by-field ``==`` and a ``name=value`` repr, read from
+    ``__slots__``, the fields in constructor order."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A :class:`_Record` whose fields are set once, by :meth:`_freeze`,
+    and hashed by value."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class DistanceQuery(_FrozenRecord):
     """A pair of parallel maps plus coefficients and variance."""
 
-    phi: SimplicialMap
-    psi: SimplicialMap
-    ring: Ring
-    variance: str = COHOMOLOGY
+    __slots__ = ("phi", "psi", "ring", "variance")
 
-    def __post_init__(self):
-        _require_parallel(self.phi, self.psi)
-        _check_variance(self.variance)
+    def __init__(self, phi: SimplicialMap, psi: SimplicialMap, ring: Ring,
+                 variance: str = COHOMOLOGY):
+        _require_parallel(phi, psi)
+        _check_variance(variance)
+        self._freeze(phi, psi, ring, variance)
 
     @property
     def source(self) -> SimplicialComplex:
@@ -120,12 +163,14 @@ def stc_query(K: SimplicialComplex, ring: Ring, variance=COHOMOLOGY) -> Distance
     return DistanceQuery(pi1, pi2, ring, variance)
 
 
-@dataclass(frozen=True)
-class PieceReport:
-    name: str
-    equal: bool
-    first_failing_degree: int | None
-    by_degree: dict
+class PieceReport(_FrozenRecord):
+    """One piece's verdict: equal or not, and by degree."""
+
+    __slots__ = ("name", "equal", "first_failing_degree", "by_degree")
+
+    def __init__(self, name: str, equal: bool, first_failing_degree: int | None,
+                 by_degree: dict):
+        self._freeze(name, equal, first_failing_degree, by_degree)
 
     def to_dict(self):
         return {
@@ -136,16 +181,15 @@ class PieceReport:
         }
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(_FrozenRecord):
     """Evidence that a cover does (or does not) witness a distance bound."""
 
-    query: DistanceQuery
-    cover: Cover
-    cover_ok: bool
-    missing_simplex: tuple | None
-    piece_reports: tuple
-    verified: bool
+    __slots__ = ("query", "cover", "cover_ok", "missing_simplex", "piece_reports",
+                 "verified")
+
+    def __init__(self, query: DistanceQuery, cover: Cover, cover_ok: bool,
+                 missing_simplex: tuple | None, piece_reports: tuple, verified: bool):
+        self._freeze(query, cover, cover_ok, missing_simplex, piece_reports, verified)
 
     @property
     def n(self) -> int:
@@ -599,21 +643,25 @@ def _check_strategy(strategy: str):
 # bound reports
 
 
-@dataclass
-class BoundReport:
+class BoundReport(_Record):
     """Lower/upper bounds on a distance query, with their evidence."""
 
-    query: DistanceQuery
-    lower: int
-    lower_witness: ProductWitness | None
-    upper: int | None
-    certificate: CoverCertificate | None
-    exact: int | None
-    notes: list = field(default_factory=list)
+    __slots__ = ("query", "lower", "lower_witness", "upper", "certificate", "exact",
+                 "notes")
 
-    def __post_init__(self):
-        if self.upper is not None and self.lower > self.upper:
+    def __init__(self, query: DistanceQuery, lower: int,
+                 lower_witness: ProductWitness | None, upper: int | None,
+                 certificate: CoverCertificate | None, exact: int | None,
+                 notes: list | None = None):
+        if upper is not None and lower > upper:
             raise ValueError("lower bound exceeds upper bound")
+        self.query = query
+        self.lower = lower
+        self.lower_witness = lower_witness
+        self.upper = upper
+        self.certificate = certificate
+        self.exact = exact
+        self.notes = [] if notes is None else notes
 
     def to_dict(self):
         return {

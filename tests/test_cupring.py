@@ -101,6 +101,44 @@ class TestCupBasics:
         assert not cup(x, x).is_zero()
 
 
+class TestCocycleCheck:
+    """The cocycle check of a class's representative against δ computed
+    from scratch by the oracle, over GF(2) and GF(3), in every degree."""
+
+    def test_matches_oracle_coboundary(self):
+        rng = random.Random(33)
+        seen = set()
+        for name in ("rp2", "torus", "rp3", "cp2"):
+            K = fixture_complex(name)
+            # the oracle orients simplices by sorted labels, the package by
+            # vertex order: over GF(3) the two must agree
+            assert list(K.vertices) == sorted(K.vertices)
+            by_dim = oracles.simplices_by_dim(oracles.closure_of(K.maximal_faces))
+            for p, ring in ((2, GF2), (3, GF(3))):
+                for d in range(K.dim + 1):
+                    basis = oracles.cocycles_mod(by_dim, d, p)
+                    n = len(by_dim[d])
+                    draws = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+                    for _ in range(3):
+                        combo = [0] * n
+                        for z in basis:
+                            c = rng.randrange(p)
+                            combo = [(a + c * b) % p for a, b in zip(combo, z)]
+                        draws.append(combo)
+                    for vec in draws:
+                        want = not any(oracles.coboundary_mod(by_dim, d, vec, p))
+                        lookup = dict(zip(by_dim[d], vec))
+                        ours = [lookup[s] for s in K.simplices_of_dim(d)]
+                        try:
+                            CohomologyClass(K, ring, d, ours)
+                            got = True
+                        except ValueError:
+                            got = False
+                        assert got == want, (name, p, d, vec)
+                        seen.add((d == K.dim, want))
+        assert seen == {(False, False), (False, True), (True, True)}
+
+
 class TestCupLength:
     def test_point(self):
         assert cup_length(fixture_complex("point"), GF2) == 0
