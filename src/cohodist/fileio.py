@@ -104,7 +104,12 @@ def _split_outside_parens(stretch, sep, depth):
 
 
 def parse_label(token: str):
-    """Inverse of the serializer: int, bare string, quoted or (...) tuple."""
+    """Inverse of the serializer: int, bare string, quoted or (...) tuple.
+
+    A token is an int only when it is one in canonical form, as ``str``
+    writes it: ``01``, ``+1``, ``1_0``, ``-0`` and non-ASCII digits are
+    bare strings, so distinct tokens are distinct labels.
+    """
     token = token.strip()
     if not token:
         raise ValueError("empty label")
@@ -113,11 +118,13 @@ def parse_label(token: str):
     if token.startswith("(") and token.endswith(")"):
         return tuple(parse_label(p) for p in _split_top_level(token[1:-1]))
     try:
-        return int(token)
+        if str(value := int(token)) == token:
+            return value
     except ValueError:
-        if any(ch in token for ch in ' \t",()'):
-            raise ValueError(f"bad label {token!r}")
-        return token
+        pass
+    if any(ch in token for ch in ' \t",()'):
+        raise ValueError(f"bad label {token!r}")
+    return token
 
 
 def _header(line, keyword):
@@ -147,7 +154,7 @@ def complex_to_text(K: SimplicialComplex, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def complex_from_text(text: str, require_connected: bool = True) -> SimplicialComplex:
+def complex_from_text(text: str) -> SimplicialComplex:
     order = None
     faces = []
     label = functools.cache(parse_label)  # each distinct token once
@@ -169,7 +176,7 @@ def complex_from_text(text: str, require_connected: bool = True) -> SimplicialCo
             raise ParseError(str(e), lineno)
     if not faces:
         raise ParseError("no faces found", None)
-    return from_maximal_faces(faces, order=order, require_connected=require_connected)
+    return from_maximal_faces(faces, order=order)
 
 
 def _write(path, text: str):
@@ -192,8 +199,8 @@ def write_complex(K: SimplicialComplex, path, comment: str = ""):
     _write(path, complex_to_text(K, comment))
 
 
-def read_complex(path, require_connected: bool = True) -> SimplicialComplex:
-    return complex_from_text(_read(path), require_connected)
+def read_complex(path) -> SimplicialComplex:
+    return complex_from_text(_read(path))
 
 
 # ---------------------------------------------------------------------------

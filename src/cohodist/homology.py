@@ -45,14 +45,16 @@ boundary columns and pairs each new cycle with the differences; it grows
 by a face, reducing only the new columns, and leaves the state it grew
 from as it was, which is how cover search evaluates the pieces it grows.
 Over Z that duality fails through Ext terms, and the piece is read off
-its chains (:class:`_PieceChains`).  Cohomology tests the difference for
-membership in the lattice of the piece's coboundaries: the coboundary
-columns are reduced once into the Z span, with Euclid's step where a
-pivot is not 1 or -1, and a difference is in the lattice exactly when
-it reduces to zero there.  Homology presents the piece on the walk
-above, pushes the generators of H_d(piece) forward and reads the
-difference's class off the target's presentation, its coordinates
-reduced mod torsion.
+its chains, its mask read against the source's chain data, as a field
+piece is.  Cohomology tests the difference for membership in the
+lattice of the piece's coboundaries: the source's boundary columns of
+the piece's simplices are transposed and reduced once into the Z span,
+with Euclid's step where a pivot is not 1 or -1, and a difference is in
+the lattice exactly when it reduces to zero there.  Homology presents
+the piece on the walk above, its steps the source's columns with their
+rows renumbered within the piece, pushes the generators of H_d(piece)
+forward and reads the difference's class off the target's presentation,
+its coordinates reduced mod torsion.
 Every path gives, per degree, one verdict form: the bitset of the
 generators that fail, as :attr:`PairingState.failing` holds it.
 :func:`maps_equal` reads a degree as equal when its bitset is 0, and
@@ -216,45 +218,6 @@ def _transpose(sparse_cols, nrows: int):
     return cols
 
 
-class _PieceChains:
-    """Chain complex of a subcomplex given as a mask over a parent's bases.
-
-    Each basis is the parent's restricted to the piece and renumbered in
-    the parent's order, and each boundary column is the parent's with its
-    rows renumbered.  A piece built as a complex inherits
-    the parent's vertex order, so its simplices, orientations and boundary
-    signs are these: both give the same chain complex.
-    """
-
-    __slots__ = ("parent", "indices", "dim")
-
-    def __init__(self, parent: ChainComplexData, mask):
-        self.parent = parent
-        self.indices = [_bit_indices(bits) for bits in mask]
-        self.dim = max((d for d, idx in enumerate(self.indices) if idx), default=-1)
-
-    def basis_indices(self, d: int):
-        """Parent indices of the piece's degree-d simplices, ascending."""
-        return self.indices[d] if 0 <= d < len(self.indices) else []
-
-    def rank_of(self, d: int) -> int:
-        return len(self.basis_indices(d))
-
-    def sparse_boundary(self, d: int):
-        # a subcomplex holds every face of its simplices, so every row is
-        # local; ``local`` renumbers a signed row, ~i as well as i
-        local = {}
-        for k, i in enumerate(self.basis_indices(d - 1)):
-            local[i] = k
-            local[~i] = ~k
-        get = local.__getitem__
-        parent_cols = self.parent.sparse_boundary(d)
-        return [tuple(map(get, parent_cols[j])) for j in self.basis_indices(d)]
-
-    def sparse_coboundary(self, d: int):
-        return _transpose(self.sparse_boundary(d + 1), self.rank_of(d))
-
-
 # ---------------------------------------------------------------------------
 # graded modules
 
@@ -292,21 +255,11 @@ class GradedModule:
                 f"{self.ring}: {', '.join(self.group_strs())})")
 
 
-def _presentations(data, ring: Ring, variance) -> dict:
-    """H^d or H_d for every degree of a :class:`ChainComplexData` (or of a
-    :class:`_PieceChains`).
+def _presentations(data: ChainComplexData, ring: Ring, variance) -> dict:
+    """H^d or H_d for every degree of a :class:`ChainComplexData`.
 
-    One walk for every ring: cohomology is walked upward and homology
-    downward, so a degree's incoming matrix comes before its outgoing one,
-    and the steps go to :func:`exactalg.field_presentations`, over Z as
-    over a field.  Over Z that walk keeps integer columns with pivots 1
-    and -1, which present the groups, all free, as its docstring proves.
-    A reduction that meets another pivot, which is where torsion may
-    come from, signals it, and the steps are built again for
-    :func:`exactalg._z_presentations`, the sparse Smith normal form of
-    each matrix and of its relations.  Both walks need every composite of
-    two steps to be zero, which every :class:`ChainComplexData` satisfies
-    by the simplicial identity.
+    Cohomology is walked upward and homology downward, so a degree's
+    incoming matrix comes before its outgoing one (:func:`_walk`).
     """
     top = data.dim
     if variance == COHOMOLOGY:
@@ -317,11 +270,27 @@ def _presentations(data, ring: Ring, variance) -> dict:
     def steps():
         return ((data.rank_of(d), outgoing(d)) for d in degrees)
 
+    return dict(zip(degrees, _walk(ring, steps)))
+
+
+def _walk(ring: Ring, steps) -> list:
+    """The presentations of the steps that ``steps()`` yields, as
+    :func:`exactalg.field_presentations` takes them: one walk for every
+    ring, for whole complexes and Z homology pieces alike.
+
+    Over Z that walk keeps integer columns with pivots 1 and -1, which
+    present the groups, all free, as its docstring proves.  A reduction
+    that meets another pivot, which is where torsion may come from,
+    signals it, and ``steps()`` is called again for
+    :func:`exactalg._z_presentations`, the sparse Smith normal form of
+    each matrix and of its relations.  Both walks need every composite of
+    two steps to be zero, which the simplicial identity gives every
+    complex and every piece of one.
+    """
     try:
-        presented = field_presentations(ring, steps())
+        return field_presentations(ring, steps())
     except exactalg._NonUnitPivot:  # over Z only
-        presented = exactalg._z_presentations(steps())
-    return dict(zip(degrees, presented))
+        return exactalg._z_presentations(steps())
 
 
 _graded_cache: dict = {}
@@ -528,24 +497,31 @@ def _cochain_differences(phi, psi, ring, d):
     return diffs
 
 
-def _cochain_verdicts(phi, psi, ring, d, chains) -> int:
+def _cochain_verdicts(phi, psi, ring, d, indices) -> int:
     """Over Z: the bitset of the generators of H^d(target) whose
     difference lies outside the piece's coboundary lattice
-    B = im delta^{d-1}|P.
+    B = im delta^{d-1}|P, for the piece whose degree-k simplices are the
+    source's ``indices[k]``.
 
-    The columns of delta^{d-1}|P are taken once into the Z span
-    (:func:`exactalg._z_lattice`), an echelon Z-basis of B whose top
-    entries are mostly 1 or -1, with Euclid's step where one is not, and
-    a difference lies in B exactly when it reduces to zero there, every
-    division exact (the proof is in that function's docstring; it needs
-    no torsion-freeness of the piece).  Degree 0 has B = 0.
+    The columns of delta^{d-1}|P are the transpose of the source's
+    boundary columns of the piece's d-simplices, read at the piece's
+    (d-1)-simplices; their rows, like the differences' entries, are the
+    places of the d-simplices in the piece.  They are taken once into the
+    Z span (:func:`exactalg._z_lattice`), an echelon Z-basis of B whose
+    top entries are mostly 1 or -1, with Euclid's step where one is not,
+    and a difference lies in B exactly when it reduces to zero there,
+    every division exact (the proof is in that function's docstring; it
+    needs no torsion-freeness of the piece).  Degree 0 has B = 0.
     """
-    idx = chains.basis_indices(d)
+    idx = indices[d]
     diffs = [{k: x for k, i in enumerate(idx) if (x := diff[i])}
              for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
         return _bits(diffs)
-    lattice = exactalg._z_lattice(chains.sparse_coboundary(d - 1))
+    data = chain_complex(phi.source)
+    boundary = data.sparse_boundary(d)
+    coboundary = _transpose([boundary[j] for j in idx], data.rank_of(d - 1))
+    lattice = exactalg._z_lattice([coboundary[i] for i in indices[d - 1]])
     return _bits(not lattice.contains(diff) for diff in diffs)
 
 
@@ -682,12 +658,33 @@ def _paired_verdicts(phi, psi, ring, piece):
         yield d, failing.get(d, 0)
 
 
-def _chain_verdicts(phi, psi, ring, d, pres, chains) -> int:
+def _piece_steps(data: ChainComplexData, indices):
+    """The homology walk's steps (:func:`_walk`) of the piece whose
+    degree-d simplices are the source's ``indices[d]``, from its top
+    degree down: the source's boundary columns of the piece's simplices,
+    their rows renumbered within the piece, which is the chain complex of
+    the piece built as a complex.  The numbering matters: the Smith
+    normal form picks pivots by row position, so its generators, and the
+    obstruction counts that greedy search ranks pieces by, depend on it.
+    """
+    for d in range(len(indices) - 1, -1, -1):
+        # a subcomplex holds every face of its simplices, so every row is
+        # local; ``local`` renumbers a signed row, ~i as well as i
+        local = {}
+        for k, i in enumerate(indices[d - 1] if d else ()):
+            local[i] = k
+            local[~i] = ~k
+        get = local.__getitem__
+        cols = data.sparse_boundary(d)
+        yield len(indices[d]), [tuple(map(get, cols[j])) for j in indices[d]]
+
+
+def _chain_verdicts(phi, psi, ring, d, pres, idx) -> int:
     """The bitset of the generators of H_d(piece) whose two images differ
-    in H_d(target)."""
+    in H_d(target), for the piece whose degree-d simplices are the
+    source's ``idx``."""
     target = homology(phi.target, ring).presentation(d)
     n_t = chain_complex(phi.target).rank_of(d)
-    idx = chains.basis_indices(d)
     phi_entries, psi_entries = chain_map(phi, d), chain_map(psi, d)
     phi_entries = [phi_entries[i] for i in idx]
     psi_entries = [psi_entries[i] for i in idx]
@@ -710,15 +707,16 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
     lattice, by one integer echelon reduction per degree, with Euclid's
     step where a pivot is not 1 or -1 (:func:`_cochain_verdicts`), and
     homology compares the pushforwards of the generators of H_d(piece) in
-    H_d(target).
+    H_d(target), the piece presented on the walk of whole complexes
+    (:func:`_piece_steps`).
 
     ``piece`` is a subcomplex of the source as a mask
     (:attr:`complexes.Subcomplex.mask`), or None for the whole source, or
     a :class:`PairingState` of the maps.  A state that pairs nothing is
     read as its mask; one that pairs answers its own field only.  Over Z
-    the maps are restricted to the piece without building it: the
-    source's (co)boundary columns and the maps' chain-map entries are
-    restricted to the piece's indices (see :class:`_PieceChains`).
+    the piece is not built: the mask is read against the source's chain
+    data, as the lists of the source's indices of the piece's simplices
+    in each degree up to the piece's dimension.
     """
     if piece is None:
         piece = chain_complex(phi.source).full_mask()
@@ -729,19 +727,23 @@ def _generator_verdicts(phi, psi, ring, variance, piece):
         return
     if isinstance(piece, PairingState):
         raise ValueError("a paired state compares maps over its own field only")
-    chains = _PieceChains(chain_complex(phi.source), piece)
-    degrees = range(max(chains.dim, phi.target.dim) + 1)
+    indices = [_bit_indices(bits) for bits in piece]
+    top = max((d for d, idx in enumerate(indices) if idx), default=-1)
+    del indices[top + 1:]
+    degrees = range(max(top, phi.target.dim) + 1)
     if variance == COHOMOLOGY:
         gm = cohomology(phi.target, ring)
         for d in degrees:
-            trivial = gm.presentation(d).is_trivial or d > chains.dim
-            yield d, 0 if trivial else _cochain_verdicts(phi, psi, ring, d, chains)
+            trivial = gm.presentation(d).is_trivial or d > top
+            yield d, 0 if trivial else _cochain_verdicts(phi, psi, ring, d, indices)
         return
-    modules = _presentations(chains, ring, HOMOLOGY)
+    data = chain_complex(phi.source)
+    presented = _walk(ring, lambda: _piece_steps(data, indices))
+    modules = dict(zip(range(top, -1, -1), presented))
     for d in degrees:
         pres = modules.get(d)
         trivial = pres is None or pres.is_trivial
-        yield d, 0 if trivial else _chain_verdicts(phi, psi, ring, d, pres, chains)
+        yield d, 0 if trivial else _chain_verdicts(phi, psi, ring, d, pres, indices[d])
 
 
 def maps_equal(phi: SimplicialMap, psi: SimplicialMap, ring: Ring,

@@ -2,11 +2,11 @@
 
 Everything here is deliberately written from scratch against the raw
 simplex data, so it shares no code path with the package: fraction/modular
-Gaussian elimination, dense Smith diagonals and integer lattice
-membership, boundary matrices built directly from face lists,
+Gaussian elimination, dense Smith diagonals, integer kernels and integer
+lattice membership, boundary matrices built directly from face lists,
 chain counting for subdivisions, the staircase product triangulation,
-cochain pullbacks along vertex maps, a naive cochain-level cup product, and
-a union-find cycle test for graph pieces.
+cochain pullbacks and chain pushforwards along vertex maps, a naive
+cochain-level cup product, and a union-find cycle test for graph pieces.
 """
 
 from fractions import Fraction
@@ -188,6 +188,39 @@ def smith_diagonal(rows):
     return diagonal
 
 
+def integer_kernel(rows, n):
+    """A Z-basis of the integer vectors x of length n with rows * x = 0.
+
+    Unimodular column operations, tracked on the identity: row by row,
+    Euclid's steps (subtracting integer multiples of the column with the
+    smallest entry) leave one nonzero entry among the columns not yet
+    taken, and that column is taken as the row's pivot.  The pivot
+    columns are independent, each zero at the rows of the pivots before
+    it, and the columns never taken end zero, so their tracked columns
+    are a basis of the kernel: the tracking matrix is invertible over Z.
+    """
+    cols = [[row[j] for row in rows] for j in range(n)]
+    track = [[int(i == j) for i in range(n)] for j in range(n)]
+    taken = 0
+    for i in range(len(rows)):
+        while True:
+            live = [j for j in range(taken, n) if cols[j][i]]
+            if len(live) < 2:
+                break
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            for j in live:
+                if j != p:
+                    q = cols[j][i] // cols[p][i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+                    track[j] = [a - q * b for a, b in zip(track[j], track[p])]
+        if live:
+            j = live[0]
+            cols[taken], cols[j] = cols[j], cols[taken]
+            track[taken], track[j] = track[j], track[taken]
+            taken += 1
+    return track[taken:]
+
+
 def in_integer_span(columns, v):
     """Is the integer vector v in the lattice L the integer columns span?
     L + Zv contains L, so the two are equal exactly when appending v keeps
@@ -332,6 +365,26 @@ def pullback_mod(by_dim, d, vertex_map, cochain, p=None):
         sign = -1 if inversions % 2 else 1
         value = sign * cochain.get(tuple(sorted(image)), 0)
         out.append(value if p is None else value % p)
+    return out
+
+
+def pushforward(by_dim, d, vertex_map, chain):
+    """f_#(c) over Z of the dense degree-d chain c over ``by_dim[d]``, as
+    a dict from sorted vertex tuples of the target to coefficients.
+
+    Each simplex goes to its sorted image with the sign of the
+    permutation sorting the image vertices, and to nothing where f
+    collapses it.
+    """
+    out = {}
+    for s, c in zip(by_dim.get(d, []), chain):
+        image = [vertex_map(v) for v in s]
+        if not c or len(set(image)) < len(image):
+            continue
+        inversions = sum(image[i] > image[j] for i in range(len(image))
+                         for j in range(i + 1, len(image)))
+        key = tuple(sorted(image))
+        out[key] = out.get(key, 0) + (-c if inversions % 2 else c)
     return out
 
 

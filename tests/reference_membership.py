@@ -11,25 +11,19 @@ from package code, but from none of the pairing code.
 """
 
 from cohodist import exactalg
-from cohodist.homology import (
-    _PieceChains,
-    _cochain_differences,
-    _transpose,
-    chain_complex,
-    cohomology,
-)
+from cohodist.complexes import Subcomplex
+from cohodist.homology import ChainComplexData, _cochain_differences, cohomology
 
 
-def cochain_verdicts(phi, psi, ring, d, chains):
+def cochain_verdicts(phi, psi, ring, d, idx, chains):
     """True per generator of H^d(target) whose difference is a coboundary
-    on the piece ``chains`` (a ``_PieceChains``)."""
-    idx = chains.basis_indices(d)
+    on the piece whose degree-d simplices are the source's ``idx``, with
+    ``chains`` the ``ChainComplexData`` of the piece built as a complex."""
     diffs = [[diff[i] for i in idx] for diff in _cochain_differences(phi, psi, ring, d)]
     if d == 0:
         return [not any(diff) for diff in diffs]
-    coboundary = _transpose(chains.sparse_boundary(d), chains.rank_of(d - 1))
     span = exactalg.field_span(ring)
-    for col in exactalg.signed_columns(ring, coboundary):
+    for col in exactalg.signed_columns(ring, chains.sparse_coboundary(d - 1)):
         span.add(col)
     return [span.contains(diff) for diff in diffs]
 
@@ -40,8 +34,11 @@ def obstruction_by_membership(phi, psi, ring, piece) -> int:
     counts them in cohomology."""
     if not ring.is_field:
         raise ValueError("the membership reference is for fields")
-    chains = _PieceChains(chain_complex(phi.source), piece)
+    indices = [[i for i in range(bits.bit_length()) if bits >> i & 1] for bits in piece]
+    simplices = [phi.source.simplices_of_dim(d)[i]
+                 for d, idx in enumerate(indices) for i in idx]
+    chains = ChainComplexData(Subcomplex(phi.source, simplices).complex)
     gm = cohomology(phi.target, ring)
     return sum(not ok
                for d in range(chains.dim + 1) if not gm.presentation(d).is_trivial
-               for ok in cochain_verdicts(phi, psi, ring, d, chains))
+               for ok in cochain_verdicts(phi, psi, ring, d, indices[d], chains))

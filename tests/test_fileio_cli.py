@@ -20,7 +20,9 @@ from cohodist.complexes import (
     product,
 )
 from cohodist.errors import CohodistError, ParseError, UnwritableLabelError
+from cohodist.exactalg import GF2
 from cohodist.fixtures import fixture_complex, fixture_cover
+from cohodist.homology import cohomology
 
 
 class TestLabels:
@@ -33,6 +35,27 @@ class TestLabels:
         for bad in ("", "a b", '"unclosed'):
             with pytest.raises(ValueError):
                 fileio.parse_label(bad)
+
+    def test_only_canonical_ints_are_ints(self, tmp_path):
+        # int() also reads 01, +1, 1_0 and non-ASCII digits, which used to
+        # name the vertex of the int they read as: this path of 3 edges
+        # read as a 3-vertex circle, and this hexagon as 5 vertices
+        path = fileio.complex_from_text("1,2\n2,3\n3,01\n")
+        assert path.f_vector() == (4, 3)
+        assert cohomology(path, GF2).group_strs() == ("Z_2", "0")
+        hexagon = fileio.complex_from_text("10,2\n2,1_0\n1_0,3\n3,4\n4,5\n5,10\n")
+        assert hexagon.f_vector() == (6, 6)
+        assert {"1_0", 10} <= set(hexagon.vertices)
+        assert fileio.parse_label("١") == "١"
+        assert [fileio.parse_label(t) for t in ("0", "-3", "12")] == [0, -3, 12]
+        # such labels are written back as themselves
+        labels = ["01", "+1", "1_0", "-0"]
+        K = from_maximal_faces([[a, b] for a, b in zip(labels, labels[1:] + labels[:1])],
+                               order=labels)
+        file = tmp_path / "k.cx"
+        fileio.write_complex(K, file)
+        assert fileio.read_complex(file) == K
+        assert fileio.read_complex(file).vertices == tuple(labels)
 
 
 class TestComplexFiles:

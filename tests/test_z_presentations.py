@@ -25,7 +25,7 @@ import pytest
 from cohodist.complexes import Subcomplex, barycentric_subdivision
 from cohodist.exactalg import ZZ
 from cohodist.fixtures import fixture_complex, fixture_names
-from cohodist.homology import COHOMOLOGY, HOMOLOGY, _PieceChains, _presentations, chain_complex
+from cohodist.homology import COHOMOLOGY, HOMOLOGY, ChainComplexData, _presentations, chain_complex
 
 from .presentation_path import z_presentation_by_degree
 
@@ -122,7 +122,7 @@ def test_z_walk_matches_reference(name, subdivided):
     pieces = [data]
     for _ in range(1 if subdivided else 2):
         faces = rng.sample(K.maximal_faces, max(1, len(K.maximal_faces) // 2))
-        pieces.append(_PieceChains(data, Subcomplex.spanned_by(K, faces).mask))
+        pieces.append(ChainComplexData(Subcomplex.spanned_by(K, faces).complex))
     for piece in pieces:
         for variance in VARIANCES:
             check_against_reference(piece, variance, rng)
