@@ -134,7 +134,9 @@ def cmd_info(args, parser):
     return Report("info", "ok", data, lines=lines)
 
 
-def _cmd_groups(args, parser, variance):
+def cmd_groups(args, parser):
+    """``homology`` or ``cohomology``, the variance named by the command."""
+    variance = args.command
     K = _resolve_complex(args.complex)
     ring = ring_from_code(args.ring)
     gm = cohomology(K, ring) if variance == COHOMOLOGY else homology(K, ring)
@@ -143,14 +145,6 @@ def _cmd_groups(args, parser, variance):
     sym = "H^" if variance == COHOMOLOGY else "H_"
     lines = [f"{sym}{d}({args.complex}; {ring}) = {g}" for d, g in enumerate(groups)]
     return Report(variance, "ok", data, ring=ring, variance=variance, lines=lines)
-
-
-def cmd_homology(args, parser):
-    return _cmd_groups(args, parser, HOMOLOGY)
-
-
-def cmd_cohomology(args, parser):
-    return _cmd_groups(args, parser, COHOMOLOGY)
 
 
 def cmd_cuplength(args, parser):
@@ -188,8 +182,9 @@ def cmd_verify(args, parser):
 def cmd_bounds(args, parser):
     query, name = _query_from_args(args, parser)
     cover = _resolve_cover(args.cover, query.source) if args.cover else None
-    report = bounds_for(query, cover, args.strategy, args.budget, args.seed,
-                        args.max_size, args.exhaustive)
+    report = bounds_for(query, cover, strategy=args.strategy, budget=args.budget,
+                        seed=args.seed, max_size=args.max_size,
+                        exhaustive_upto=args.exhaustive)
     if args.scat:
         name = f"hscat({args.scat})"
     elif args.tc:
@@ -288,21 +283,15 @@ def build_parser():
     p.add_argument("complex")
     p.set_defaults(func=cmd_info)
 
-    for name, fn in (("homology", cmd_homology), ("cohomology", cmd_cohomology)):
-        p = sub.add_parser(name, help=f"graded {name} groups")
+    for name, fn, text in (
+            (HOMOLOGY, cmd_groups, "graded homology groups"),
+            (COHOMOLOGY, cmd_groups, "graded cohomology groups"),
+            ("cuplength", cmd_cuplength, "cup-length of H^{>0}"),
+            ("zdcl", cmd_zdcl, "zero-divisor cup-length (field coefficients)")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("complex")
         _add_ring(p)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("cuplength", help="cup-length of H^{>0}")
-    p.add_argument("complex")
-    _add_ring(p)
-    p.set_defaults(func=cmd_cuplength)
-
-    p = sub.add_parser("zdcl", help="zero-divisor cup-length (field coefficients)")
-    p.add_argument("complex")
-    _add_ring(p)
-    p.set_defaults(func=cmd_zdcl)
 
     p = sub.add_parser("verify", help="verify a cover certificate")
     _add_query_args(p, "compare in cohomology (default) or homology")

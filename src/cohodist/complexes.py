@@ -463,6 +463,9 @@ class SimplicialMap:
             if w is None:
                 raise NotSimplicialError(f"image {self.assignment[v]!r} is not a vertex")
             at.append(w)
+        if len(self.assignment) > len(at):
+            extra = next(u for u in self.assignment if u not in source._pos)
+            raise NotSimplicialError(f"{extra!r} is not a vertex of the source")
         # on positions: a face's image is the sorted set of its vertices'
         # image positions
         for k in source.maximal_keys():

@@ -22,20 +22,23 @@ with cycles over a field, reducing and pairing only the new simplices'
 boundary columns as the state grows, and is read as its mask over Z.
 The lower bound is a cup-length in either variance (:func:`lower_bound`).
 
-Search state is per query.  One checker evaluates every piece of a query,
-at every size and in both strategies, and memoizes each verdict for the
-whole query; it holds no state but the empty one.  One size plan
-(:func:`_size_plan`) decides, for :func:`search` and :func:`bounds_for`
-alike, whether a size is searched exhaustively or greedily, and each
-search verifies the cover it returns, once.  Each walk owns the states it
-grows and grows each piece from one it knows to lie inside.  Exhaustive
-search proves nonexistence within that family, and so among all covers
-by subcomplexes.  One depth-first walk
-assigns faces to pieces: it runs uncut over the first ``2^n`` assignments,
-then every nonempty set of maximal faces is evaluated once into a table of
-verdicts, depth first over the sets, and the walk runs again, cut at the
-first partial piece the table rejects (a piece that passes passes on
-every sub-piece).  Face sets are int bit masks throughout.  Its budget
+:func:`search` is the one cover search, at one size and in every strategy,
+and :func:`bounds_for` the one bound search, over sizes; they alone take
+search options (:func:`hscat` and :func:`hstc` pass theirs on to
+:func:`bounds_for`).  Search state is per query.  One checker evaluates
+every piece of a query, at every size and in both strategies, and memoizes
+each verdict for the whole query; it holds no state but the empty one.
+One size plan (:func:`_size_plan`) decides, for :func:`search` and
+:func:`bounds_for` alike, whether a size is searched exhaustively or
+greedily, and each search verifies the cover it returns, once.  Each walk
+owns the states it grows and grows each piece from one it knows to lie
+inside.  Exhaustive search proves nonexistence within that family, and so
+among all covers by subcomplexes.  One depth-first walk assigns faces to
+pieces: it runs uncut over the first ``2^n`` assignments, then every
+nonempty set of maximal faces is evaluated once into a table of verdicts,
+depth first over the sets, and the walk runs again, cut at the first
+partial piece the table rejects (a piece that passes passes on every
+sub-piece).  Face sets are int bit masks throughout.  Its budget
 bounds the ``(2^s - 1)^n`` assignments of the full enumeration, which the
 table's ``2^n`` entries never exceed for two or more pieces.  The
 greedy strategy grows pieces face by face and repairs by local moves.  It
@@ -89,6 +92,7 @@ from .homology import (
 )
 
 DEFAULT_BUDGET = 2 ** 24
+GREEDY_RESTARTS = 24
 STRATEGIES = ("auto", "exhaustive", "greedy")
 
 
@@ -439,20 +443,6 @@ def _assignments(n: int, size: int, fits):
             pieces[j] ^= 1 << len(stack)
 
 
-def search_exhaustive(query: DistanceQuery, size: int,
-                      budget: int = DEFAULT_BUDGET) -> Cover | None:
-    """Decide whether some cover by `size` pieces spanned by maximal faces
-    satisfies the query; return a verified cover, or None as a proof that
-    none exists.
-
-    The candidates are the assignments of each maximal face to a nonempty
-    set of pieces, ``(2^size - 1)^n`` of them for n faces, in the order of
-    ``itertools.product`` over the membership patterns; the budget caps
-    that count.  See :func:`_exhaustive` for the walk.
-    """
-    return search(query, size, "exhaustive", budget)
-
-
 def _exhaustive(checker, size):
     """The certificate of the first cover by `size` pieces that verifies,
     or None.
@@ -482,23 +472,16 @@ def _exhaustive(checker, size):
     return _first_verified(checker, _assignments(n, size, table.__getitem__))
 
 
-def search_greedy(query: DistanceQuery, size: int, seed: int = 0,
-                  restarts: int = 24) -> Cover | None:
-    """Grow pieces face by face, then repair by local moves; return a
-    verified cover by `size` pieces, or None.  See :func:`_greedy`."""
-    _check_size(size)
-    return _cover(_greedy(_PieceChecker(query), size, seed, restarts))
-
-
-def _greedy(checker, size, seed=0, restarts=24):
+def _greedy(checker, size, seed):
     """The certificate of the first cover by `size` pieces that greedy
     search finds and verifies, or None.
 
     Faces are assigned in order to the piece with the least obstruction
     (ties to the lower piece index).  Repair scans failing pieces for the
     first move or copy of a face that strictly lowers the total
-    obstruction.  Face orders are reshuffled per restart from the seed.
-    The result is re-verified before being returned.
+    obstruction.  It makes ``GREEDY_RESTARTS`` attempts, the first in face
+    order and each later one in a face order reshuffled from the seed.  The
+    result is re-verified before being returned.
 
     The search keeps each piece's state beside its face set.  A piece that
     gains a face grows from its own state by that face; the pieces a repair
@@ -510,7 +493,7 @@ def _greedy(checker, size, seed=0, restarts=24):
     rng = random.Random(seed)
 
     def repaired():
-        for attempt in range(max(1, restarts)):
+        for attempt in range(GREEDY_RESTARTS):
             order = list(range(n))
             if attempt:
                 rng.shuffle(order)
@@ -524,10 +507,6 @@ def _first_verified(checker, candidates):
     sets) that verifies, or None; each is verified before the next is
     drawn, so a walk may yield its own state."""
     return next(filter(attrgetter("verified"), map(checker.certificate, candidates)), None)
-
-
-def _cover(cert):
-    return cert.cover if cert else None
 
 
 def _grown(checker, order, size):
@@ -590,15 +569,24 @@ def _first_improving_move(checker, face_sets, states, obs):
 
 def search(query: DistanceQuery, size: int, strategy: str = "auto",
            budget: int = DEFAULT_BUDGET, seed: int = 0) -> Cover | None:
-    """Find a verified cover by `size` pieces, or None.
+    """The one cover search: a verified cover by `size` pieces spanned by
+    maximal faces, or None.
 
-    ``exhaustive`` also proves nonexistence; ``auto`` uses it whenever the
-    enumeration fits the budget and falls back to greedy otherwise
-    (:func:`_size_plan`, as :func:`bounds_for` decides each size).
+    ``exhaustive`` decides whether such a cover exists, so its None is a
+    proof that none does.  Its candidates are the assignments of each
+    maximal face to a nonempty set of pieces, ``(2^size - 1)^n`` of them
+    for n faces, in the order of ``itertools.product`` over the membership
+    patterns; the budget caps that count (see :func:`_exhaustive` for the
+    walk).  ``greedy`` grows pieces face by face from the seed's face
+    orders, then repairs by local moves (:func:`_greedy`); its None proves
+    nothing.  ``auto`` searches exhaustively whenever the enumeration fits
+    the budget and greedily otherwise (:func:`_size_plan`, as
+    :func:`bounds_for` decides each size).
     """
     exhaustive, _ = _size_plan(len(query.source.maximal_faces), size, strategy, budget)
     checker = _PieceChecker(query)
-    return _cover(_exhaustive(checker, size) if exhaustive else _greedy(checker, size, seed))
+    cert = _exhaustive(checker, size) if exhaustive else _greedy(checker, size, seed)
+    return cert.cover if cert else None
 
 
 def _size_plan(n_faces: int, size: int, strategy: str, budget: int,
@@ -679,7 +667,8 @@ def bounds_for(query: DistanceQuery, cover: Cover | None = None,
                strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
                max_size: int | None = None,
                exhaustive_upto: int | None = None) -> BoundReport:
-    """Bounds for an arbitrary query; hscat/hstc are the common wrappers.
+    """The one bound search, for any query; :func:`hscat` and :func:`hstc`
+    are the common wrappers and pass their options on here.
 
     The lower bound is the cup-length of the difference image.  A supplied
     cover that verifies is the upper bound; otherwise sizes from the lower
@@ -728,20 +717,16 @@ def bounds_for(query: DistanceQuery, cover: Cover | None = None,
     return BoundReport(query, lower, witness, upper, cert, exact, notes)
 
 
-def hscat(K: SimplicialComplex, ring: Ring, cover: Cover | None = None,
-          strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
-          max_size: int | None = None, exhaustive_upto: int | None = None) -> BoundReport:
-    """Bounds on the cohomological category of K (constant versus identity)."""
-    return bounds_for(scat_query(K, ring), cover, strategy, budget, seed,
-                      max_size, exhaustive_upto)
+def hscat(K: SimplicialComplex, ring: Ring, **options) -> BoundReport:
+    """Bounds on the cohomological category of K (constant versus identity);
+    the options are those of :func:`bounds_for`."""
+    return bounds_for(scat_query(K, ring), **options)
 
 
-def hstc(K: SimplicialComplex, ring: Ring, cover: Cover | None = None,
-         strategy: str = "auto", budget: int = DEFAULT_BUDGET, seed: int = 0,
-         max_size: int | None = None, exhaustive_upto: int | None = None) -> BoundReport:
-    """Bounds on the cohomological complexity of K (the two projections)."""
-    return bounds_for(stc_query(K, ring), cover, strategy, budget, seed,
-                      max_size, exhaustive_upto)
+def hstc(K: SimplicialComplex, ring: Ring, **options) -> BoundReport:
+    """Bounds on the cohomological complexity of K (the two projections);
+    the options are those of :func:`bounds_for`."""
+    return bounds_for(stc_query(K, ring), **options)
 
 
 def subdivision_monotonicity_check(query: DistanceQuery, cover: Cover) -> bool:

@@ -189,11 +189,15 @@ def ring_from_code(code: str) -> Ring:
         return QQ
     if code == "z2":
         return GF2
-    if code.startswith("zp:") and code[3:].isdecimal():
-        return GF(int(code[3:]))
-    if code.startswith("z") and code[1:].isdecimal():
-        return GF(int(code[1:]))
-    raise UnsupportedRingError(f"unknown ring code {code!r}")
+    # the modulus of zp:<p> or z<p>
+    digits = code[3:] if code.startswith("zp:") else code[1:] if code.startswith("z") else ""
+    if not digits.isdecimal():
+        raise UnsupportedRingError(f"unknown ring code {code!r}")
+    try:
+        p = int(digits.lstrip("0") or "0")
+    except ValueError:  # past int()'s digit limit, so far past PRIME_LIMIT
+        p = PRIME_LIMIT
+    return GF(p)
 
 
 # ---------------------------------------------------------------------------

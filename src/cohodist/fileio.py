@@ -7,7 +7,9 @@ nested tuple labels (barycenters of product simplices) use parentheses
 inside the quotes.  Cover files group face lines under ``piece <name>``
 headers; map files hold ``u -> v`` lines.  The writers refuse, with
 :class:`errors.UnwritableLabelError`, a label or piece name that their
-reader would not give back as itself.
+reader would not give back as itself.  The readers raise
+:class:`errors.ParseError` with the line of a label they cannot read,
+one nested past the interpreter's recursion limit among them.
 """
 
 import functools
@@ -169,11 +171,15 @@ def complex_from_text(text: str) -> SimplicialComplex:
                 order = [label(tok) for tok in header.split()]
             except ValueError as e:
                 raise ParseError(str(e), lineno)
+            except RecursionError:
+                raise ParseError("label nested too deeply", lineno)
             continue
         try:
             faces.append([label(tok) for tok in _split_top_level(line)])
         except ValueError as e:
             raise ParseError(str(e), lineno)
+        except RecursionError:
+            raise ParseError("label nested too deeply", lineno)
     if not faces:
         raise ParseError("no faces found", None)
     return from_maximal_faces(faces, order=order)
@@ -249,6 +255,8 @@ def cover_from_text(text: str, parent: SimplicialComplex) -> Cover:
             face = [label(tok) for tok in _split_top_level(line)]
         except ValueError as e:
             raise ParseError(str(e), lineno)
+        except RecursionError:
+            raise ParseError("label nested too deeply", lineno)
         for v in face:
             if (v,) not in parent:
                 raise ParseError(f"{v!r} is not a vertex of the complex", lineno)
@@ -293,6 +301,8 @@ def map_from_text(text: str, source: SimplicialComplex,
             u, v = label(left), label(right)
         except ValueError as e:
             raise ParseError(str(e), lineno)
+        except RecursionError:
+            raise ParseError("label nested too deeply", lineno)
         if (u,) not in source:
             raise ParseError(f"{u!r} is not a vertex of the source complex", lineno)
         if u in assignment:

@@ -36,7 +36,6 @@ from cohodist.distance import (
     lower_bound,
     scat_query,
     search,
-    search_exhaustive,
     stc_query,
     subdivision_monotonicity_check,
     verify,
@@ -189,7 +188,7 @@ def test_k5_exact_category_and_subdivision_drop():
     k5 = fixture_complex("k5")
     q = scat_query(k5, GF2)
     # no two pieces suffice: exhaustive proof plus an independent oracle
-    assert search_exhaustive(q, 2) is None
+    assert search(q, 2, "exhaustive") is None
     assert not oracles.k5_two_cover_exists()
     # the printed three-piece cover works
     assert verify(q, fixture_cover("k5")).verified
@@ -495,7 +494,7 @@ def _verified_certificates():
     assert repaired is not None
     out.append((q4, repaired))
     qs = scat_query(s2, GF2)
-    two = search_exhaustive(qs, 2)
+    two = search(qs, 2, "exhaustive")
     assert two is not None
     out.append((qs, two))
     return out

@@ -13,6 +13,7 @@ from cohodist.complexes import (
     restrict,
 )
 from cohodist.distance import (
+    STRATEGIES,
     DistanceQuery,
     _PieceChecker,
     bounds_for,
@@ -21,8 +22,6 @@ from cohodist.distance import (
     lower_bound,
     scat_query,
     search,
-    search_exhaustive,
-    search_greedy,
     stc_query,
     subdivision_monotonicity_check,
     verify,
@@ -123,13 +122,13 @@ class TestLowerBound:
 class TestSearch:
     def test_k5_no_two_cover(self):
         q = scat_query(fixture_complex("k5"), GF2)
-        assert search_exhaustive(q, 2) is None
+        assert search(q, 2, "exhaustive") is None
         # independent enumeration: two covering forests would be needed
         assert not oracles.k5_two_cover_exists()
 
     def test_k5_three_cover_found(self):
         q = scat_query(fixture_complex("k5"), GF2)
-        cov = search_greedy(q, 3, seed=0)
+        cov = search(q, 3, "greedy", seed=0)
         assert cov is not None and verify(q, cov).verified
 
     def test_k5_printed_cover_verifies(self):
@@ -145,7 +144,7 @@ class TestSearch:
     def test_budget_guard(self):
         q = scat_query(fixture_complex("k5"), GF2)
         with pytest.raises(BudgetExceededError):
-            search_exhaustive(q, 3)  # 7^10 assignments
+            search(q, 3, "exhaustive")  # 7^10 assignments
 
     def test_budget_messages(self):
         # a search counts candidate covers; a bound report names the size
@@ -158,19 +157,19 @@ class TestSearch:
             bounds_for(q, strategy="exhaustive")
 
     def test_size_below_one_raises(self):
-        # search_exhaustive(q, 0) used to return None, a proof that no
+        # search(q, 0, "exhaustive") used to return None, a proof that no
         # cover exists; -1 failed in islice and greedy in min()
         q = scat_query(fixture_complex("k5"), GF2)
         for size in (0, -1):
-            for fn in (search, search_exhaustive, search_greedy):
+            for strategy in STRATEGIES:
                 with pytest.raises(ValueError, match="size must be at least 1"):
-                    fn(q, size)
+                    search(q, size, strategy)
 
     def test_exhaustive_finds_sphere_two_cover(self):
         # facet versus complementary star: both pieces have trivial
         # positive-degree cohomology
         q = scat_query(fixture_complex("s2"), GF2)
-        cov = search_exhaustive(q, 2)
+        cov = search(q, 2, "exhaustive")
         assert cov is not None and verify(q, cov).verified
 
 

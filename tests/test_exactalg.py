@@ -73,6 +73,17 @@ class TestRings:
         assert ring_from_code("q") == QQ
         assert ring_from_code("z2") == GF2
         assert ring_from_code("zp:7") == GF(7)
+        # leading zeros are read past int()'s digit limit too
+        for zeros in (27, 5000):
+            assert ring_from_code("zp:" + "0" * zeros + "3") == GF(3)
+            assert ring_from_code("z" + "0" * zeros + "3") == GF(3)
+
+    def test_moduli_past_the_digit_limit(self):
+        # int() refuses more than 4300 digits; such a modulus is far past
+        # PRIME_LIMIT and is refused as every modulus past it is
+        for code in ("zp:" + "9" * 5000, "z" + "9" * 5000, "zp:1" + "0" * 4300):
+            with pytest.raises(UnsupportedRingError, match="prime moduli must be below"):
+                ring_from_code(code)
 
     def test_primality_against_trial_division(self):
         def trial(n):

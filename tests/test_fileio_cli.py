@@ -395,6 +395,11 @@ class TestCli:
         assert cli.main(["cohomology", "s2", "--ring", f"zp:{2 ** 89 - 1}"]) == 2
         err = capsys.readouterr().err
         assert "prime moduli must be below 3317044064679887385961981" in err
+        # a modulus past int()'s 4300-digit limit used to exit 1 with a traceback
+        for code in ("zp:" + "9" * 5000, "z" + "9" * 5000):
+            assert cli.main(["cohomology", "s2", "--ring", code]) == 2
+            err = capsys.readouterr().err
+            assert "prime moduli must be below 3317044064679887385961981" in err
 
     def test_negative_counts_rejected(self, capsys, tmp_path):
         out = str(tmp_path / "sd")
@@ -617,6 +622,30 @@ class TestBadInputFiles:
             argv = self.map_pair_argv(tmp_path, text)
             argv[argv.index("--target") + 1] = "c3"  # s2 onto a circle
             self.run_bad(capsys, argv, message)
+
+    def test_labels_nested_too_deeply(self, capsys, tmp_path):
+        # a label 3000 parentheses deep used to stop each reader with a
+        # RecursionError traceback and exit 1, the code of "not verified"
+        deep = '"' + "(" * 3000 + "0" + ")" * 3000 + '"'
+        path = tmp_path / "deep.cx"
+        for text, line in ((f"0,1,2\n0,1,3\n{deep},2,3\n", 3),
+                           (f"# one comment\norder: 0 1 {deep}\n0,1\n", 2)):
+            path.write_text(text)
+            self.run_bad(capsys, ["info", str(path)], f"line {line}: label nested too deeply")
+        cover = tmp_path / "deep.cover"
+        cover.write_text(f"piece A\n0,1,2\n{deep},1\n")
+        self.run_bad(capsys, ["verify", "--scat", "s2", "--cover", str(cover)],
+                     "line 3: label nested too deeply")
+        argv = self.map_pair_argv(tmp_path, f"0 -> 0\n1 -> {deep}\n")
+        self.run_bad(capsys, argv, "line 2: label nested too deeply")
+
+    def test_labels_400_deep_still_read(self, capsys, tmp_path):
+        label = "(" * 399 + "0" + ")" * 399
+        path = tmp_path / "deep.cx"
+        path.write_text(f'"{label}",1\n1,2\n2,"{label}"\n')
+        code, out = run_cli(capsys, "cohomology", str(path))
+        assert code == 0 and "= Z_2" in out
+        assert fileio.parse_label(f'"{label}"') in fileio.read_complex(path).vertices
 
     def test_second_order_header(self, capsys, tmp_path):
         # the second header used to replace the first

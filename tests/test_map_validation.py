@@ -3,8 +3,9 @@
 :class:`SimplicialMap` checks each maximal face of its source through the
 image positions of its vertices, so no label tuple of the source is built
 unless a face fails.  The three ways a vertex assignment can fail keep
-their messages word for word, and a failing face is still named by its
-labels, listed in the source's vertex order.  Two maps compared or pulled
+their messages word for word, a key that is no source vertex is refused
+too, and a failing face is still named by its labels, listed in the
+source's vertex order.  Two maps compared or pulled
 back together must be parallel, and every public entry point that takes
 such a pair refuses one that is not with the same error.
 """
@@ -35,6 +36,15 @@ def message(source, target, assignment):
 def test_a_vertex_with_no_image():
     assert message(PATH, ARC, {"z": 0, "a": 1}) == "vertex 'm' has no image"
     assert message(ARC, PATH, {}) == "vertex 0 has no image"
+
+
+def test_a_key_that_is_not_a_source_vertex():
+    # such a map used to be built, and its hash raised KeyError
+    assert (message(CIRCLE, CIRCLE, {0: 0, 1: 1, 2: 2, "x": 0})
+            == "'x' is not a vertex of the source")
+    assert message(PATH, ARC, {"z": 0, "a": 1, "m": 1, 7: 0}) == "7 is not a vertex of the source"
+    # a missing vertex is named first
+    assert message(PATH, ARC, {"z": 0, "a": 1, "x": 0}) == "vertex 'm' has no image"
 
 
 def test_an_image_that_is_not_a_vertex():

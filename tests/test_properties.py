@@ -47,8 +47,7 @@ from cohodist.complexes import (
 from cohodist.distance import (
     DistanceQuery,
     scat_query,
-    search_exhaustive,
-    search_greedy,
+    search,
     subdivision_monotonicity_check,
     verify,
 )
@@ -187,8 +186,8 @@ def test_betti_numbers(K):
        variance=st.sampled_from(VARIANCES), size=st.integers(1, 3))
 def test_search_returns_verified_covers(pair, ring, variance, size):
     query = DistanceQuery(*pair, ring, variance)
-    exhaustive = search_exhaustive(query, size)
-    greedy = search_greedy(query, size, restarts=4)
+    exhaustive = search(query, size, "exhaustive")
+    greedy = search(query, size, "greedy")
     if exhaustive is None:
         assert greedy is None
     for cover in (exhaustive, greedy):

@@ -1,8 +1,8 @@
 """Exhaustive cover search from one table of face-set verdicts.
 
-``search_exhaustive`` tries the first ``2^n`` assignments in turn, then
-evaluates every nonempty face set once and walks the assignments depth
-first, pruning on failing partial pieces.  These tests compare it with the
+``search(..., "exhaustive")`` tries the first ``2^n`` assignments in
+turn, then evaluates every nonempty face set once and walks the
+assignments depth first, pruning on failing partial pieces.  These tests compare it with the
 product enumeration it replaced (``reference_search.search_by_product``) on
 fixtures and random complexes in shuffled vertex orders, over GF(2), GF(3)
 and Q in both variances and over Z on the small fixtures, count the piece
@@ -22,8 +22,7 @@ from cohodist.distance import (
     hscat,
     hstc,
     scat_query,
-    search_exhaustive,
-    search_greedy,
+    search,
     stc_query,
 )
 from cohodist.errors import BudgetExceededError
@@ -94,7 +93,7 @@ def compare(query, size, evaluations, tables):
     want = search_by_product(query, size)
     evaluations.clear()
     tables.clear()
-    got = search_exhaustive(query, size)
+    got = search(query, size, "exhaustive")
     assert signature(got) == signature(want)
     if got is None:
         assert len(evaluations) == (1 if size == 1 else 2 ** n - 1)
@@ -194,7 +193,7 @@ def test_one_piece_is_one_evaluation(evaluations):
     s2 = fixture_complex("s2")
     for q in (scat_query(fixture_complex("k5"), GF2), stc_query(s2, GF2)):
         evaluations.clear()
-        search_exhaustive(q, 1)
+        search(q, 1, "exhaustive")
         assert len(evaluations) == 1
     assert len(q.source.maximal_faces) == 96
 
@@ -203,8 +202,8 @@ def test_budget_still_counts_assignments():
     q = scat_query(fixture_complex("rp2"), GF2)
     # 3^10 assignments at two pieces; the table has only 2^10 entries
     with pytest.raises(BudgetExceededError):
-        search_exhaustive(q, 2, budget=3 ** 10 - 1)
-    assert search_exhaustive(q, 2, budget=3 ** 10) is None
+        search(q, 2, "exhaustive", budget=3 ** 10 - 1)
+    assert search(q, 2, "exhaustive", budget=3 ** 10) is None
 
 
 def test_bounds_make_pinned_evaluations(evaluations):
@@ -237,10 +236,10 @@ def test_integer_and_homology_searches_make_pinned_evaluations(evaluations):
     assert (report.lower, report.exact) == (2, 2)
     evaluations.clear()
     rp2 = fixture_complex("rp2")
-    assert search_greedy(scat_query(rp2, GF2, "homology"), 3) is not None
+    assert search(scat_query(rp2, GF2, "homology"), 3, "greedy") is not None
     assert len(evaluations) == 23
     evaluations.clear()
-    assert search_exhaustive(scat_query(rp2, ZZ, "homology"), 2) is None
+    assert search(scat_query(rp2, ZZ, "homology"), 2, "exhaustive") is None
     assert len(evaluations) == 1023
 
 
@@ -254,7 +253,7 @@ def test_greedy_gap_makes_pinned_evaluations(evaluations):
 
 def test_greedy_returns_pinned_cover():
     q = stc_query(fixture_complex("s2"), GF(3))
-    cover = search_greedy(q, 3, seed=0)
+    cover = search(q, 3, "greedy", seed=0)
     faces = q.source.maximal_faces
     pieces = [(p.name, sum(1 << faces.index(f) for f in p.complex.maximal_faces))
               for p in cover.pieces]

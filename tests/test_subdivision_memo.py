@@ -31,7 +31,7 @@ from cohodist.complexes import (
 )
 from cohodist.distance import (
     scat_query,
-    search_greedy,
+    search,
     stc_query,
     subdivision_monotonicity_check,
 )
@@ -193,7 +193,7 @@ def test_a_subdivision_cached_again_is_released_again(memo):
     # the check subdivides the source, then the target, which replaces the
     # source in the memo before verify reads the source's chain data
     q = stc_query(fixture_complex("c3"), GF2)
-    cover = search_greedy(q, 2)
+    cover = search(q, 2, "greedy")
     assert cover is not None and subdivision_monotonicity_check(q, cover)
     sd_source, = [K for K in homology_module._chain_cache
                   if K.f_vector() == (54, 162, 108)]
